@@ -15,7 +15,7 @@ class Config:
     sieve_bound  -- largest |disc| covered by the bulk class-number table
     cache_path   -- optional file for persisting that table between runs;
                     falls back to the ALTRACE_CACHE environment variable
-    workers      -- processes used by the scan loops (1 = serial)
+    workers      -- threads used by the scan loops (1 = serial)
     output_dir   -- where scan artifacts (csv/svg) are written
     """
 

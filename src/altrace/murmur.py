@@ -4,9 +4,9 @@ A family is a window X <= N <= beta*X of newform levels N = Q*M together
 with a rule for which part is the Atkin-Lehner modulus Q.  For each prime
 ell the scan averages sqrt(N/Q) * ell^(1-k/2) * tr T_ell W_Q over the
 window, normalized by the number of newforms.  Numerators and denominators
-accumulate exactly (integers and Fractions); floats appear only in the
-final division, so scans are reproducible across platforms and worker
-counts.
+accumulate as exact integers; ``Fraction`` appears only at the API boundary
+(beta and the x = ell/X of each point), and floats only in the final
+division, so scans are reproducible across platforms and worker counts.
 """
 from __future__ import annotations
 
@@ -209,6 +209,14 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
     return out
 
 
+def _map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _trace_at(spec: FamilySpec, k: int, q: int, m: int, ell: int) -> int:
     if spec.kind == "II" and spec.m_set == "all":
         if q == 1:
@@ -228,29 +236,25 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int, workers: int = 1) -> list[Murmu
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     k = spec.k
     ells = _primes_in(ell_range)
+    dims = [signs.dim_new(k, q * m) for q, m in levels]
 
     def point(ell: int) -> MurmurationPoint | None:
         groups: dict[int, int] = {}
         dim_total = 0
-        for q, m in levels:
+        for (q, m), dim in zip(levels, dims):
             if (q * m) % ell == 0:
                 continue
             groups[m] = groups.get(m, 0) + _trace_at(spec, k, q, m, ell)
-            dim_total += signs.dim_new(k, q * m)
+            dim_total += dim
         if not groups:
             return None
         if dim_total == 0:
             raise ValueError("window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k))
-        scale = Fraction(1, ell ** (k // 2 - 1))
-        avg = sum(float(scale * s) * math.sqrt(m) for m, s in sorted(groups.items()))
+        scale = ell ** (k // 2 - 1)
+        avg = sum(s / scale * math.sqrt(m) for m, s in sorted(groups.items()))
         return MurmurationPoint(ell, X, Fraction(ell, X), avg / dim_total, dim_total)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, ells))
-    else:
-        results = [point(ell) for ell in ells]
-    points = [p for p in results if p is not None]
+    points = [p for p in _map(point, ells, workers) if p is not None]
     if not points:
         raise ValueError("every prime in the range divides every level of %s" % (spec,))
     return points
@@ -277,7 +281,7 @@ def scan_eigenspace(
     ells = _primes_in(ell_range)
     subsets = list(range(1 << spec.r))
 
-    def eig_sum(n: int, ps: list[int], ell: int) -> Fraction:
+    def eig_sum(n: int, ps: list[int], ell: int) -> int:
         total = 0
         for mask in subsets:
             q = 1
@@ -291,39 +295,33 @@ def scan_eigenspace(
             else:
                 t = trace.t_new_squarefree(k, q, n // q, ell)
             total += sign * t
-        out = Fraction(total, 1 << spec.r)
-        assert out.denominator == 1, (n, ell, out)
-        return out
+        assert total % (1 << spec.r) == 0, (n, ell, total)
+        return total >> spec.r
 
-    dims: dict[int, Fraction] = {}
-    for _, n in ((q, q * m) for q, m in levels):
+    per_level = []
+    for q, m in levels:
+        n = q * m
         ps = [p for p, _ in factor(n).factors]
-        dims[n] = eig_sum(n, ps, 1)
-        assert dims[n] >= 0, (n, dims[n])
+        dim = eig_sum(n, ps, 1)
+        assert dim >= 0, (n, dim)
+        per_level.append((n, ps, dim))
 
     def point(ell: int) -> MurmurationPoint | None:
-        num = Fraction(0)
+        num = 0
         den = 0
-        for q, m in levels:
-            n = q * m
+        for n, ps, dim in per_level:
             if n % ell == 0:
                 continue
-            ps = [p for p, _ in factor(n).factors]
             num += eig_sum(n, ps, ell)
-            den += int(dims[n])
-        if num == 0 and den == 0 and any((q * m) % ell == 0 for q, m in levels):
+            den += dim
+        if num == 0 and den == 0 and any(n % ell == 0 for n, _, _ in per_level):
             return None
         if den == 0:
             raise ValueError("eigenspace empty over window [%d, %s]" % (X, spec.beta * X))
-        avg = float(num * Fraction(1, ell ** (k // 2 - 1))) / den
+        avg = num / ell ** (k // 2 - 1) / den
         return MurmurationPoint(ell, X, Fraction(ell, X), avg, den)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, ells))
-    else:
-        results = [point(ell) for ell in ells]
-    return [p for p in results if p is not None]
+    return [p for p in _map(point, ells, workers) if p is not None]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -405,27 +403,26 @@ def cancellation_diag(
     if not levels:
         raise ValueError("no squarefree levels in [%d, %d]" % (lo, hi))
 
+    # dim S^new(n) and tr W_n on it do not depend on ell
+    per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]
+
     def measure(ell: int) -> tuple[float, float]:
         s1 = sn = d1 = dn = 0
-        for n in levels:
+        for n, dim, fricke in per_level:
             if n % ell == 0:
                 continue
             s1 += trace.t_new_squarefree(k, 1, n, ell)
             sn += trace.t_new_squarefree(k, n, 1, ell)
-            d1 += signs.dim_new(k, n)
-            dn += trace.t_new_squarefree(k, n, 1, 1)
+            d1 += dim
+            dn += fricke
         if d1 + dn == 0 or d1 - dn == 0:
             raise ValueError("an eigenspace is empty over [%d, %d]" % (lo, hi))
-        scale = Fraction(1, ell ** (k // 2 - 1))
-        plus = float(scale * Fraction(s1 + sn, 2)) / ((d1 + dn) // 2)
-        minus = float(scale * Fraction(s1 - sn, 2)) / ((d1 - dn) // 2)
+        scale = 2 * ell ** (k // 2 - 1)
+        plus = (s1 + sn) / scale / ((d1 + dn) // 2)
+        minus = (s1 - sn) / scale / ((d1 - dn) // 2)
         return abs(plus + minus), abs(plus - minus)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(measure, ells))
-    else:
-        rows = [measure(ell) for ell in ells]
+    rows = _map(measure, ells, workers)
     sums = [r[0] for r in rows]
     best = max(range(len(ells)), key=lambda i: sums[i])
     return CancellationReport(k, X, beta, sums[best], max(r[1] for r in rows), ells[best])

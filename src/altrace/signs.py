@@ -116,57 +116,45 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     _check_delta_args(k, q, r, m)
     e, mp = _split_even(m)
     c = -1 if (k // 2) % 2 else 1
-    a1 = lambda d: Fraction(classnum.alpha1_12(d, e), 12)
+    a12 = lambda d: classnum.alpha1_12(d, e)
+    # every case is accumulated in 24ths: alpha_1 comes in 12ths and the
+    # closed forms halve it
     if r == 1:
         if q >= 5:
-            val = Fraction(c, 2) * a1(-q) * kappa_minus(-q, mp)
-            if k == 2:
-                val += mobius(m)
+            val24 = c * a12(-q) * kappa_minus(-q, mp)
         elif q == 2:
-            val = Fraction(c * kappa_minus(-2, m) - pk_sqrt2(k) * kappa_minus(-1, m), 2)
-            if k == 2:
-                val += mobius(m)
+            val24 = 12 * (c * kappa_minus(-2, m) - pk_sqrt2(k) * kappa_minus(-1, m))
         else:  # q == 3
-            val = Fraction(c, 2) * a1(-3) * kappa_minus(-3, mp)
-            val -= Fraction(pk_sqrt3(k), 3) * kappa_minus(-3, m)
-            if k == 2:
-                val += mobius(m)
+            val24 = c * a12(-3) * kappa_minus(-3, mp) - 8 * pk_sqrt3(k) * kappa_minus(-3, m)
+        if k == 2:
+            val24 += 24 * mobius(m)
     elif r == 2:
         if q == 2:
-            val = (
-                Fraction(c * kappa_minus(-1, m), 4)
-                + Fraction(pk_one(k) * kappa_minus(-3, m), 3)
-                - Fraction((k - 1) * kappa_infty(m), 12)
-            )
+            val24 = 6 * c * kappa_minus(-1, m) + 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
-            val = Fraction(c, 2) * (a1(-q * q) - a1(-1)) * kappa_minus(-1, mp)
-            val -= Fraction(
-                3 * c * kappa_minus(-4, m) - 4 * pk_one(k) * kappa_minus(-3, m) + (k - 1) * kappa_infty(m),
-                12,
-            )
-            val += Fraction(classnum.alpha2(m), 2)
+            val24 = c * (a12(-q * q) - a12(-1)) * kappa_minus(-1, mp)
+            val24 -= 2 * (3 * c * kappa_minus(-4, m) - 4 * pk_one(k) * kappa_minus(-3, m) + (k - 1) * kappa_infty(m))
+            val24 += 12 * classnum.alpha2(m)
     elif r % 2:
         qr = q**r
         if qr == 8:
-            val = Fraction(c * kappa_minus(-2, m) + pk_sqrt2(k) * kappa_minus(-1, m), 2)
+            val24 = 12 * (c * kappa_minus(-2, m) + pk_sqrt2(k) * kappa_minus(-1, m))
         elif qr == 27:
-            val = (
-                Fraction(c, 2) * (a1(-27) - 2 * a1(-3)) + Fraction(pk_sqrt3(k), 3) * kappa_minus(-3, 2**e)
-            ) * kappa_minus(-3, mp)
+            val24 = (c * (a12(-27) - 2 * a12(-3)) + 8 * pk_sqrt3(k) * kappa_minus(-3, 2**e)) * kappa_minus(-3, mp)
         else:
-            bracket = a1(-(q**r)) - 2 * a1(-(q ** (r - 2)))
+            bracket = a12(-(q**r)) - 2 * a12(-(q ** (r - 2)))
             if r >= 5:
-                bracket += a1(-(q ** (r - 4)))
-            val = Fraction(c, 2) * kappa_minus(-(q**r), mp) * bracket
+                bracket += a12(-(q ** (r - 4)))
+            val24 = c * kappa_minus(-(q**r), mp) * bracket
     else:
         qr = q**r
         if qr == 16:
-            val = Fraction(c * kappa_minus(-1, m) + classnum.alpha2(m), 2)
+            val24 = 12 * (c * kappa_minus(-1, m) + classnum.alpha2(m))
         else:
-            aleph = a1(-(q**r)) - 2 * a1(-(q ** (r - 2))) + a1(-(q ** (r - 4)))
-            val = Fraction(c, 2) * kappa_minus(-1, mp) * aleph
-    assert val.denominator == 1, (k, q, r, m, val)
-    return int(val)
+            aleph = a12(-(q**r)) - 2 * a12(-(q ** (r - 2))) + a12(-(q ** (r - 4)))
+            val24 = c * kappa_minus(-1, mp) * aleph
+    assert val24 % 24 == 0, (k, q, r, m, val24)
+    return val24 // 24
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +336,14 @@ def dim_cusp(k: int, n: int) -> int:
         for p, _ in fac:
             nu3 *= 1 + kronecker(-3, p)
     nuinf = sum(euler_phi(math.gcd(d, n // d)) for d in divisors(n))
-    c2 = Fraction(1, 4) if k % 4 == 0 else Fraction(-1, 4)
-    c3 = {0: Fraction(1, 3), 1: Fraction(0), 2: Fraction(-1, 3)}[k % 3]
-    d = Fraction(k - 1, 12) * psi - Fraction(nuinf, 2) + c2 * nu2 + c3 * nu3
+    # 12 * dim = (k-1) psi - 6 nu_inf +- 3 nu_2 + {4, 0, -4} nu_3 (+12 at k = 2)
+    d12 = (k - 1) * psi - 6 * nuinf
+    d12 += 3 * nu2 if k % 4 == 0 else -3 * nu2
+    d12 += (4, 0, -4)[k % 3] * nu3
     if k == 2:
-        d += 1
-    assert d.denominator == 1 and d >= 0, (k, n, d)
-    return int(d)
+        d12 += 12
+    assert d12 % 12 == 0 and d12 >= 0, (k, n, d12)
+    return d12 // 12
 
 
 def dim_new(k: int, n: int) -> int:
@@ -443,9 +432,9 @@ def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = Fals
         return CorrelationResult(False, "M must be squarefree or twice squarefree")
 
     pk0 = (-ell) ** (k // 2 - 1)
-    tr = Fraction(-pk0 * classnum.alpha1_12(-q * ell, e) * kappa_minus(-q * ell, mp), 24)
-    assert tr.denominator == 1, (k, q, m, ell, tr)
-    tr = int(tr)
+    tr24 = -pk0 * classnum.alpha1_12(-q * ell, e) * kappa_minus(-q * ell, mp)
+    assert tr24 % 24 == 0, (k, q, m, ell, tr24)
+    tr = tr24 // 24
     dv = delta(k, q, 1, m)
 
     zero_expected = _has_split_prime(-q * ell, mp) or (e == 1 and (q * ell) % 8 == 7)
@@ -461,8 +450,8 @@ def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = Fals
 
         t1 = _trace.t_new_level(k, q * m, ell)
         tq = _trace.t_new(k, q, 1, m, ell)
-        plus, minus = Fraction(t1 + tq, 2), Fraction(t1 - tq, 2)
-        assert plus.denominator == 1 and minus.denominator == 1
+        assert (t1 + tq) % 2 == 0, (k, q, m, ell, t1, tq)
+        plus, minus = (t1 + tq) // 2, (t1 - tq) // 2
         if plus and minus and dv:
             eig_ok = _sign(plus) == _sign(dv) and _sign(minus) == -_sign(dv)
 

@@ -13,7 +13,6 @@ here means a genuine formula bug, not roundoff).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from . import classnum
@@ -108,24 +107,24 @@ def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     _check_common(k, q, m, ell)
     if r < 0:
         return 0
-    val = Fraction(_a1_24(k, q, r, 0, m, ell), 24)
+    val24 = _a1_24(k, q, r, 0, m, ell) + 12 * _a2_2(k, q, r, m, ell)
     if r >= 2:
-        val -= Fraction(_a1_24(k, q, r - 2, 1, m, ell), 24)
-    val += Fraction(_a2_2(k, q, r, m, ell), 2)
+        val24 -= _a1_24(k, q, r - 2, 1, m, ell)
+    assert val24 % 24 == 0, (k, q, r, m, ell, val24)
+    val = val24 // 24
     if k == 2:
         val += sigma(ell)
-    assert val.denominator == 1, (k, q, r, m, ell, val)
-    return int(val)
+    return val
 
 
-def _tilde(term24, m: int) -> Fraction:
+def _tilde(term24, m: int) -> int:
     """Newspace projection: sum_{d | m} (mu*mu)(d) term(m/d), in 24ths."""
     total = 0
     for d in divisors(m):
         c = mu_star_mu(d)
         if c:
             total += c * term24(m // d)
-    return Fraction(total, 24)
+    return total
 
 
 def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
@@ -136,15 +135,16 @@ def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     a1 = lambda rr, eps: _tilde(lambda mm: _a1_24(k, q, rr, eps, mm, ell), m)
     a2 = lambda rr: _tilde(lambda mm: 12 * _a2_2(k, q, rr, mm, ell), m)
     if r <= 1:
-        val = a1(r, 0) + a2(r)
-        if k == 2:
-            val += mobius(m) * sigma(ell)
+        val24 = a1(r, 0) + a2(r)
     else:
-        val = a1(r, 0) - a1(r - 2, 0) - a1(r - 2, 1) + a2(r) - a2(r - 2)
+        val24 = a1(r, 0) - a1(r - 2, 0) - a1(r - 2, 1) + a2(r) - a2(r - 2)
         if r >= 4:
-            val += a1(r - 4, 1)
-    assert val.denominator == 1, (k, q, r, m, ell, val)
-    return int(val)
+            val24 += a1(r - 4, 1)
+    assert val24 % 24 == 0, (k, q, r, m, ell, val24)
+    val = val24 // 24
+    if k == 2 and r <= 1:
+        val += mobius(m) * sigma(ell)
+    return val
 
 
 def t_new_level(k: int, n: int, ell: int = 1) -> int:
@@ -161,33 +161,6 @@ def t_new_level(k: int, n: int, ell: int = 1) -> int:
 
 # ---------------------------------------------------------------------------
 # squarefree levels: one class number per s
-
-
-def xi(disc: int, m: int) -> Fraction:
-    """The local newspace weight xi_disc(m), multiplicative over p | m.
-
-    m is squarefree; callers guarantee the coprimality side conditions.
-    """
-    out = Fraction(1)
-    for p, _ in factor(m).factors:
-        out *= _xi_p(disc, p)
-        if not out:
-            break
-    return out
-
-
-def _xi_p(disc: int, p: int) -> Fraction:
-    if disc % (p * p):
-        return Fraction(kronecker(disc, p) - 1)
-    disc0, lam = classnum.decompose(disc)
-    e = 0
-    while lam % p == 0:
-        lam //= p
-        e += 1
-    chi = kronecker(disc0, p)
-    num = (p - 1) * (chi - 1)
-    den = (p ** (e + 1) - 1) - chi * (p**e - 1)
-    return Fraction(num, den)
 
 
 def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
@@ -207,23 +180,38 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
         raise ValueError("Hecke index must be coprime to the level")
     if big_q == 1 and not is_prime(ell):
         raise ValueError("Q = 1 requires a prime Hecke index")
-    total = Fraction(0)
+    # xi_p(D) H(D) = ((D0|p) - 1) H(D / p^(2e)) with D = lam^2 D0, e = v_p(lam):
+    # the denominator of the local newspace weight xi_p is the local factor
+    # of H at p, so each s costs one class number and no division.  p | lam
+    # exactly when D / p^2 is again a discriminant (for p = 2: D = 0, 4 mod 16),
+    # and dividing out squares of the other primes leaves (D|p) unchanged.
+    primes = [p for p, _ in factor(m).factors]
+    total = 0
     s = 0
     while s * s * big_q <= 4 * ell:
         disc = big_q * (s * s * big_q - 4 * ell)
         weight = 1 if s == 0 else 2
-        pk = pk_from_s2(k, s * s * big_q, ell)
-        h12 = classnum.hurwitz12_ext(disc)
-        if h12:
-            total += weight * pk * xi(disc, m) * Fraction(h12, 12)
+        for p in primes:
+            if p == 2:
+                while disc % 16 in (0, 4):
+                    disc //= 4
+            else:
+                while disc % (p * p) == 0:
+                    disc //= p * p
+            c = kronecker(disc, p) - 1
+            if not c:
+                break
+            weight *= c
+        else:
+            total += weight * pk_from_s2(k, s * s * big_q, ell) * classnum.hurwitz12_ext(disc)
         s += 1
-    val = -total / 2
+    assert total % 24 == 0, (k, big_q, m, ell, total)
+    val = -total // 24
     if n == 1:
         val -= 1
     if k == 2:
         val += mobius(m) * sigma(ell)
-    assert val.denominator == 1, (k, big_q, m, ell, val)
-    return int(val)
+    return val
 
 
 def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
@@ -239,8 +227,9 @@ def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
         raise ValueError("Hecke index must be coprime to the level")
     if 4 * n_hecke >= n_level:
         raise ValueError("needs 4n < N")
-    val = Fraction(-pk_from_s2(k, 0, n_hecke) * classnum.hurwitz12_ext(-4 * n_hecke * n_level), 24)
+    val24 = -pk_from_s2(k, 0, n_hecke) * classnum.hurwitz12_ext(-4 * n_hecke * n_level)
+    assert val24 % 24 == 0, (k, n_level, n_hecke, val24)
+    val = val24 // 24
     if k == 2:
         val += sigma(n_hecke)
-    assert val.denominator == 1, (k, n_level, n_hecke, val)
-    return int(val)
+    return val

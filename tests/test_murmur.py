@@ -154,6 +154,18 @@ def test_scan_drops_primes_dividing_all_levels():
         murmur.scan_WQ(spec, [5], 10)
 
 
+def test_scan_count_sums_dimensions_of_the_levels_kept_at_each_ell():
+    # the dimensions are computed once per level, but each point must still
+    # count only the levels its ell does not divide
+    spec = parse_family("II:Q=3,M=sqf", k=4)
+    levels = [3 * m for m in range(20, 41) if m % 3 and arith.is_squarefree(m)]
+    pts = murmur.scan_WQ(spec, (2, 13), 60)
+    assert [p.ell for p in pts] == [2, 5, 7, 11, 13]
+    assert any(n % 5 == 0 for n in levels)  # 105 = 3 * 35 is dropped at ell = 5
+    for p in pts:
+        assert p.count == sum(signs.dim_new(4, n) for n in levels if n % p.ell), p.ell
+
+
 def test_scan_worker_count_is_invisible():
     spec = FamilySpec("I", m=2, k=6)
     assert murmur.scan_WQ(spec, (2, 19), 12, workers=3) == murmur.scan_WQ(

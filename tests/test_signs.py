@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import is_prime, kronecker
+from altrace.arith import divisors, euler_phi, factor, is_prime, kronecker
 
 
 def test_kappa_minus_table():
@@ -83,6 +83,30 @@ def test_dim_formulas_against_known_genera():
     assert signs.dim_new(2, 22) == 0
     assert signs.dim_new(4, 13) == 3
     assert signs.dim_new(2, 37) == 2
+
+
+def _dim_cusp_reference(k: int, n: int) -> int:
+    """dim S_k(Gamma_0(n)) from the genus formula in Fractions."""
+    fac = factor(n).factors
+    psi = n
+    for p, _ in fac:
+        psi += psi // p
+    nu2 = 0 if n % 4 == 0 else math.prod(1 + kronecker(-4, p) for p, _ in fac)
+    nu3 = 0 if n % 9 == 0 else math.prod(1 + kronecker(-3, p) for p, _ in fac)
+    nuinf = sum(euler_phi(math.gcd(d, n // d)) for d in divisors(n))
+    c2 = Fraction(1, 4) if k % 4 == 0 else Fraction(-1, 4)
+    c3 = {0: Fraction(1, 3), 1: Fraction(0), 2: Fraction(-1, 3)}[k % 3]
+    d = Fraction(k - 1, 12) * psi - Fraction(nuinf, 2) + c2 * nu2 + c3 * nu3
+    if k == 2:
+        d += 1
+    assert d.denominator == 1, (k, n, d)
+    return int(d)
+
+
+def test_dim_cusp_matches_fraction_genus_formula():
+    for k in range(2, 15, 2):
+        for n in range(1, 2001):
+            assert signs.dim_cusp(k, n) == _dim_cusp_reference(k, n), (k, n)
 
 
 def test_dim_cusp_rejects_odd_weight():

@@ -1,12 +1,70 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import is_squarefree, primes_up_to, sigma
+from altrace.arith import factor, is_prime, is_squarefree, kronecker, mobius, primes_up_to, sigma
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the squarefree route: the local newspace weight xi
+# multiplies H(disc) itself, instead of the integer kernel's
+# ((D0|p) - 1) H(disc / p^(2e))
+
+
+def xi(disc: int, m: int) -> Fraction:
+    """The local newspace weight xi_disc(m), multiplicative over p | m."""
+    out = Fraction(1)
+    for p, _ in factor(m).factors:
+        out *= _xi_p(disc, p)
+        if not out:
+            break
+    return out
+
+
+def _xi_p(disc: int, p: int) -> Fraction:
+    if disc % (p * p):
+        return Fraction(kronecker(disc, p) - 1)
+    disc0, lam = classnum.decompose(disc)
+    e = 0
+    while lam % p == 0:
+        lam //= p
+        e += 1
+    chi = kronecker(disc0, p)
+    num = (p - 1) * (chi - 1)
+    den = (p ** (e + 1) - 1) - chi * (p**e - 1)
+    return Fraction(num, den)
+
+
+def _t_new_squarefree_reference(k: int, big_q: int, m: int, ell: int) -> tuple[int, bool]:
+    """tr T_l W_Q on S_k^new(Q m) as the xi-weighted Fraction sum over s.
+
+    Also reports whether some p | m had p^2 | disc at a nonzero term, the
+    case where the two routes look up different class numbers.
+    """
+    total = Fraction(0)
+    square_hit = False
+    s = 0
+    while s * s * big_q <= 4 * ell:
+        disc = big_q * (s * s * big_q - 4 * ell)
+        weight = 1 if s == 0 else 2
+        pk = trace.pk_from_s2(k, s * s * big_q, ell)
+        w = xi(disc, m)
+        if w:
+            square_hit |= any(disc % (p * p) == 0 for p, _ in factor(m).factors)
+        total += weight * pk * w * Fraction(classnum.hurwitz12_ext(disc), 12)
+        s += 1
+    val = -total / 2
+    if big_q * m == 1:
+        val -= 1
+    if k == 2:
+        val += mobius(m) * sigma(ell)
+    assert val.denominator == 1, (k, big_q, m, ell, val)
+    return int(val), square_hit
 
 
 def _delta_q_expansion(terms: int) -> list[int]:
@@ -122,11 +180,78 @@ def test_weight_two_sigma_term():
 def test_xi_values_and_multiplicativity():
     # xi(disc, p) at split p is 1 - 2/(p+1) type weight; pin the structure
     # via multiplicativity and a direct 1 at m = 1
-    assert trace.xi(-4, 1) == 1
+    assert xi(-4, 1) == 1
     for disc in (-4, -8, -3, -20):
         for m1 in (2, 3, 5, 7, 9):
             for m2 in (11, 13):
-                assert trace.xi(disc, m1 * m2) == trace.xi(disc, m1) * trace.xi(disc, m2), (disc, m1, m2)
+                assert xi(disc, m1 * m2) == xi(disc, m1) * xi(disc, m2), (disc, m1, m2)
+
+
+_SQF_Q = [q for q in range(1, 40) if is_squarefree(q)]
+_SQF_M = [m for m in range(1, 211) if is_squarefree(m)]
+
+
+@given(
+    st.sampled_from([2, 4, 6, 12]),
+    st.sampled_from(_SQF_Q),
+    st.sampled_from(_SQF_M),
+    st.integers(min_value=1, max_value=250),
+)
+# composite m with p^2 | disc = s^2 - 4 ell: at m = 15, -27 = 3^2 * -3
+# (ell = 7, s = 1), -75 = 5^2 * -3 (ell = 19, s = 1) and -108 = 6^2 * -3
+# (ell = 31, s = 4); at m = 6 and 30, -48 = 4^2 * -3 and -36 = 6^2 * -1
+# (ell = 13, s = 2 and 4); ell = 11 = -1 mod 3 has no such s at m = 15
+@example(2, 1, 15, 7)
+@example(4, 1, 15, 19)
+@example(6, 1, 15, 31)
+@example(4, 1, 15, 11)
+@example(2, 1, 6, 13)
+@example(4, 1, 30, 13)
+def test_squarefree_kernel_matches_xi_fraction_sum(k, big_q, m, ell):
+    assume(is_squarefree(big_q * m) and math.gcd(ell, big_q * m) == 1)
+    assume(big_q > 1 or is_prime(ell))
+    expect, _ = _t_new_squarefree_reference(k, big_q, m, ell)
+    assert trace.t_new_squarefree(k, big_q, m, ell) == expect, (k, big_q, m, ell)
+
+
+def test_squarefree_reference_reaches_square_discriminants():
+    # the examples above do exercise the p^2 | disc branch of xi
+    for m, ell in ((15, 7), (6, 13), (30, 13)):
+        _, hit = _t_new_squarefree_reference(2, 1, m, ell)
+        assert hit, (m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 8]),
+    st.sampled_from(_SQF_Q),
+    st.sampled_from([m for m in _SQF_M if m <= 60]),
+    st.integers(min_value=1, max_value=60),
+)
+@example(2, 1, 15, 7)
+@example(2, 1, 6, 13)
+def test_squarefree_kernel_same_with_and_without_table(k, big_q, m, ell):
+    # the kernel looks up H(disc / p^(2e)); both the table and the
+    # per-discriminant fallback must serve those reduced discriminants
+    assume(is_squarefree(big_q * m) and math.gcd(ell, big_q * m) == 1)
+    assume(big_q > 1 or is_prime(ell))
+    assert 4 * big_q * ell <= classnum.active_table().bound
+    on = trace.t_new_squarefree(k, big_q, m, ell)
+    with mock.patch.object(classnum, "_active_table", None):
+        off = trace.t_new_squarefree(k, big_q, m, ell)
+    assert on == off, (k, big_q, m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from([n for n in range(5, 200) if is_squarefree(n)]),
+    st.integers(min_value=1, max_value=49),
+)
+def test_fricke_trace_same_with_and_without_table(k, n_level, n_hecke):
+    assume(4 * n_hecke < n_level and math.gcd(n_level, n_hecke) == 1)
+    on = trace.t_full_fricke(k, n_level, n_hecke)
+    with mock.patch.object(classnum, "_active_table", None):
+        off = trace.t_full_fricke(k, n_level, n_hecke)
+    assert on == off, (k, n_level, n_hecke)
 
 
 def test_t_new_squarefree_guards():
