@@ -41,10 +41,10 @@ DEFAULT_JOBS = (
 )
 
 
-def run_job(job: ScanJob, out_dir: str, workers: int) -> None:
+def run_job(job: ScanJob, out_dir: str) -> None:
     spec = murmur.parse_family(job.family, k=job.k, beta=job.beta)
     t0 = time.perf_counter()
-    pts = murmur.scan_WQ(spec, (2, job.ell_max), job.X, workers=workers)
+    pts = murmur.scan_WQ(spec, (2, job.ell_max), job.X)
     series = {"raw": pts}
     if job.smooth is not None:
         series["smoothed"] = murmur.smooth(pts, job.smooth)
@@ -64,7 +64,6 @@ def run_job(job: ScanJob, out_dir: str, workers: int) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output-dir", default="scan_out")
-    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--quick", action="store_true", help="X=60 smoke run")
     ap.add_argument("--family", default=None, help="run a single family instead")
     ap.add_argument("--k", type=int, default=2)
@@ -84,7 +83,7 @@ def main() -> int:
     classnum.get_table(bound)
     os.makedirs(args.output_dir, exist_ok=True)
     for job in jobs:
-        run_job(job, args.output_dir, args.workers)
+        run_job(job, args.output_dir)
     return 0
 
 

@@ -26,7 +26,7 @@ def set_spf_limit(limit: int) -> None:
     """
     global _spf, _spf_limit
     if limit < 4:
-        raise ValueError("spf limit must be >= 4")
+        raise ValueError("factoring sieve limit must be at least 4, got %r" % (limit,))
     _spf = None
     _spf_limit = int(limit)
 
@@ -53,13 +53,6 @@ class FactoredInt:
 
     value: int
     factors: tuple[tuple[int, int], ...]  # ((p1, e1), (p2, e2), ...), p1 < p2 < ...
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 @cache
@@ -158,22 +151,11 @@ def sigma(n: int) -> int:
     return out
 
 
-def sigma0(n: int) -> int:
-    out = 1
-    for _, e in factor(n).factors:
-        out *= e + 1
-    return out
-
-
 def euler_phi(n: int) -> int:
     out = n
     for p, _ in factor(n).factors:
         out -= out // p
     return out
-
-
-def omega(n: int) -> int:
-    return len(factor(n).factors)
 
 
 def omega1(m: int) -> int:
@@ -184,17 +166,6 @@ def omega1(m: int) -> int:
 def omega2(n: int, m: int) -> int:
     """Number of primes p with p^2 || m and (n|p) = 1."""
     return sum(1 for p, e in factor(m).factors if e == 2 and kronecker(n, p) == 1)
-
-
-def vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("vp(0, p) is infinite")
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def core_square_part(n: int) -> int:
@@ -222,45 +193,12 @@ def divisors_with_squarefree_cofactor(m: int) -> list[int]:
     return out
 
 
-class MultiplicativeFn:
-    """A multiplicative function given by its rule on prime powers.
-
-    rule(p, e) is the value at p**e (e >= 1); the value at 1 is 1.
-    """
-
-    def __init__(self, rule, name: str = ""):
-        self.rule = rule
-        self.name = name
-
-    def __call__(self, n: int):
-        out = 1
-        for p, e in factor(n).factors:
-            out = out * self.rule(p, e)
-        return out
-
-    def __repr__(self):
-        return "MultiplicativeFn(%s)" % (self.name or self.rule)
-
-
-def dirichlet_convolve(f: MultiplicativeFn, g: MultiplicativeFn) -> MultiplicativeFn:
-    def rule(p, m):
-        total = 0
-        for j in range(m + 1):
-            a = 1 if j == 0 else f.rule(p, j)
-            b = 1 if m - j == 0 else g.rule(p, m - j)
-            total += a * b
-        return total
-
-    return MultiplicativeFn(rule, "(%s * %s)" % (f.name or "f", g.name or "g"))
-
-
-ONE = MultiplicativeFn(lambda p, e: 1, "1")
-MOBIUS = MultiplicativeFn(lambda p, e: -1 if e == 1 else 0, "mu")
-IDENTITY = MultiplicativeFn(lambda p, e: p**e, "id")
-
-
 def mobius_squared_transform(f, m: int):
-    """sum_{d | m} (mu*mu)(d) f(m/d); inverts g(m) = sum_{d|m} sigma0(d) f(m/d)."""
+    """sum_{d | m} (mu*mu)(d) f(m/d); inverts g(m) = sum_{d|m} sigma0(d) f(m/d).
+
+    This is the newspace projection: a full-space dimension or trace, as a
+    function of the level, becomes the newspace one.
+    """
     total = 0
     for d in divisors(m):
         c = mu_star_mu(d)
@@ -278,3 +216,14 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return [int(p) for p in np.nonzero(sieve)[0]]
+
+
+def prime_powers_up_to(bound: int) -> list[tuple[int, int]]:
+    """All (q, r) with q prime, r >= 1 and q**r <= bound, by q then r."""
+    out = []
+    for q in primes_up_to(bound):
+        r = 1
+        while q**r <= bound:
+            out.append((q, r))
+            r += 1
+    return out

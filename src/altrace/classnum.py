@@ -187,13 +187,6 @@ class HurwitzTable:
         self.bound = bound
         self.h12 = h12
 
-    def hurwitz(self, disc: int) -> Fraction:
-        if disc == 0:
-            return Fraction(-1, 12)
-        if disc > 0 or -disc > self.bound:
-            raise ValueError("discriminant %r outside table range" % (disc,))
-        return Fraction(int(self.h12[-disc]), 12)
-
     def save(self, path: str) -> None:
         data = np.ascontiguousarray(self.h12, dtype="<u4").tobytes()
         header = struct.pack("<4sHQI", _MAGIC, _VERSION, self.bound, zlib.crc32(data))
@@ -267,10 +260,6 @@ def get_table(bound: int, cache_path: str | None = None) -> HurwitzTable:
                 pass
     _active_table = table
     return table
-
-
-def active_table() -> HurwitzTable | None:
-    return _active_table
 
 
 # ---------------------------------------------------------------------------

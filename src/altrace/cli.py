@@ -11,12 +11,14 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import classnum, murmur, selftest, signs, trace, twist
-from .arith import is_prime, set_spf_limit
-from .config import CACHE_ENV_VAR, DEFAULT_SIEVE_BOUND, Config
+from .arith import is_squarefree, prime_powers_up_to, set_spf_limit
+
+CACHE_ENV_VAR = "ALTRACE_CACHE"
 
 
 def _jsonable(obj):
@@ -26,8 +28,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return obj
     return obj
 
 
@@ -41,8 +41,6 @@ def _render(payload: dict, as_json: bool) -> str:
         if isinstance(val, dict):
             for key in val:
                 walk(prefix + "." + key if prefix else key, val[key])
-        elif isinstance(val, list):
-            lines.append("%s = %s" % (prefix, val))
         else:
             lines.append("%s = %s" % (prefix, val))
 
@@ -54,7 +52,7 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit the payload as JSON")
 
 
-def cmd_classnum(args, cfg: Config) -> tuple[dict, int]:
+def cmd_classnum(args) -> tuple[dict, int]:
     disc = args.disc
     if disc >= 0 or disc % 4 not in (0, 1):
         raise SystemExit("classnum: disc must be negative and = 0,1 mod 4")
@@ -70,7 +68,7 @@ def cmd_classnum(args, cfg: Config) -> tuple[dict, int]:
     return payload, 0 if h12 == oracle else 1
 
 
-def cmd_trace(args, cfg: Config) -> tuple[dict, int]:
+def cmd_trace(args) -> tuple[dict, int]:
     k, q, r, m, ell = args.k, args.q, args.r, args.M, args.ell
     payload = {
         "k": k,
@@ -82,14 +80,14 @@ def cmd_trace(args, cfg: Config) -> tuple[dict, int]:
         "t_new": trace.t_new(k, q, r, m, ell),
     }
     mismatch = False
-    if r == 1 and is_squarefree_level(q, m):
+    if r == 1 and is_squarefree(q * m):
         sqf = trace.t_new_squarefree(k, q, m, ell)
         payload["t_new_squarefree"] = sqf
         mismatch = sqf != payload["t_new"]
     if args.squarefree_Q is not None:
         payload["t_new_squarefree_Q"] = trace.t_new_squarefree(k, args.squarefree_Q, m, ell)
     n = q**r * m
-    if r == 1 and m == 1 and math.gcd(ell, n) == 1 and 4 * ell < n and is_squarefree_level(q, m):
+    if r == 1 and m == 1 and math.gcd(ell, n) == 1 and 4 * ell < n and is_squarefree(q * m):
         fricke = trace.t_full_fricke(k, n, ell)
         payload["t_full_fricke"] = fricke
         mismatch = mismatch or fricke != payload["t_new_squarefree"]
@@ -97,13 +95,7 @@ def cmd_trace(args, cfg: Config) -> tuple[dict, int]:
     return payload, 1 if mismatch else 0
 
 
-def is_squarefree_level(q: int, m: int) -> bool:
-    from .arith import is_squarefree
-
-    return is_squarefree(q * m)
-
-
-def cmd_delta(args, cfg: Config) -> tuple[dict, int]:
+def cmd_delta(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
     res = signs.equidistribution_predicate(k, q, r, m)
     dims = signs.eigenspace_dims(k, q, r, m)
@@ -124,13 +116,14 @@ def cmd_delta(args, cfg: Config) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_equidist_sweep(args, cfg: Config) -> tuple[dict, int]:
+def cmd_equidist_sweep(args) -> tuple[dict, int]:
     k_lo, k_hi = args.k_range
     if k_lo % 2 or k_hi % 2 or k_lo < 2 or k_hi < k_lo:
         raise SystemExit("equidist-sweep: --k-range needs even bounds 2 <= lo <= hi")
     mismatches = []
+    case_tags, verdicts = Counter(), Counter()
     covered = checked = 0
-    for q, r in selftest._prime_powers_upto(args.qr_max):
+    for q, r in prime_powers_up_to(args.qr_max):
         for m in range(1, args.M_max + 1):
             if m % q == 0:
                 continue
@@ -143,21 +136,30 @@ def cmd_equidist_sweep(args, cfg: Config) -> tuple[dict, int]:
                 if not res.covered:
                     continue
                 covered += 1
-                if res.predicted_sign == 0 and d != 0:
-                    mismatches.append(["predicate-zero", k, q, r, m])
-                elif res.predicted_sign not in (None, 0) and (d == 0 or (d > 0) != (res.predicted_sign > 0)):
-                    mismatches.append(["predicate-sign", k, q, r, m])
+                case_tags[res.case_tag] += 1
+                if res.predicted_sign == 0:
+                    verdicts[res.zero_reason] += 1
+                    if d != 0:
+                        mismatches.append(["predicate-zero", k, q, r, m])
+                elif res.predicted_sign is not None:
+                    verdicts["(signed: %+d)" % res.predicted_sign] += 1
+                    if d == 0 or (d > 0) != (res.predicted_sign > 0):
+                        mismatches.append(["predicate-sign", k, q, r, m])
+                else:
+                    verdicts["(no claim)"] += 1
     payload = {
         "grid": {"k_range": [k_lo, k_hi], "qr_max": args.qr_max, "M_max": args.M_max},
         "checked": checked,
         "covered": covered,
+        "case_tags": dict(case_tags.most_common()),
+        "verdicts": dict(verdicts.most_common()),
         "mismatches": mismatches[:20],
         "mismatch_count": len(mismatches),
     }
     return payload, 1 if mismatches else 0
 
 
-def cmd_murmur(args, cfg: Config) -> tuple[dict, int]:
+def cmd_murmur(args) -> tuple[dict, int]:
     try:
         spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
     except ValueError as exc:
@@ -168,10 +170,10 @@ def cmd_murmur(args, cfg: Config) -> tuple[dict, int]:
         eps = tuple(1 if ch == "+" else -1 for ch in args.eigenspace)
         if any(ch not in "+-" for ch in args.eigenspace):
             raise SystemExit("murmur: --eigenspace takes a +- string like '+-'")
-        pts = murmur.scan_eigenspace(spec, eps, ell_range, args.X, workers=cfg.workers)
+        pts = murmur.scan_eigenspace(spec, eps, ell_range, args.X)
         series["eps=" + args.eigenspace] = pts
     else:
-        pts = murmur.scan_WQ(spec, ell_range, args.X, workers=cfg.workers)
+        pts = murmur.scan_WQ(spec, ell_range, args.X)
         series["raw"] = pts
     if args.smooth is not None:
         series["smoothed"] = murmur.smooth(pts, args.smooth)
@@ -185,8 +187,8 @@ def cmd_murmur(args, cfg: Config) -> tuple[dict, int]:
     if args.fit:
         fit = murmur.sqrt_fit(pts, spec.k, min_points=args.min_fit_points)
         payload["fit"] = {"c": fit.c, "d": fit.d, "rms_residual": fit.rms_residual}
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    stem = os.path.join(cfg.output_dir, args.out or "scan")
+    os.makedirs(args.output_dir, exist_ok=True)
+    stem = os.path.join(args.output_dir, args.out or "scan")
     murmur.emit(series, "csv", stem + ".csv", spec)
     murmur.emit(series, "svg", stem + ".svg", spec)
     payload["csv"] = stem + ".csv"
@@ -194,7 +196,7 @@ def cmd_murmur(args, cfg: Config) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_twist(args, cfg: Config) -> tuple[dict, int]:
+def cmd_twist(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
     types = twist.classify_local_types(q, r)
     kappas = {}
@@ -226,7 +228,7 @@ def cmd_twist(args, cfg: Config) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_selftest(args, cfg: Config) -> tuple[dict, int]:
+def cmd_selftest(args) -> tuple[dict, int]:
     results = selftest.run_all(seed=args.seed)
     print(selftest.format_results(results), file=sys.stderr)
     payload = {
@@ -244,9 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Family grammar: I:M=<m>[,omega=<r>] | II:Q=<q>,M=all|sqf|sqf<r> | "
         "III:r=<r>,fixed=<p1,p2,...>,idx=<i1,...>",
     )
-    parser.add_argument("--sieve-bound", type=int, default=DEFAULT_SIEVE_BOUND, help="class-number sieve bound")
-    parser.add_argument("--cache", default=None, help="sieve cache file (default: $%s)" % CACHE_ENV_VAR)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--sieve-bound",
+        type=int,
+        default=None,
+        help="size of the factoring sieve (default 10^7); with --cache, the class-number "
+        "table covers |disc| <= min(value, 10^6)",
+    )
+    parser.add_argument("--cache", default=None, help="class-number table file (default: $%s)" % CACHE_ENV_VAR)
     parser.add_argument("--output-dir", default=".")
     parser.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED, help="seed for sampled spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -309,18 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = Config(
-        sieve_bound=args.sieve_bound,
-        cache_path=args.cache,
-        workers=args.workers,
-        output_dir=args.output_dir,
-    )
-    if cfg.sieve_bound != DEFAULT_SIEVE_BOUND:
-        set_spf_limit(cfg.sieve_bound)
-    if cfg.cache_path:
-        classnum.get_table(min(cfg.sieve_bound, 10**6), cfg.cache_path)
+    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
-        payload, code = args.fn(args, cfg)
+        if args.sieve_bound is not None:
+            set_spf_limit(args.sieve_bound)
+        if cache_path:
+            classnum.get_table(min(args.sieve_bound or 10**6, 10**6), cache_path)
+        payload, code = args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classnum, murmur, signs, trace, twist
-from .arith import is_prime, is_squarefree, kronecker, primes_up_to
+from .arith import is_prime, is_squarefree, kronecker, prime_powers_up_to, primes_up_to
 
 DEFAULT_SEED = 1729
 
@@ -58,24 +58,13 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(1, "class-number oracle equivalence", t0, not bad and elapsed < 60, detail + " (budget 60s)")
 
 
-def _prime_powers_upto(bound: int) -> list[tuple[int, int]]:
-    out = []
-    for q in primes_up_to(bound):
-        q = int(q)
-        r = 1
-        while q**r <= bound:
-            out.append((q, r))
-            r += 1
-    return out
-
-
 def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form delta equals the divisor-sum trace at ell = 1."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
     bad = []
     checked = 0
-    for q, r in _prime_powers_upto(200):
+    for q, r in prime_powers_up_to(200):
         for m in range(1, 301):
             if m % q == 0:
                 continue
@@ -105,7 +94,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
     classnum.get_table(_TABLE_BOUND)
     bad = []
     covered = 0
-    for q, r in _prime_powers_upto(200):
+    for q, r in prime_powers_up_to(200):
         for m in range(1, 301):
             if m % q == 0:
                 continue

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classnum
+from . import classnum, trace
 from .arith import (
     divisors,
     euler_phi,
@@ -26,7 +26,7 @@ from .arith import (
     is_squarefree,
     kronecker,
     mobius,
-    mu_star_mu,
+    mobius_squared_transform,
     omega1,
     omega2,
 )
@@ -347,11 +347,7 @@ def dim_cusp(k: int, n: int) -> int:
 
 
 def dim_new(k: int, n: int) -> int:
-    total = 0
-    for d in divisors(n):
-        cf = mu_star_mu(d)
-        if cf:
-            total += cf * dim_cusp(k, n // d)
+    total = mobius_squared_transform(lambda d: dim_cusp(k, d), n)
     assert total >= 0, (k, n, total)
     return total
 
@@ -446,10 +442,8 @@ def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = Fals
 
     eig_ok = None
     if eigenspace:
-        from . import trace as _trace
-
-        t1 = _trace.t_new_level(k, q * m, ell)
-        tq = _trace.t_new(k, q, 1, m, ell)
+        t1 = trace.t_new_level(k, q * m, ell)
+        tq = trace.t_new(k, q, 1, m, ell)
         assert (t1 + tq) % 2 == 0, (k, q, m, ell, t1, tq)
         plus, minus = (t1 + tq) // 2, (t1 - tq) // 2
         if plus and minus and dv:

@@ -25,7 +25,7 @@ from .arith import (
     is_squarefree,
     kronecker,
     mobius,
-    mu_star_mu,
+    mobius_squared_transform,
     sigma,
 )
 
@@ -117,23 +117,13 @@ def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     return val
 
 
-def _tilde(term24, m: int) -> int:
-    """Newspace projection: sum_{d | m} (mu*mu)(d) term(m/d), in 24ths."""
-    total = 0
-    for d in divisors(m):
-        c = mu_star_mu(d)
-        if c:
-            total += c * term24(m // d)
-    return total
-
-
 def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on the newspace S_k^new(q^r * m)."""
     _check_common(k, q, m, ell)
     if r < 0:
         return 0
-    a1 = lambda rr, eps: _tilde(lambda mm: _a1_24(k, q, rr, eps, mm, ell), m)
-    a2 = lambda rr: _tilde(lambda mm: 12 * _a2_2(k, q, rr, mm, ell), m)
+    a1 = lambda rr, eps: mobius_squared_transform(lambda mm: _a1_24(k, q, rr, eps, mm, ell), m)
+    a2 = lambda rr: mobius_squared_transform(lambda mm: 12 * _a2_2(k, q, rr, mm, ell), m)
     if r <= 1:
         val24 = a1(r, 0) + a2(r)
     else:

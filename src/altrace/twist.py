@@ -10,7 +10,6 @@ eigenspace-dimension difference and vanishing twisted Hecke averages).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .arith import factor, is_prime, kronecker
@@ -74,19 +73,6 @@ def chi_two() -> TwistCharacter:
 
 def chi_minus2() -> TwistCharacter:
     return TwistCharacter("chi_-2", 8, -8)
-
-
-def _ramified_at(chi: TwistCharacter, q: int) -> bool:
-    return chi.conductor % q == 0
-
-
-def kappa_away(q: int, r: int, chi: TwistCharacter) -> int:
-    """Eigenvalue sign change under twist by chi unramified at q: chi(q)^r."""
-    if _ramified_at(chi, q):
-        raise ValueError("character is ramified at q")
-    out = chi(q) ** r
-    assert out in (-1, 1)
-    return out
 
 
 def kappa_at_q(q: int, r: int, local_type: str, branch: str = "q*") -> int:

@@ -67,7 +67,7 @@ def test_mu_star_mu_prime_powers():
     assert arith.mu_star_mu(6) == 4
     # Dirichlet inverse of sigma0: (mu*mu) * sigma0 = e
     for n in range(2, 200):
-        total = sum(arith.mu_star_mu(d) * arith.sigma0(n // d) for d in arith.divisors(n))
+        total = sum(arith.mu_star_mu(d) * len(arith.divisors(n // d)) for d in arith.divisors(n))
         assert total == 0, n
 
 
@@ -80,12 +80,11 @@ def test_sigma_multiplicative(a, b):
 def test_squarefree_and_core():
     assert [n for n in range(1, 31) if not arith.is_squarefree(n)] == [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
     assert arith.core_square_part(720) == 12  # 720 = 12^2 * 5
-    assert arith.vp(720, 2) == 4 and arith.vp(720, 3) == 2 and arith.vp(720, 7) == 0
 
 
 def test_omega_variants():
     m = 2**2 * 3 * 5**2 * 7
-    assert arith.omega(m) == 4
+    assert len(arith.factor(m).factors) == 4
     assert arith.omega1(m) == 2  # 3 and 7
     # p^2 || m for p in {2, 5}; (n|p) = 1 picks out squares mod p
     assert arith.omega2(1, m) == 2
@@ -95,23 +94,27 @@ def test_omega_variants():
 def test_divisors_with_squarefree_cofactor():
     m = 360  # 2^3 3^2 5
     ds = arith.divisors_with_squarefree_cofactor(m)
-    assert len(ds) == 2 ** arith.omega(m)
+    assert len(ds) == 2 ** len(arith.factor(m).factors)
     assert all(m % d == 0 and arith.is_squarefree(m // d) for d in ds)
     # and no other divisor qualifies
     assert set(ds) == {d for d in arith.divisors(m) if arith.is_squarefree(m // d)}
 
 
-def test_dirichlet_convolve_identities():
-    one_star_one = arith.dirichlet_convolve(arith.ONE, arith.ONE)
-    for n in range(1, 120):
-        assert one_star_one(n) == arith.sigma0(n)
-    mu_star_id = arith.dirichlet_convolve(arith.MOBIUS, arith.IDENTITY)
-    for n in range(1, 120):
-        assert mu_star_id(n) == arith.euler_phi(n)
-
-
 def test_mobius_squared_transform_inverts_sigma0_convolution():
     f = arith.euler_phi
     for m in range(1, 80):
-        g = lambda t: sum(arith.sigma0(d) * f(t // d) for d in arith.divisors(t))
+        g = lambda t: sum(len(arith.divisors(d)) * f(t // d) for d in arith.divisors(t))
         assert arith.mobius_squared_transform(g, m) == f(m)
+
+
+def test_prime_powers_up_to_matches_brute_force():
+    for bound in range(301):
+        expect = [
+            (q, r)
+            for q in range(2, bound + 1)
+            if all(q % d for d in range(2, q))
+            for r in range(1, bound.bit_length())
+            if q**r <= bound
+        ]
+        assert arith.prime_powers_up_to(bound) == expect, bound
+    assert arith.prime_powers_up_to(1) == []

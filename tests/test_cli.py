@@ -126,6 +126,8 @@ def test_equidist_sweep_small_grid_is_clean(capsys):
     assert payload["mismatches"] == []
     assert payload["checked"] > 50
     assert 0 < payload["covered"] <= payload["checked"]
+    assert sum(payload["case_tags"].values()) == payload["covered"]
+    assert sum(payload["verdicts"].values()) == payload["covered"]
 
 
 def test_murmur_writes_csv_and_svg(capsys, tmp_path):
@@ -176,6 +178,22 @@ def test_domain_errors_become_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["murmur", "--family", "I:M=6,omega=5", "--X", "10", "--ell-max", "7"])
     assert exc.value.code == 2
+
+
+def test_bad_global_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--sieve-bound", "3", "classnum", "--", "-7"])
+    assert exc.value.code == 2
+    assert "sieve" in capsys.readouterr().err
+
+
+def test_sieve_bound_resizes_the_factoring_sieve_only_when_given(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "set_spf_limit", calls.append)
+    assert cli.main(["classnum", "-23"]) == 0
+    assert calls == []
+    assert cli.main(["--sieve-bound", "4000000", "classnum", "-23"]) == 0
+    assert calls == [4000000]
 
 
 def test_bad_family_string_aborts(capsys):

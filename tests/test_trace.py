@@ -234,7 +234,7 @@ def test_squarefree_kernel_same_with_and_without_table(k, big_q, m, ell):
     # per-discriminant fallback must serve those reduced discriminants
     assume(is_squarefree(big_q * m) and math.gcd(ell, big_q * m) == 1)
     assume(big_q > 1 or is_prime(ell))
-    assert 4 * big_q * ell <= classnum.active_table().bound
+    assert 4 * big_q * ell <= classnum._active_table.bound
     on = trace.t_new_squarefree(k, big_q, m, ell)
     with mock.patch.object(classnum, "_active_table", None):
         off = trace.t_new_squarefree(k, big_q, m, ell)

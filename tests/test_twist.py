@@ -1,11 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from altrace import signs, trace, twist
-from altrace.arith import kronecker, vp
+from altrace.arith import kronecker
 
 
 def test_local_type_classification():
@@ -43,15 +41,6 @@ def test_characters_evaluate_by_kronecker():
         twist.chi_odd(2)
     with pytest.raises(ValueError):
         twist.chi_odd(9)
-
-
-def test_kappa_away_is_chi_at_q_to_the_r():
-    chi3 = twist.chi_odd(3)
-    assert twist.kappa_away(5, 1, chi3) == chi3(5)
-    assert twist.kappa_away(5, 2, chi3) == 1
-    assert twist.kappa_away(2, 3, chi3) == chi3(2) ** 3
-    with pytest.raises(ValueError):
-        twist.kappa_away(3, 1, chi3)
 
 
 def test_kappa_at_q_table():
@@ -126,15 +115,3 @@ def test_twist_pairing_forces_vanishing():
             if math.gcd(ell, q * m) > 1 or chi(ell) != 1:
                 continue
             assert trace.t_new(4, q, 1, m, ell) == 0, (q, m, ell)
-
-
-@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(min_value=1, max_value=7))
-def test_kappa_away_squares_to_one(p, r):
-    chi = twist.chi_odd(p)
-    for q in (2, 3, 5, 7):
-        if q == p:
-            continue
-        kap = twist.kappa_away(q, r, chi)
-        assert kap in (-1, 1)
-        if r % 2 == 0:
-            assert kap == 1
