@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
-from altrace import classnum, murmur
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from altrace import classnum, murmur  # noqa: E402
 
 
 @dataclass(frozen=True)

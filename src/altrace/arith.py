@@ -3,6 +3,12 @@
 Factorization (smallest-prime-factor sieve with trial-division fallback),
 Kronecker symbols, the standard multiplicative functions, and the divisor
 sums that drive the trace formulas.  Everything returns exact ints.
+
+The sieve is a uint16 table sized from the numbers actually factored: it is
+built on first use to cover twice the number asked for (at least 2^16) and
+rebuilt larger when a bigger number comes along, never past the limit set by
+set_spf_limit (default 10^7).  Numbers above the limit are trial-divided
+down into it.
 """
 from __future__ import annotations
 
@@ -19,30 +25,29 @@ _spf_limit = _SPF_DEFAULT_LIMIT
 
 
 def set_spf_limit(limit: int) -> None:
-    """Resize the smallest-prime-factor table backing factor().
+    """Set the largest number the smallest-prime-factor table may cover.
 
-    The table is rebuilt lazily on the next factorization that needs it;
-    numbers above the limit fall back to trial division.
+    The table grows on demand up to the limit and is rebuilt lazily, so this
+    only drops the current one; numbers above the limit fall back to trial
+    division.  The table stores primes below 2^16, so the limit must stay
+    below 2^32.
     """
     global _spf, _spf_limit
-    if limit < 4:
-        raise ValueError("factoring sieve limit must be at least 4, got %r" % (limit,))
+    if not 4 <= limit < 2**32:
+        raise ValueError("factoring sieve limit must be in [4, 2^32), got %r" % (limit,))
     _spf = None
     _spf_limit = int(limit)
 
 
-def _get_spf() -> np.ndarray:
+def _get_spf(n: int) -> np.ndarray:
+    """Smallest-prime-factor table covering n <= _spf_limit; 0 marks a prime."""
     global _spf
-    if _spf is None:
-        limit = _spf_limit
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        spf[1] = 1
-        rest = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[rest] = rest
+    if _spf is None or len(_spf) <= n:
+        size = min(_spf_limit, max(2 * n, 1 << 16))
+        spf = np.zeros(size + 1, dtype=np.uint16)
+        # descending, so the smallest prime dividing a composite is written last
+        for p in reversed(primes_up_to(math.isqrt(size))):
+            spf[p * p :: p] = p
         _spf = spf
     return _spf
 
@@ -76,9 +81,9 @@ def factor(n: int) -> FactoredInt:
             fac.append((m, 1))
             m = 1
     if m > 1:
-        spf = _get_spf()
+        spf = _get_spf(m)
         while m > 1:
-            p = int(spf[m])
+            p = spf.item(m) or m
             e = 0
             while m % p == 0:
                 m //= p

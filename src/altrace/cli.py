@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sieve-bound",
         type=int,
         default=None,
-        help="size of the factoring sieve (default 10^7); with --cache, the class-number "
-        "table covers |disc| <= min(value, 10^6)",
+        help="largest number the factoring sieve may cover (default 10^7); it grows on demand "
+        "up to that; with --cache, the class-number table covers |disc| <= min(value, 10^6)",
     )
     parser.add_argument("--cache", default=None, help="class-number table file (default: $%s)" % CACHE_ENV_VAR)
     parser.add_argument("--output-dir", default=".")

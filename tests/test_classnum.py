@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altrace import classnum
@@ -146,6 +147,19 @@ def test_table_matches_pure_path():
             assert int(table.h12[n]) == classnum.hurwitz12(-n), -n
     # beyond-bound lookups fall back to the pure path
     assert classnum.hurwitz12_ext(-(table.bound * 4 + 3) * 4) == classnum.hurwitz12(-(table.bound * 4 + 3) * 4)
+
+
+@given(st.integers(min_value=0, max_value=9999), st.booleans())
+@example(36, False)  # gcd(12, -144) = 12 = 2^2 * 3: a square part and a cofactor 3
+@example(7, False)  # gcd(4, -28) = 4: the full gcd multiplies back in
+def test_ht12_same_with_and_without_table(n, odd):
+    disc = -(4 * n + 3) if odd else -4 * n
+    assert -disc <= classnum._active_table.bound
+    ts = (1, 2, 3, 4, 6, 12)
+    on = [classnum.ht12(t, disc) for t in ts]
+    with mock.patch.object(classnum, "_active_table", None):
+        off = [classnum.ht12(t, disc) for t in ts]
+    assert on == off, disc
 
 
 def test_table_save_load_roundtrip(tmp_path):

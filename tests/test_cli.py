@@ -1,12 +1,17 @@
-"""End-to-end command-line checks, all in-process via cli.main."""
+"""End-to-end command-line checks, in-process via cli.main, plus a
+subprocess run of the murmuration scan script."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from altrace import classnum, cli, murmur, signs, trace, twist
+from altrace import arith, classnum, cli, murmur, signs, trace, twist
 
 
 def run(capsys, *argv):
@@ -181,10 +186,21 @@ def test_domain_errors_become_usage_errors(capsys):
 
 
 def test_bad_global_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--sieve-bound", "3", "classnum", "--", "-7"])
-    assert exc.value.code == 2
-    assert "sieve" in capsys.readouterr().err
+    # 2^32 is the first bound whose composites may have a smallest prime
+    # factor above 65535, which the uint16 sieve cannot store
+    for bound in ("3", str(2**32)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--sieve-bound", bound, "classnum", "--", "-7"])
+        assert exc.value.code == 2
+        assert "sieve" in capsys.readouterr().err
+
+
+def test_trace_query_builds_a_small_sieve(capsys, monkeypatch):
+    # the sieve covers the numbers a query factors, not the whole 10^7 limit
+    monkeypatch.setattr(arith, "_spf", None)
+    arith.factor.cache_clear()
+    assert cli.main(["trace", "--k", "6", "--q", "7", "--M", "10", "--ell", "3"]) == 0
+    assert arith._spf is not None and len(arith._spf) <= 2**17
 
 
 def test_sieve_bound_resizes_the_factoring_sieve_only_when_given(capsys, monkeypatch):
@@ -206,3 +222,10 @@ def test_help_exits_cleanly(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "Family grammar" in capsys.readouterr().out
+
+
+def test_scan_script_runs_from_a_checkout(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_murmuration_scan.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=tmp_path, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()

@@ -241,6 +241,31 @@ def test_squarefree_kernel_same_with_and_without_table(k, big_q, m, ell):
     assert on == off, (k, big_q, m, ell)
 
 
+def _t_new_uncached(k, q, r, m, ell):
+    # the divisor-sum route memoizes its class-number sums, so clear them to
+    # make the table (or its absence) serve this call
+    trace._sum_ht12.cache_clear()
+    trace._a1_24.cache_clear()
+    return trace.t_new(k, q, r, m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=30),
+)
+@example(2, (3, 2), 20, 7)
+def test_divisor_sum_trace_same_with_and_without_table(k, qr, m, ell):
+    q, r = qr
+    assume(math.gcd(q, m * ell) == 1)
+    assert 4 * q**r * ell <= classnum._active_table.bound
+    on = _t_new_uncached(k, q, r, m, ell)
+    with mock.patch.object(classnum, "_active_table", None):
+        off = _t_new_uncached(k, q, r, m, ell)
+    assert on == off, (k, q, r, m, ell)
+
+
 @given(
     st.sampled_from([2, 4, 6]),
     st.sampled_from([n for n in range(5, 200) if is_squarefree(n)]),
