@@ -40,7 +40,8 @@ class ScanJob:
 DEFAULT_JOBS = (
     ScanJob("I:M=1", k=2, X=500, ell_max=115),
     ScanJob("I:M=1", k=4, X=500, ell_max=115),
-    ScanJob("I:M=5", k=2, X=500, ell_max=115),
+    # X = 500 M gives M = 5 the Q-window of M = 1; x < 1/(4M) - 0.02 is ell < 75
+    ScanJob("I:M=5", k=2, X=2500, ell_max=75),
     ScanJob("II:Q=1,M=all", k=2, X=250, ell_max=60, fit=False),
     ScanJob("III:r=2,idx=1,2", k=2, X=250, ell_max=60, fit=False),
 )

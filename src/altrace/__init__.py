@@ -3,12 +3,13 @@ spaces, with closed-form eigenspace dimension differences, Hurwitz class
 number machinery, quadratic-twist bookkeeping, and murmuration scans.
 
 Everything upstream of the final float division in the scan averages is
-exact integer or rational arithmetic.
+exact integer or rational arithmetic.  The scans (``altrace.murmur``) and
+the acceptance checks (``altrace.selftest``) are not imported here, so a
+single query starts without them or numpy.
 """
 
 from .arith import FactoredInt, factor, is_prime, is_squarefree, kronecker, mobius
 from .classnum import alpha1, alpha2, hprime, hurwitz, hurwitz_oracle
-from .murmur import FamilySpec, MurmurationPoint, parse_family, scan_WQ, scan_eigenspace
 from .signs import DeltaResult, delta, dim_new, eigenspace_dims, equidistribution_predicate
 from .trace import t_full, t_full_fricke, t_new, t_new_level, t_new_squarefree
 from .twist import TwistCharacter, classify_local_types, quadtwist_bijection
@@ -27,11 +28,6 @@ __all__ = [
     "hprime",
     "hurwitz",
     "hurwitz_oracle",
-    "FamilySpec",
-    "MurmurationPoint",
-    "parse_family",
-    "scan_WQ",
-    "scan_eigenspace",
     "DeltaResult",
     "delta",
     "dim_new",

@@ -1,55 +1,16 @@
 """Exact elementary number theory used everywhere else in the package.
 
-Factorization (smallest-prime-factor sieve with trial-division fallback),
-Kronecker symbols, the standard multiplicative functions, and the divisor
-sums that drive the trace formulas.  Everything returns exact ints.
-
-The sieve is a uint16 table sized from the numbers actually factored: it is
-built on first use to cover twice the number asked for (at least 2^16) and
-rebuilt larger when a bigger number comes along, never past the limit set by
-set_spf_limit (default 10^7).  Numbers above the limit are trial-divided
-down into it.
+Factorization (cached trial division), Kronecker symbols, the standard
+multiplicative functions, and the divisor sums that drive the trace
+formulas.  Everything returns exact ints, in pure Python: importing this
+module does not import numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
-
-_SPF_DEFAULT_LIMIT = 10_000_000
-
-_spf: np.ndarray | None = None
-_spf_limit = _SPF_DEFAULT_LIMIT
-
-
-def set_spf_limit(limit: int) -> None:
-    """Set the largest number the smallest-prime-factor table may cover.
-
-    The table grows on demand up to the limit and is rebuilt lazily, so this
-    only drops the current one; numbers above the limit fall back to trial
-    division.  The table stores primes below 2^16, so the limit must stay
-    below 2^32.
-    """
-    global _spf, _spf_limit
-    if not 4 <= limit < 2**32:
-        raise ValueError("factoring sieve limit must be in [4, 2^32), got %r" % (limit,))
-    _spf = None
-    _spf_limit = int(limit)
-
-
-def _get_spf(n: int) -> np.ndarray:
-    """Smallest-prime-factor table covering n <= _spf_limit; 0 marks a prime."""
-    global _spf
-    if _spf is None or len(_spf) <= n:
-        size = min(_spf_limit, max(2 * n, 1 << 16))
-        spf = np.zeros(size + 1, dtype=np.uint16)
-        # descending, so the smallest prime dividing a composite is written last
-        for p in reversed(primes_up_to(math.isqrt(size))):
-            spf[p * p :: p] = p
-        _spf = spf
-    return _spf
+from itertools import compress
 
 
 @dataclass(frozen=True)
@@ -62,34 +23,24 @@ class FactoredInt:
 
 @cache
 def factor(n: int) -> FactoredInt:
+    """Trial division by 2, 3 and then the numbers 6j +- 1."""
     if n < 1:
         raise ValueError("factor() wants a positive integer, got %r" % (n,))
     m = n
     fac = []
-    if m > _spf_limit:
-        d = 2
-        while d * d <= m and m > _spf_limit:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                fac.append((d, e))
-            d += 1 if d == 2 else 2
-        if m > _spf_limit:
-            # no divisor up to sqrt(m), so what is left is prime
-            fac.append((m, 1))
-            m = 1
-    if m > 1:
-        spf = _get_spf(m)
-        while m > 1:
-            p = spf.item(m) or m
+    d, step = 2, 1
+    while d * d <= m:
+        if m % d == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 e += 1
-            fac.append((p, e))
-    fac.sort()
+            fac.append((d, e))
+        d += step
+        step = 6 - step if d > 5 else 2
+    if m > 1:
+        # no divisor up to sqrt(m), so what is left is prime
+        fac.append((m, 1))
     return FactoredInt(n, tuple(fac))
 
 
@@ -215,12 +166,12 @@ def mobius_squared_transform(f, m: int):
 def primes_up_to(n: int) -> list[int]:
     if n < 2:
         return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+            sieve[p * p :: p] = bytes((n - p * p) // p + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 def prime_powers_up_to(bound: int) -> list[tuple[int, int]]:

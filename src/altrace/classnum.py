@@ -7,7 +7,8 @@ Three independent routes to H(disc) live here:
 * ``hurwitz_oracle`` -- a from-scratch enumeration of all reduced forms with
   automorphism weights, kept deliberately naive;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
-  bound, with an optional on-disk cache.
+  bound, with an optional on-disk cache.  numpy is imported only where such
+  a table is built, loaded or saved, so the other routes run without it.
 
 On top of those sit the weighted counts H_t, and the alpha/beta-style
 combinations the sign formulas consume.  Internally everything is an integer
@@ -20,10 +21,12 @@ import struct
 import zlib
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import factor, kronecker
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAGIC = b"ALHT"
 _VERSION = 1
@@ -188,6 +191,8 @@ class HurwitzTable:
         self.h12 = h12
 
     def save(self, path: str) -> None:
+        import numpy as np
+
         data = np.ascontiguousarray(self.h12, dtype="<u4").tobytes()
         header = struct.pack("<4sHQI", _MAGIC, _VERSION, self.bound, zlib.crc32(data))
         with open(path, "wb") as fh:
@@ -196,6 +201,8 @@ class HurwitzTable:
 
     @staticmethod
     def load(path: str) -> "HurwitzTable":
+        import numpy as np
+
         with open(path, "rb") as fh:
             header = fh.read(struct.calcsize("<4sHQI"))
             magic, version, bound, crc = struct.unpack("<4sHQI", header)
@@ -213,6 +220,8 @@ def build_table(bound: int) -> HurwitzTable:
     Walks (a, b) with 0 <= b <= a and adds each form's automorphism weight to
     every n = 4ac - b^2 <= bound (c >= a) in one strided numpy update.
     """
+    import numpy as np
+
     if bound < 4:
         raise ValueError("bound must be at least 4")
     h12 = np.zeros(bound + 1, dtype=np.uint32)

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import classnum, murmur, selftest, signs, trace, twist
-from .arith import is_squarefree, prime_powers_up_to, set_spf_limit
+from . import classnum, signs, trace, twist
+from .arith import is_squarefree, prime_powers_up_to
 
 CACHE_ENV_VAR = "ALTRACE_CACHE"
 
@@ -160,6 +160,8 @@ def cmd_equidist_sweep(args) -> tuple[dict, int]:
 
 
 def cmd_murmur(args) -> tuple[dict, int]:
+    from . import murmur
+
     try:
         spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
     except ValueError as exc:
@@ -229,7 +231,9 @@ def cmd_twist(args) -> tuple[dict, int]:
 
 
 def cmd_selftest(args) -> tuple[dict, int]:
-    results = selftest.run_all(seed=args.seed)
+    from . import selftest
+
+    results = selftest.run_all(seed=selftest.DEFAULT_SEED if args.seed is None else args.seed)
     print(selftest.format_results(results), file=sys.stderr)
     payload = {
         "results": [asdict(r) for r in results],
@@ -247,15 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         "III:r=<r>,fixed=<p1,p2,...>,idx=<i1,...>",
     )
     parser.add_argument(
-        "--sieve-bound",
-        type=int,
+        "--cache",
         default=None,
-        help="largest number the factoring sieve may cover (default 10^7); it grows on demand "
-        "up to that; with --cache, the class-number table covers |disc| <= min(value, 10^6)",
+        help="class-number table file covering |disc| <= 10^6 (default: $%s)" % CACHE_ENV_VAR,
     )
-    parser.add_argument("--cache", default=None, help="class-number table file (default: $%s)" % CACHE_ENV_VAR)
     parser.add_argument("--output-dir", default=".")
-    parser.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED, help="seed for sampled spot checks")
+    parser.add_argument("--seed", type=int, default=None, help="seed for sampled spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classnum", help="Hurwitz class number with oracle cross-check")
@@ -318,10 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
-        if args.sieve_bound is not None:
-            set_spf_limit(args.sieve_bound)
         if cache_path:
-            classnum.get_table(min(args.sieve_bound or 10**6, 10**6), cache_path)
+            classnum.get_table(10**6, cache_path)
         payload, code = args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import signs, trace
 from .arith import factor, is_prime, is_squarefree, primes_up_to
 
@@ -161,7 +159,7 @@ class MurmurationPoint:
 def _primes_in(ell_range) -> list[int]:
     if isinstance(ell_range, tuple) and len(ell_range) == 2:
         lo, hi = ell_range
-        return [int(p) for p in primes_up_to(hi) if p >= lo]
+        return [p for p in primes_up_to(hi) if p >= lo]
     out = [int(p) for p in ell_range]
     if not all(is_prime(p) for p in out):
         raise ValueError("ell_range must contain primes only")
@@ -362,18 +360,25 @@ def sqrt_fit(points: list[MurmurationPoint], k: int, min_points: int = 8) -> Sqr
     """
     if len(points) < min_points:
         raise ValueError("need at least %d points, got %d" % (min_points, len(points)))
-    xs = np.array([float(p.x) for p in points])
-    ys = np.array([p.average for p in points])
+    xs = [float(p.x) for p in points]
+    ys = [p.average for p in points]
+    roots = [math.sqrt(x) for x in xs]
+    # normal equations of the one- or two-column least-squares problem
+    s_rr = math.fsum(r * r for r in roots)
+    s_ry = math.fsum(r * y for r, y in zip(roots, ys))
     if k == 2:
-        design = np.column_stack([np.sqrt(xs), xs])
+        s_rx = math.fsum(r * x for r, x in zip(roots, xs))
+        s_xx = math.fsum(x * x for x in xs)
+        s_xy = math.fsum(x * y for x, y in zip(xs, ys))
+        det = s_rr * s_xx - s_rx * s_rx
+        if det == 0:
+            raise ValueError("sqrt_fit needs at least two distinct x values at weight 2")
+        c = (s_ry * s_xx - s_rx * s_xy) / det
+        d = (s_rr * s_xy - s_rx * s_ry) / det
     else:
-        design = np.sqrt(xs).reshape(-1, 1)
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    fitted = design @ coef
-    rms = math.sqrt(float(np.mean((ys - fitted) ** 2)))
-    spread = float(ys.max() - ys.min()) or 1.0
-    c = float(coef[0])
-    d = float(coef[1]) if k == 2 else 0.0
+        c, d = s_ry / s_rr, 0.0
+    rms = math.sqrt(math.fsum((y - c * r - d * x) ** 2 for r, x, y in zip(roots, xs, ys)) / len(ys))
+    spread = max(ys) - min(ys) or 1.0
     return SqrtFit(c, d, rms / spread)
 
 

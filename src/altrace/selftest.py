@@ -244,7 +244,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CheckResult:
         ratio = Fraction(signs.delta(k, 5, 2, 1)) / a.kinfty_leading
         if not Fraction(9, 10) <= ratio <= Fraction(11, 10):
             bad.append(("k", k, float(ratio)))
-    ms = [int(p) for p in primes_up_to(2600) if p >= 2003][:25]
+    ms = [p for p in primes_up_to(2600) if p >= 2003][:25]
     assert len(ms) == 25
     for i, m in enumerate(ms):
         points += 1
@@ -268,7 +268,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
     classnum.get_table(_TABLE_BOUND)
     rng = random.Random(seed)
     odd_p = [3, 5, 7, 11, 13, 17, 19, 23]
-    qs = [int(p) for p in primes_up_to(100)]
+    qs = primes_up_to(100)
     bad = []
     pairs = []
     while len(pairs) < 20:
@@ -316,28 +316,35 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(8, "quadratic twist vanishing", t0, not bad, detail)
 
 
+def fit_points(m: int, k: int) -> list[murmur.MurmurationPoint]:
+    """Criterion 9's fit data: the raw I:M=m points at X = 500 M, beta = 2,
+    with x < 1/(4M) - 0.02.
+
+    x is ell/X against the level N = QM, so X = 500 M gives every M the same
+    Q-window [500, 1000] and the same number of primes.
+    """
+    X = 500 * m
+    x_cut = 1 / (4 * m) - 0.02
+    pts = murmur.scan_WQ(murmur.FamilySpec(kind="I", m=m, k=k), (2, int(x_cut * X)), X)
+    return [p for p in pts if float(p.x) < x_cut]
+
+
 def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
     """Murmuration properties: sqrt-x fit, +-cancellation, 2^r inversion.
 
-    The fit subcheck scans I:M for M in {1, 5}, k in {2, 4} at X = 500 M,
-    beta = 2, and keeps the raw points with x < 1/(4M) - 0.02; the residual
-    RMS of sqrt_fit (c sqrt(x), plus d x at k = 2) must stay under 10% of
-    the data range.  x is ell/X against the level N = QM, so X = 500 M gives
-    every M the same Q-window [500, 1000] and the same number of primes.
+    The fit subcheck takes fit_points for M in {1, 5}, k in {2, 4}; the
+    residual RMS of sqrt_fit (c sqrt(x), plus d x at k = 2) must stay under
+    10% of the data range.
     """
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
     bad = []
     fits = []
     for m in (1, 5):
-        X = 500 * m
         for k in (2, 4):
-            spec = murmur.FamilySpec(kind="I", m=m, k=k)
-            x_cut = 1 / (4 * m) - 0.02
-            pts = murmur.scan_WQ(spec, (2, int(x_cut * X)), X)
-            pts = [p for p in pts if float(p.x) < x_cut]
+            pts = fit_points(m, k)
             fit = murmur.sqrt_fit(pts, k)
-            fits.append("M=%d,k=%d,X=%d: rms=%.3f (%d pts)" % (m, k, X, fit.rms_residual, len(pts)))
+            fits.append("M=%d,k=%d,X=%d: rms=%.3f (%d pts)" % (m, k, 500 * m, fit.rms_residual, len(pts)))
             if fit.rms_residual >= 0.10:
                 bad.append(("fit", m, k, round(fit.rms_residual, 3)))
     rep = murmur.cancellation_diag(2, 500)

@@ -1,7 +1,6 @@
 import math
 
-import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altrace import arith
@@ -16,7 +15,7 @@ def test_factor_roundtrip_small():
 
 
 def test_factor_beyond_sieve_limit():
-    # 10_000_019 and 10_000_079 are primes just past the default sieve span
+    # 10_000_019 is prime: a prime cofactor above 10^7 is kept whole
     n = 10_000_019 * 3
     assert arith.factor(n).factors == ((3, 1), (10_000_019, 1))
 
@@ -36,34 +35,21 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(fac)
 
 
-SMALL_LIMIT = 200_000
-_LARGEST_P = max(p for p in range(2, math.isqrt(SMALL_LIMIT) + 1) if _trial_division(p) == ((p, 1),))
-_PRIME_ABOVE = next(n for n in range(SMALL_LIMIT + 1, 2 * SMALL_LIMIT) if _trial_division(n) == ((n, 1),))
-SIEVE_EDGES = [SMALL_LIMIT, SMALL_LIMIT - 1, SMALL_LIMIT + 1, 2**16 - 1, 2**16 + 1, _LARGEST_P**2, _PRIME_ABOVE]
-
-
-@pytest.fixture
-def small_sieve():
-    yield SMALL_LIMIT
-    arith.set_spf_limit(arith._SPF_DEFAULT_LIMIT)
-    arith.factor.cache_clear()
-
-
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(
-    st.lists(st.integers(min_value=1, max_value=2**17) | st.integers(min_value=1, max_value=3 * SMALL_LIMIT), min_size=1, max_size=30),
-    st.booleans(),
-)
-@example(SIEVE_EDGES, False)
-@example(SIEVE_EDGES, True)
-def test_factor_matches_trial_division_as_the_sieve_grows(small_sieve, ns, descending):
-    # each example starts from no table, so ascending draws rebuild it larger
-    # step by step and descending draws build it once from the largest n
-    arith.set_spf_limit(small_sieve)
-    arith.factor.cache_clear()
-    for n in sorted(ns, reverse=descending):
-        assert arith.factor(n).factors == _trial_division(n), n
-        assert arith._spf is None or len(arith._spf) <= small_sieve + 1
+@given(st.integers(min_value=1, max_value=2**17) | st.integers(min_value=1, max_value=10**9))
+# p^2, primes next to 2^16 and 2^31, a large prime times 3, and products of
+# two primes above 10^4 (the 6j +- 1 wheel must reach both factors)
+@example(443**2)
+@example(65521**2)
+@example(2**31 - 1)
+@example(3 * 10_000_019)
+@example(65535)
+@example(65536)
+@example(65537)
+@example(10007 * 10009)
+@example(30011 * 30013)
+@example(31607 * 31627)
+def test_factor_matches_trial_division(n):
+    assert arith.factor(n).factors == _trial_division(n), n
 
 
 def test_kronecker_against_euler_criterion():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from altrace import arith, classnum, cli, murmur, signs, trace, twist
+from altrace import classnum, cli, murmur, signs, trace, twist
 
 
 def run(capsys, *argv):
@@ -186,30 +186,60 @@ def test_domain_errors_become_usage_errors(capsys):
 
 
 def test_bad_global_flag_is_a_usage_error(capsys):
-    # 2^32 is the first bound whose composites may have a smallest prime
-    # factor above 65535, which the uint16 sieve cannot store
-    for bound in ("3", str(2**32)):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--sieve-bound", bound, "classnum", "--", "-7"])
-        assert exc.value.code == 2
-        assert "sieve" in capsys.readouterr().err
+    # factoring needs no sieve, so there is no --sieve-bound to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--sieve-bound", "4000000", "classnum", "--", "-7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--sieve-bound=4000000", "classnum", "--", "-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sieve-bound=4000000" in capsys.readouterr().err
 
 
-def test_trace_query_builds_a_small_sieve(capsys, monkeypatch):
-    # the sieve covers the numbers a query factors, not the whole 10^7 limit
-    monkeypatch.setattr(arith, "_spf", None)
-    arith.factor.cache_clear()
-    assert cli.main(["trace", "--k", "6", "--q", "7", "--M", "10", "--ell", "3"]) == 0
-    assert arith._spf is not None and len(arith._spf) <= 2**17
+SINGLE_QUERIES = (
+    ["classnum", "-23"],
+    ["trace", "--k", "6", "--q", "7", "--M", "10", "--ell", "3"],
+    ["delta", "--k", "4", "--q", "13", "--M", "5"],
+    ["twist", "--q", "5", "--k", "4", "--M", "27"],
+)
+HEAVY_MODULES = ("numpy", "altrace.murmur", "altrace.selftest", "concurrent.futures")
 
 
-def test_sieve_bound_resizes_the_factoring_sieve_only_when_given(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "set_spf_limit", calls.append)
-    assert cli.main(["classnum", "-23"]) == 0
-    assert calls == []
-    assert cli.main(["--sieve-bound", "4000000", "classnum", "-23"]) == 0
-    assert calls == [4000000]
+def test_single_queries_import_no_numpy_scans_or_selftest():
+    # each query runs in a fresh interpreter, so its imports are its start-up cost
+    probe = (
+        "import sys\n"
+        "from altrace import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in %r if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n" % (HEAVY_MODULES,)
+    )
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in SINGLE_QUERIES:
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--json"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+        json.loads(done.stdout)
+        assert done.stderr.splitlines()[-1] == "[]", (argv, done.stderr)
+
+
+def test_cache_builds_then_loads_the_class_number_table(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "h12.bin"
+    monkeypatch.setattr(classnum, "_active_table", None)
+    code, first = run_json(capsys, "--cache", str(path), "classnum", "-23")
+    assert code == 0
+    assert classnum._active_table.bound == 10**6
+    assert classnum.HurwitzTable.load(str(path)).bound == 10**6
+
+    monkeypatch.setattr(classnum, "_active_table", None)
+    monkeypatch.setattr(classnum, "build_table", lambda bound: pytest.fail("rebuilt a cached table"))
+    code, second = run_json(capsys, "--cache", str(path), "classnum", "-23")
+    assert code == 0
+    assert classnum._active_table.bound == 10**6
+    assert second == first
 
 
 def test_bad_family_string_aborts(capsys):

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from altrace import arith, classnum, murmur, signs, trace
+from altrace import arith, classnum, murmur, selftest, signs, trace
 from altrace.murmur import FamilySpec, MurmurationPoint, parse_family
 
 
 @pytest.fixture(scope="module")
 def wide_table():
-    # The two window-comparison tests below reach |disc| = 4 * 700 * 1000.
+    # The two window-comparison tests below reach |disc| = 4 * 700 * 1000,
+    # the criterion-9 fits of test_sqrt_fit_matches_numpy_lstsq 4 * 75 * 5000.
     return classnum.get_table(2_800_000)
 
 
@@ -290,6 +292,31 @@ def test_sqrt_fit_needs_enough_points():
     with pytest.raises(ValueError, match="at least 8"):
         murmur.sqrt_fit(pts, 4)
     murmur.sqrt_fit(pts, 4, min_points=7)  # explicit override
+
+
+def _lstsq_fit(points, k):
+    xs = np.array([float(p.x) for p in points])
+    ys = np.array([p.average for p in points])
+    design = np.column_stack([np.sqrt(xs), xs] if k == 2 else [np.sqrt(xs)])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    rms = math.sqrt(float(np.mean((ys - design @ coef) ** 2)))
+    return float(coef[0]), float(coef[1]) if k == 2 else 0.0, rms / float(ys.max() - ys.min())
+
+
+def test_sqrt_fit_matches_numpy_lstsq(wide_table):
+    rng = random.Random(20)
+    noisy = [
+        [_pt(ell, 1.7 * math.sqrt(ell / 100) - 0.4 * ell / 100 + rng.gauss(0, 0.05)) for ell in range(2, 60, 3)]
+        for _ in range(3)
+    ]
+    cases = [(pts, k) for pts in noisy for k in (2, 4)]
+    cases += [(selftest.fit_points(m, k), k) for m in (1, 5) for k in (2, 4)]
+    for pts, k in cases:
+        fit = murmur.sqrt_fit(pts, k)
+        c, d, rms = _lstsq_fit(pts, k)
+        assert fit.c == pytest.approx(c, rel=1e-9, abs=0)
+        assert fit.d == pytest.approx(d, rel=1e-9, abs=0)
+        assert fit.rms_residual == pytest.approx(rms, rel=1e-9, abs=0)
 
 
 def test_cancellation_report_matches_direct_sums():
