@@ -135,7 +135,6 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
     bad = []
     checked = 0
     for q in primes_up_to(300):
-        q = int(q)
         for m in range(1, 300 // q + 1):
             if m % q == 0 or not is_squarefree(q * m):
                 continue
@@ -174,9 +173,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
     checked = crosschecked = 0
     for m in (1, 3, 6):
         for q in primes_up_to(500):
-            q = int(q)
             for ell in primes_up_to(max((q - 1) // 4, 1)):
-                ell = int(ell)
                 if 4 * ell >= q or math.gcd(m, q * ell) != 1:
                     continue
                 cr = signs.correlation_checks(4, q, m, ell)
@@ -205,7 +202,6 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CheckResult:
     last_violation = None
     violations_in_range = []
     for q in primes_up_to(2000):
-        q = int(q)
         if q == 2:
             continue
         t1 = trace.t_new_level(4, q, 2)

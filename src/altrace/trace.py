@@ -2,7 +2,10 @@
 
 ``t_full``/``t_new`` evaluate tr T_l W_{q^r} on the full cuspform space and
 the newspace of level q^r * M via elliptic/hyperbolic/parabolic divisor sums
-over weighted class numbers.  ``t_new_squarefree`` is the independent
+over weighted class numbers H_t.  Both sum over t | M with per-level weights
+c_t (1 on the full space; the (mu*mu) newspace projection of that for
+``t_new``), cached per M, so each s is visited once per level and no
+per-discriminant sum is memoized.  ``t_new_squarefree`` is the independent
 one-class-number-per-s route available on squarefree levels, and
 ``t_full_fricke`` the single-term shortcut for the Fricke involution when
 the Hecke index is small against the level.
@@ -56,60 +59,68 @@ def _check_common(k: int, q: int, m: int, ell: int) -> None:
         raise ValueError("level cofactor and Hecke index must be positive")
     if m % q == 0:
         raise ValueError("cofactor M must be coprime to q")
-    if ell % q == 0:
-        raise ValueError("Hecke index must be coprime to q")
+    if math.gcd(ell, q * m) != 1:
+        raise ValueError("Hecke index must be coprime to the level")
 
 
 @cache
-def _sum_ht12(m: int, disc: int) -> int:
-    return sum(classnum.ht12(t, disc) for t in divisors_with_squarefree_cofactor(m))
+def _level_weights(m: int, new: bool) -> tuple[tuple[int, int, int], ...]:
+    """(t, c_t, core_square_part(t)) for every t | m with c_t != 0.
+
+    Full space: c_t = 1 when m/t is squarefree.  Newspace: the (mu*mu)
+    projection of that indicator over the sub-levels m/d, so the newspace
+    divisor sums run over the divisors of m once instead of once per m/d.
+    """
+    if not new:
+        return tuple((t, 1, core_square_part(t)) for t in divisors_with_squarefree_cofactor(m))
+    out = []
+    for t in divisors(m):
+        c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m)
+        if c:
+            out.append((t, c, core_square_part(t)))
+    return tuple(out)
 
 
-@cache
-def _a1_24(k: int, q: int, r: int, eps: int, m: int, ell: int) -> int:
-    """24 * A_1^(eps)(r; m): the elliptic + parabolic-boundary sum."""
-    if r < 0:
-        return 0
-    qr = q**r
-    step = q ** (r + eps)
+def _a1_24(k: int, qr: int, step: int, weights, ell: int) -> int:
+    """24 * A_1 at q^r = qr, over s = 0 mod step: the elliptic + parabolic-boundary sum."""
     bound = 4 * qr * ell
     total = 0
     s = 0
     while s * s <= bound:
-        pk = pk_from_s2(k, (s * s) // qr, ell)
-        weight = 1 if s == 0 else 2
-        total += weight * pk * _sum_ht12(m, s * s - bound)
+        disc = s * s - bound
+        inner = sum(c * classnum.ht12(t, disc) for t, c, _ in weights)
+        if inner:
+            pk = pk_from_s2(k, (s * s) // qr, ell)
+            total += (2 * pk if s else pk) * inner
         s += step
     return -total
 
 
-@cache
-def _a2_2(k: int, q: int, r: int, m: int, ell: int) -> int:
-    """2 * A_2(r; m): the hyperbolic sum (vanishes for odd r)."""
-    if r < 0 or r % 2:
+def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
+    """2 * A_2 at q^r: the hyperbolic sum (vanishes for odd r)."""
+    if r % 2:
         return 0
     qh = q ** (r // 2)
     phi = qh - qh // q if r else 1
-    cof = divisors_with_squarefree_cofactor(m)
-    sq = {t: core_square_part(t) for t in cof}
     total = 0
     for dl in divisors(ell):
         dl2 = ell // dl
         if (dl + dl2) % qh:
             continue
-        inner = sum(math.gcd(sq[t], dl - dl2) for t in cof)
+        inner = sum(c * math.gcd(sq, dl - dl2) for _, c, sq in weights)
         total += min(dl, dl2) ** (k - 1) * inner
     return -phi * total
 
 
 def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
-    """tr T_l W_{q^r} on S_k(q^r * m), for (l, q) = 1 and (m, q) = 1."""
+    """tr T_l W_{q^r} on S_k(q^r * m), for (l, q * m) = 1 and (m, q) = 1."""
     _check_common(k, q, m, ell)
     if r < 0:
         return 0
-    val24 = _a1_24(k, q, r, 0, m, ell) + 12 * _a2_2(k, q, r, m, ell)
+    w = _level_weights(m, False)
+    val24 = _a1_24(k, q**r, q**r, w, ell) + 12 * _a2_2(k, q, r, w, ell)
     if r >= 2:
-        val24 -= _a1_24(k, q, r - 2, 1, m, ell)
+        val24 -= _a1_24(k, q ** (r - 2), q ** (r - 1), w, ell)
     assert val24 % 24 == 0, (k, q, r, m, ell, val24)
     val = val24 // 24
     if k == 2:
@@ -118,12 +129,13 @@ def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
 
 
 def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
-    """tr T_l W_{q^r} on the newspace S_k^new(q^r * m)."""
+    """tr T_l W_{q^r} on the newspace S_k^new(q^r * m), for (l, q * m) = 1."""
     _check_common(k, q, m, ell)
     if r < 0:
         return 0
-    a1 = lambda rr, eps: mobius_squared_transform(lambda mm: _a1_24(k, q, rr, eps, mm, ell), m)
-    a2 = lambda rr: mobius_squared_transform(lambda mm: 12 * _a2_2(k, q, rr, mm, ell), m)
+    w = _level_weights(m, True)
+    a1 = lambda rr, eps: _a1_24(k, q**rr, q ** (rr + eps), w, ell)
+    a2 = lambda rr: 12 * _a2_2(k, q, rr, w, ell)
     if r <= 1:
         val24 = a1(r, 0) + a2(r)
     else:

@@ -162,6 +162,46 @@ def test_ht12_same_with_and_without_table(n, odd):
     assert on == off, disc
 
 
+def _kronecker_hurwitz_failures(h12) -> list[int]:
+    """Indices at which a table h12[n] = 12 H(-n) breaks the class number relation.
+
+    Kronecker-Hurwitz in 12ths: sum over s in Z of h12(4n - s^2) is
+    24 sigma(n) - 12 lambda(n), lambda(n) = sum_{d | n} min(d, n/d), with
+    h12(0) = -1; every n = 1, 2 mod 4 must hold 0.  Reports 4n for each
+    failing n and each nonzero entry off the discriminants.
+    """
+    import numpy as np
+
+    bound = len(h12) - 1
+    h = h12.astype(np.int64)
+    h[0] = -1
+    conv = h.copy()
+    for s in range(1, math.isqrt(bound) + 1):
+        conv[s * s :] += 2 * h[: bound + 1 - s * s]
+    nmax = bound // 4
+    sig = np.zeros(nmax + 1, dtype=np.int64)
+    lam = np.zeros(nmax + 1, dtype=np.int64)
+    for d in range(1, nmax + 1):
+        sig[d::d] += d
+    for d in range(1, math.isqrt(nmax) + 1):
+        lam[d * d] += d
+        lam[d * (d + 1) :: d] += 2 * d
+    n = np.arange(nmax + 1)
+    wrong = (conv[::4] != 24 * sig - 12 * lam) & (n > 0)
+    off = np.flatnonzero((np.arange(bound + 1) % 4 % 3 != 0) & (h != 0))
+    return sorted(4 * n[wrong].tolist() + off.tolist())
+
+
+def test_table_satisfies_kronecker_hurwitz_relation():
+    table = classnum.build_table(200_000)
+    assert _kronecker_hurwitz_failures(table.h12) == []
+    # one wrong entry, on either discriminant class or off them, is caught
+    for n in (4 * 12_345, 199_999, 77_777):
+        bad = table.h12.copy()
+        bad[n] += 12
+        assert _kronecker_hurwitz_failures(bad), n
+
+
 def test_table_save_load_roundtrip(tmp_path):
     table = classnum.build_table(600)
     path = tmp_path / "h.tbl"

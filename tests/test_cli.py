@@ -185,6 +185,14 @@ def test_domain_errors_become_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_trace_rejects_hecke_index_sharing_a_prime_with_M(capsys):
+    # ell = 2 divides M = 4; the traces are not defined there and must not print
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "--k", "2", "--q", "3", "--M", "4", "--ell", "2"])
+    assert exc.value.code == 2
+    assert "coprime to the level" in capsys.readouterr().err
+
+
 def test_bad_global_flag_is_a_usage_error(capsys):
     # factoring needs no sieve, so there is no --sieve-bound to set
     with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,19 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import factor, is_prime, is_squarefree, kronecker, mobius, primes_up_to, sigma
+from altrace.arith import (
+    core_square_part,
+    divisors,
+    divisors_with_squarefree_cofactor,
+    factor,
+    is_prime,
+    is_squarefree,
+    kronecker,
+    mobius,
+    mobius_squared_transform,
+    primes_up_to,
+    sigma,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +254,11 @@ def test_squarefree_kernel_same_with_and_without_table(k, big_q, m, ell):
 
 
 def _t_new_uncached(k, q, r, m, ell):
-    # the divisor-sum route memoizes its class-number sums, so clear them to
-    # make the table (or its absence) serve this call
-    trace._sum_ht12.cache_clear()
-    trace._a1_24.cache_clear()
+    # clear every memo in the trace module, whatever it holds, so that no
+    # value computed from the table (or without it) serves this call
+    for obj in vars(trace).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
     return trace.t_new(k, q, r, m, ell)
 
 
@@ -258,7 +271,7 @@ def _t_new_uncached(k, q, r, m, ell):
 @example(2, (3, 2), 20, 7)
 def test_divisor_sum_trace_same_with_and_without_table(k, qr, m, ell):
     q, r = qr
-    assume(math.gcd(q, m * ell) == 1)
+    assume(m % q and math.gcd(ell, q * m) == 1)
     assert 4 * q**r * ell <= classnum._active_table.bound
     on = _t_new_uncached(k, q, r, m, ell)
     with mock.patch.object(classnum, "_active_table", None):
@@ -295,6 +308,13 @@ def test_hecke_index_must_be_coprime():
         trace.t_new(4, 5, 1, 3, 5)
     with pytest.raises(ValueError):
         trace.t_new_level(2, 33, 3)
+    # ell = 2 shares a prime with M = 4: S_2(Gamma0(12)) = 0, so any nonzero
+    # value here would be wrong
+    for fn in (trace.t_full, trace.t_new):
+        with pytest.raises(ValueError, match="coprime to the level"):
+            fn(2, 3, 1, 4, 2)
+        with pytest.raises(ValueError, match="coprime to the level"):
+            fn(4, 5, 2, 9, 3)
 
 
 @given(
@@ -310,3 +330,97 @@ def test_new_trace_dimension_bound_at_ell_one(k, qr, m):
     dim = trace.t_new_level(k, q**r * m, 1)
     assert abs(tr_w) <= dim
     assert (dim + tr_w) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# reference for the divisor-sum kernel: the newspace projection applied to
+# whole full-space sums, one s-loop per sub-level m/d, instead of the fused
+# per-level weights
+
+
+def _a1_24_reference(k, q, r, eps, m, ell):
+    if r < 0:
+        return 0
+    qr = q**r
+    bound = 4 * qr * ell
+    total = 0
+    for s in range(0, math.isqrt(bound) + 1, q ** (r + eps)):
+        inner = sum(classnum.ht12(t, s * s - bound) for t in divisors_with_squarefree_cofactor(m))
+        total += (1 if s == 0 else 2) * trace.pk_from_s2(k, s * s // qr, ell) * inner
+    return -total
+
+
+def _a2_2_reference(k, q, r, m, ell):
+    if r < 0 or r % 2:
+        return 0
+    qh = q ** (r // 2)
+    phi = qh - qh // q if r else 1
+    total = 0
+    for dl in divisors(ell):
+        dl2 = ell // dl
+        if (dl + dl2) % qh == 0:
+            inner = sum(math.gcd(core_square_part(t), dl - dl2) for t in divisors_with_squarefree_cofactor(m))
+            total += min(dl, dl2) ** (k - 1) * inner
+    return -phi * total
+
+
+def _trace_reference(k, q, r, m, ell, new):
+    if new:
+        a1 = lambda rr, eps: mobius_squared_transform(lambda mm: _a1_24_reference(k, q, rr, eps, mm, ell), m)
+        a2 = lambda rr: mobius_squared_transform(lambda mm: 12 * _a2_2_reference(k, q, rr, mm, ell), m)
+        val24 = a1(r, 0) + a2(r)
+        if r >= 2:
+            val24 += -a1(r - 2, 0) - a1(r - 2, 1) - a2(r - 2) + a1(r - 4, 1)
+    else:
+        val24 = _a1_24_reference(k, q, r, 0, m, ell) + 12 * _a2_2_reference(k, q, r, m, ell)
+        val24 -= _a1_24_reference(k, q, r - 2, 1, m, ell)
+    assert val24 % 24 == 0, (k, q, r, m, ell, new, val24)
+    val = val24 // 24
+    if k == 2 and not new:
+        val += sigma(ell)
+    elif k == 2 and r <= 1:
+        val += mobius(m) * sigma(ell)
+    return val
+
+
+_QR_UP_TO_243 = [(q, r) for q in primes_up_to(243) for r in range(6) if q**r <= 243 and (r or q <= 7)]
+
+
+@given(
+    st.sampled_from([2, 4, 6, 8, 12]),
+    st.sampled_from(_QR_UP_TO_243),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=40),
+)
+# the twist shapes: p^3 || M with (q|p) = -1, and 2^5 or 2^7 || M with q = 3 mod 4
+@example(6, (2, 3), 27, 5)
+@example(2, (5, 1), 24, 7)
+@example(2, (3, 1), 32, 7)
+@example(8, (7, 2), 160, 3)
+@example(4, (3, 2), 128, 5)
+@example(2, (3, 5), 128, 7)
+@example(12, (2, 0), 343, 3)
+def test_fused_kernel_matches_projected_full_space_sums(k, qr, m, ell):
+    q, r = qr
+    assume(m % q and math.gcd(ell, q * m) == 1)
+    assert trace.t_full(k, q, r, m, ell) == _trace_reference(k, q, r, m, ell, new=False), (k, q, r, m, ell)
+    assert trace.t_new(k, q, r, m, ell) == _trace_reference(k, q, r, m, ell, new=True), (k, q, r, m, ell)
+
+
+def test_level_weights_per_prime():
+    # newspace c_t at t = p^j for j = 0..e: (-1, 1), (-1, -1, 1), then
+    # (1, -1, -1, 1) on p^(e-3..e)
+    local = {1: (-1, 1), 2: (-1, -1, 1), 3: (1, -1, -1, 1), 4: (0, 1, -1, -1, 1)}
+    for p in (2, 3, 5):
+        for e, cs in local.items():
+            expect = tuple((p**j, c, p ** (j // 2)) for j, c in enumerate(cs) if c)
+            assert trace._level_weights(p**e, True) == expect, (p, e)
+            full = tuple((p**j, 1, p ** (j // 2)) for j in (e - 1, e))
+            assert trace._level_weights(p**e, False) == full, (p, e)
+    # the weights are multiplicative over the primes of m
+    for m in (12, 360, 2**5 * 27 * 7):
+        prod = {1: 1}
+        for p, e in factor(m).factors:
+            cs = dict((t, c) for t, c, _ in trace._level_weights(p**e, True))
+            prod = {a * t: ca * c for a, ca in prod.items() for t, c in cs.items()}
+        assert {t: c for t, c, _ in trace._level_weights(m, True)} == prod, m
