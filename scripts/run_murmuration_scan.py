@@ -55,12 +55,11 @@ def run_job(job: ScanJob, out_dir: str) -> None:
     if job.smooth is not None:
         series["smoothed"] = murmur.smooth(pts, job.smooth)
     stem = os.path.join(out_dir, job.stem)
-    murmur.emit(series, "csv", stem + ".csv", spec)
-    murmur.emit(series, "svg", stem + ".svg", spec)
+    murmur.emit(series, stem, spec)
     line = "%-22s k=%d X=%-4d %3d pts %5.1fs" % (
         job.family, job.k, job.X, len(pts), time.perf_counter() - t0,
     )
-    if job.fit and len(pts) >= 8:
+    if job.fit and len(pts) >= murmur.MIN_FIT_POINTS:
         fit = murmur.sqrt_fit(pts, job.k)
         line += "  c=%+.3f d=%+.3f rms/range=%.3f" % (fit.c, fit.d, fit.rms_residual)
     print(line)

@@ -11,12 +11,11 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import classnum, signs, trace, twist
-from .arith import is_squarefree, prime_powers_up_to
+from .arith import is_squarefree
 
 CACHE_ENV_VAR = "ALTRACE_CACHE"
 
@@ -117,46 +116,22 @@ def cmd_delta(args) -> tuple[dict, int]:
 
 
 def cmd_equidist_sweep(args) -> tuple[dict, int]:
+    from . import selftest
+
     k_lo, k_hi = args.k_range
     if k_lo % 2 or k_hi % 2 or k_lo < 2 or k_hi < k_lo:
         raise SystemExit("equidist-sweep: --k-range needs even bounds 2 <= lo <= hi")
-    mismatches = []
-    case_tags, verdicts = Counter(), Counter()
-    covered = checked = 0
-    for q, r in prime_powers_up_to(args.qr_max):
-        for m in range(1, args.M_max + 1):
-            if m % q == 0:
-                continue
-            for k in range(k_lo, k_hi + 1, 2):
-                checked += 1
-                d = signs.delta(k, q, r, m)
-                if d != trace.t_new(k, q, r, m, 1):
-                    mismatches.append(["two-path", k, q, r, m])
-                res = signs.equidistribution_predicate(k, q, r, m)
-                if not res.covered:
-                    continue
-                covered += 1
-                case_tags[res.case_tag] += 1
-                if res.predicted_sign == 0:
-                    verdicts[res.zero_reason] += 1
-                    if d != 0:
-                        mismatches.append(["predicate-zero", k, q, r, m])
-                elif res.predicted_sign is not None:
-                    verdicts["(signed: %+d)" % res.predicted_sign] += 1
-                    if d == 0 or (d > 0) != (res.predicted_sign > 0):
-                        mismatches.append(["predicate-sign", k, q, r, m])
-                else:
-                    verdicts["(no claim)"] += 1
+    res = selftest.sweep((k_lo, k_hi), args.qr_max, args.M_max)
     payload = {
         "grid": {"k_range": [k_lo, k_hi], "qr_max": args.qr_max, "M_max": args.M_max},
-        "checked": checked,
-        "covered": covered,
-        "case_tags": dict(case_tags.most_common()),
-        "verdicts": dict(verdicts.most_common()),
-        "mismatches": mismatches[:20],
-        "mismatch_count": len(mismatches),
+        "checked": res.checked,
+        "covered": res.covered,
+        "case_tags": dict(res.case_tags.most_common()),
+        "verdicts": dict(res.verdicts.most_common()),
+        "mismatches": res.mismatches[:20],
+        "mismatch_count": len(res.mismatches),
     }
-    return payload, 1 if mismatches else 0
+    return payload, 1 if res.mismatches else 0
 
 
 def cmd_murmur(args) -> tuple[dict, int]:
@@ -187,12 +162,11 @@ def cmd_murmur(args) -> tuple[dict, int]:
         "points": {label: len(p) for label, p in series.items()},
     }
     if args.fit:
-        fit = murmur.sqrt_fit(pts, spec.k, min_points=args.min_fit_points)
+        fit = murmur.sqrt_fit(pts, spec.k)
         payload["fit"] = {"c": fit.c, "d": fit.d, "rms_residual": fit.rms_residual}
     os.makedirs(args.output_dir, exist_ok=True)
     stem = os.path.join(args.output_dir, args.out or "scan")
-    murmur.emit(series, "csv", stem + ".csv", spec)
-    murmur.emit(series, "svg", stem + ".svg", spec)
+    murmur.emit(series, stem, spec)
     payload["csv"] = stem + ".csv"
     payload["svg"] = stem + ".svg"
     return payload, 0
@@ -295,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth", type=float, default=None, help="delta-smoothing exponent in (0,1)")
     p.add_argument("--eigenspace", default=None, help="sign string like '+-' for kind III eigenspace scans")
     p.add_argument("--fit", action="store_true", help="least-squares sqrt(x) fit")
-    p.add_argument("--min-fit-points", type=int, default=8)
     p.add_argument("--out", default=None, help="output file stem")
     _add_common(p)
     p.set_defaults(fn=cmd_murmur)

@@ -6,13 +6,12 @@ ell the scan averages sqrt(N/Q) * ell^(1-k/2) * tr T_ell W_Q over the
 window, normalized by the number of newforms.  Numerators and denominators
 accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
-division, so scans are reproducible across platforms and worker counts.
+division, so scans are reproducible across platforms.
 """
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -207,14 +206,6 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
     return out
 
 
-def _map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _trace_at(spec: FamilySpec, k: int, q: int, m: int, ell: int) -> int:
     if spec.kind == "II" and spec.m_set == "all":
         if q == 1:
@@ -223,7 +214,7 @@ def _trace_at(spec: FamilySpec, k: int, q: int, m: int, ell: int) -> int:
     return trace.t_new_squarefree(k, q, m, ell)
 
 
-def scan_WQ(spec: FamilySpec, ell_range, X: int, workers: int = 1) -> list[MurmurationPoint]:
+def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     """Average of sqrt(N/Q) ell^(1-k/2) tr T_ell W_Q over X <= N <= beta X.
 
     Primes dividing every level in the family (e.g. the fixed part) are
@@ -252,15 +243,13 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int, workers: int = 1) -> list[Murmu
         avg = sum(s / scale * math.sqrt(m) for m, s in sorted(groups.items()))
         return MurmurationPoint(ell, X, Fraction(ell, X), avg / dim_total, dim_total)
 
-    points = [p for p in _map(point, ells, workers) if p is not None]
+    points = [p for p in map(point, ells) if p is not None]
     if not points:
         raise ValueError("every prime in the range divides every level of %s" % (spec,))
     return points
 
 
-def scan_eigenspace(
-    spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: int, workers: int = 1
-) -> list[MurmurationPoint]:
+def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: int) -> list[MurmurationPoint]:
     """Average of ell^(1-k/2) a_ell over the joint Atkin-Lehner eigenspace.
 
     epsilon assigns +-1 to each of the r level primes in increasing order;
@@ -319,7 +308,7 @@ def scan_eigenspace(
         avg = num / ell ** (k // 2 - 1) / den
         return MurmurationPoint(ell, X, Fraction(ell, X), avg, den)
 
-    return [p for p in _map(point, ells, workers) if p is not None]
+    return [p for p in map(point, ells) if p is not None]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -336,12 +325,12 @@ def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoin
             if ells[j] >= hi:
                 break
             vals.append(pts[j].average)
-        if not vals:
-            warnings.warn("empty smoothing window at ell=%d" % p.ell)
-            out.append(p)
-            continue
         out.append(replace(p, average=sum(vals) / len(vals)))
     return out
+
+
+# the fewest points sqrt_fit accepts; criterion 9 relies on this minimum
+MIN_FIT_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -351,15 +340,15 @@ class SqrtFit:
     rms_residual: float  # relative to the data range
 
 
-def sqrt_fit(points: list[MurmurationPoint], k: int, min_points: int = 8) -> SqrtFit:
+def sqrt_fit(points: list[MurmurationPoint], k: int) -> SqrtFit:
     """Least-squares fit average ~ c sqrt(x) (+ d x when k = 2).
 
     At weight 2 the s = 0 part of every trace carries mobius(M) sigma(ell),
     whose window average is a multiple of ell/X = x up to O(1/X); it is
     fitted as d x, so d is the coefficient of x, not a constant.
     """
-    if len(points) < min_points:
-        raise ValueError("need at least %d points, got %d" % (min_points, len(points)))
+    if len(points) < MIN_FIT_POINTS:
+        raise ValueError("need at least %d points, got %d" % (MIN_FIT_POINTS, len(points)))
     xs = [float(p.x) for p in points]
     ys = [p.average for p in points]
     roots = [math.sqrt(x) for x in xs]
@@ -392,17 +381,16 @@ class CancellationReport:
     argmax_ell: int
 
 
-def cancellation_diag(
-    k: int, X: int, beta: Fraction = Fraction(2), ell_range=None, workers: int = 1
-) -> CancellationReport:
+def cancellation_diag(k: int, X: int, beta: Fraction = Fraction(2), workers: int = 1) -> CancellationReport:
     """Compare |A+ + A-| against |A+ - A-| for the squarefree-level family.
 
     A^+- are the unweighted averages over the two Fricke eigenspaces,
-    reconstructed from the Q=1 and Q=N scans; primes default to [X/2, 2X].
+    reconstructed from the Q=1 and Q=N scans at the primes in [X/2, 2X].
+    With workers > 1 the primes are measured on that many threads.  The
+    loop is pure Python, so threads are slower than serial; the option
+    stays only because the perfbench scan workload times the 2-thread run.
     """
-    if ell_range is None:
-        ell_range = (X // 2, 2 * X)
-    ells = _primes_in(ell_range)
+    ells = _primes_in((X // 2, 2 * X))
     lo, hi = X, math.floor(beta * X)
     levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
     if not levels:
@@ -427,7 +415,11 @@ def cancellation_diag(
         minus = (s1 - sn) / scale / ((d1 - dn) // 2)
         return abs(plus + minus), abs(plus - minus)
 
-    rows = _map(measure, ells, workers)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(measure, ells))
+    else:
+        rows = [measure(ell) for ell in ells]
     sums = [r[0] for r in rows]
     best = max(range(len(ells)), key=lambda i: sums[i])
     return CancellationReport(k, X, beta, sums[best], max(r[1] for r in rows), ells[best])
@@ -441,54 +433,27 @@ CSV_HEADER = "family,k,beta,X,ell,x,avg,count"
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _as_series(points) -> dict[str, list[MurmurationPoint]]:
-    if isinstance(points, dict):
-        return points
-    return {"": list(points)}
-
-
-def emit(points, fmt: str, path: str, spec: FamilySpec | None = None) -> None:
-    """Write points (a list, or a dict label -> list for several series)
-    to CSV or a standalone SVG scatter."""
-    series = _as_series(points)
-    family = spec.canonical() if spec is not None else ""
-    k = spec.k if spec is not None else 0
-    beta = spec.beta if spec is not None else Fraction(2)
+def emit(series: dict[str, list[MurmurationPoint]], stem: str, spec: FamilySpec) -> None:
+    """Write each labelled series of the scan of spec to stem.csv, one row
+    per point under the family "<spec>#<label>", and to a standalone SVG
+    scatter, stem.svg, one colour per series."""
     try:
-        if fmt == "csv":
-            _emit_csv(series, path, family, k, beta)
-        elif fmt == "svg":
-            _emit_svg(series, path)
-        else:
-            raise ValueError("format must be 'csv' or 'svg'")
+        _emit_csv(series, stem + ".csv", spec)
+        _emit_svg(series, stem + ".svg")
     except OSError as exc:
-        raise OSError("cannot write %s: %s" % (path, exc)) from exc
+        raise OSError("cannot write %s.csv/.svg: %s" % (stem, exc)) from exc
 
 
-def _emit_csv(series, path, family, k, beta):
+def _emit_csv(series, path, spec):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
         for label, pts in series.items():
-            fam = family if not label else (family + "#" + label if family else label)
+            fam = spec.canonical() + "#" + label
             for p in pts:
                 writer.writerow(
-                    [fam, k, beta, p.X, p.ell, "%.12g" % p.x, "%.12g" % p.average, p.count]
+                    [fam, spec.k, spec.beta, p.X, p.ell, "%.12g" % p.x, "%.12g" % p.average, p.count]
                 )
-
-
-def read_csv(path: str) -> dict[str, list[MurmurationPoint]]:
-    """Re-read an emitted CSV; x is rebuilt exactly as ell/X."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows or rows[0] != CSV_HEADER.split(","):
-        raise ValueError("%s: not a scan CSV" % path)
-    out: dict[str, list[MurmurationPoint]] = {}
-    for fam, _k, _beta, xw, ell, _x, avg, count in rows[1:]:
-        out.setdefault(fam, []).append(
-            MurmurationPoint(int(ell), int(xw), Fraction(int(ell), int(xw)), float(avg), int(count))
-        )
-    return out
 
 
 def _emit_svg(series, path, width=640, height=420, margin=50):
@@ -544,11 +509,10 @@ def _emit_svg(series, path, width=640, height=420, margin=50):
                 '<circle cx="%g" cy="%g" r="2.2" fill="%s" fill-opacity="0.75"/>'
                 % (sx(float(p.x)), sy(p.average), color)
             )
-        if label:
-            rows.append(
-                '<text x="%g" y="%g" font-size="11" fill="%s">%s</text>'
-                % (width - margin - 80, margin + 14 * (i + 1), color, label)
-            )
+        rows.append(
+            '<text x="%g" y="%g" font-size="11" fill="%s">%s</text>'
+            % (width - margin - 80, margin + 14 * (i + 1), color, label)
+        )
     rows.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

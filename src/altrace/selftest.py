@@ -3,15 +3,19 @@
 Each criterion_N function runs one check end to end and returns a
 CheckResult; run_all executes them in order.  The CLI `selftest`
 subcommand and tests/test_acceptance.py both call into this module so the
-command line and the test suite can never drift apart.
+command line and the test suite can never drift apart; ``sweep`` is the one
+(k, q^r, M) verification grid behind criteria 2 and 3 and the CLI
+`equidist-sweep` subcommand.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import classnum, murmur, signs, trace, twist
 from .arith import is_prime, is_squarefree, kronecker, prime_powers_up_to, primes_up_to
@@ -40,7 +44,7 @@ def _result(number, name, t0, passed, detail) -> CheckResult:
 def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
     """Sieved Hurwitz numbers match the reduced-forms oracle, |disc| <= 20000."""
     t0 = time.perf_counter()
-    table = classnum.get_table(max(20000, _TABLE_BOUND))
+    table = classnum.get_table(_TABLE_BOUND)
     bad = []
     checked = 0
     for n in range(1, 20001):
@@ -58,24 +62,68 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(1, "class-number oracle equivalence", t0, not bad and elapsed < 60, detail + " (budget 60s)")
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    checked: int
+    covered: int
+    case_tags: Counter  # covered verdicts by case tag
+    verdicts: Counter  # covered verdicts by zero reason or claimed sign
+    mismatches: list  # [kind, k, q, r, M], kind "two-path" or "predicate-*"
+
+
+def sweep(k_range: tuple[int, int], qr_max: int, m_max: int) -> SweepResult:
+    """Check every (k, q^r, M) with even k in k_range, q^r <= qr_max and
+    M <= m_max coprime to q: the closed-form delta against the divisor-sum
+    trace at ell = 1, and each covered predicate verdict against delta (a
+    zero claim needs delta = 0, a sign claim delta of that sign, and a
+    verdict with no claim the zero reason "none")."""
+    k_lo, k_hi = k_range
+    mismatches = []
+    case_tags, verdicts = Counter(), Counter()
+    covered = checked = 0
+    for q, r in prime_powers_up_to(qr_max):
+        for m in range(1, m_max + 1):
+            if m % q == 0:
+                continue
+            for k in range(k_lo, k_hi + 1, 2):
+                checked += 1
+                res = signs.equidistribution_predicate(k, q, r, m)
+                d = res.value
+                if d != trace.t_new(k, q, r, m, 1):
+                    mismatches.append(["two-path", k, q, r, m])
+                if not res.covered:
+                    continue
+                covered += 1
+                case_tags[res.case_tag] += 1
+                if res.predicted_sign == 0:
+                    verdicts[res.zero_reason] += 1
+                    if d != 0:
+                        mismatches.append(["predicate-zero", k, q, r, m])
+                elif res.predicted_sign is not None:
+                    verdicts["(signed: %+d)" % res.predicted_sign] += 1
+                    if d == 0 or (d > 0) != (res.predicted_sign > 0):
+                        mismatches.append(["predicate-sign", k, q, r, m])
+                else:
+                    verdicts["(no claim)"] += 1
+                    if res.zero_reason != signs.ZERO_NONE:
+                        mismatches.append(["predicate-reason", k, q, r, m])
+    return SweepResult(checked, covered, case_tags, verdicts, mismatches)
+
+
+@cache
+def _theorem_grid() -> SweepResult:
+    """The grid of criteria 2 and 3, walked once for both."""
+    classnum.get_table(_TABLE_BOUND)
+    return sweep((2, 14), 200, 300)
+
+
 def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form delta equals the divisor-sum trace at ell = 1."""
     t0 = time.perf_counter()
-    classnum.get_table(_TABLE_BOUND)
-    bad = []
-    checked = 0
-    for q, r in prime_powers_up_to(200):
-        for m in range(1, 301):
-            if m % q == 0:
-                continue
-            for k in range(2, 16, 2):
-                checked += 1
-                d = signs.delta(k, q, r, m)
-                t = trace.t_new(k, q, r, m, 1)
-                if d != t:
-                    bad.append((k, q, r, m, d, t))
+    grid = _theorem_grid()
+    bad = [x for x in grid.mismatches if x[0] == "two-path"]
     elapsed = time.perf_counter() - t0
-    detail = "%d (k,q,r,M) tuples, %d mismatches" % (checked, len(bad))
+    detail = "%d (k,q,r,M) tuples, %d mismatches" % (grid.checked, len(bad))
     if bad:
         detail += "; first: %s" % (bad[:3],)
     return _result(2, "two-path exactness", t0, not bad and elapsed < 300, detail + " (budget 300s)")
@@ -91,26 +139,8 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
     corrected list.
     """
     t0 = time.perf_counter()
-    classnum.get_table(_TABLE_BOUND)
-    bad = []
-    covered = 0
-    for q, r in prime_powers_up_to(200):
-        for m in range(1, 301):
-            if m % q == 0:
-                continue
-            for k in range(2, 16, 2):
-                res = signs.equidistribution_predicate(k, q, r, m)
-                if not res.covered:
-                    continue
-                covered += 1
-                if res.predicted_sign == 0:
-                    if res.value != 0:
-                        bad.append(("zero", k, q, r, m, res))
-                elif res.predicted_sign is not None:
-                    if res.value == 0 or (res.value > 0) != (res.predicted_sign > 0):
-                        bad.append(("sign", k, q, r, m, res))
-                elif res.zero_reason != signs.ZERO_NONE:
-                    bad.append(("reason", k, q, r, m, res))
+    grid = _theorem_grid()
+    bad = [x for x in grid.mismatches if x[0] != "two-path"]
     list1 = [q for q in range(5, 201) if is_prime(q) and signs.delta(2, q, 1, 1) == 0]
     list2 = [q for q in range(5, 201) if is_prime(q) and signs.delta(2, q, 1, 2) == 0]
     ok1 = list1 == [5, 7, 13, 37]
@@ -121,7 +151,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
              and signs.equidistribution_predicate(2, q, 1, 2).predicted_sign == 0]
     lists_ok = ok1 and ok2 and pred1 == list1 and pred2 == list2
     detail = "%d covered verdicts, %d mismatches; M=1 list %s (printed 17 is a typo for 37), M=2 list %s" % (
-        covered,
+        grid.covered,
         len(bad),
         list1,
         "ok" if ok2 else list2,

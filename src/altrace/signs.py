@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classnum, trace
+from . import classnum
 from .arith import (
     divisors,
     euler_phi,
@@ -405,10 +405,9 @@ class CorrelationResult:
     zero_observed: bool | None = None
     sign_ratio_expected: int | None = None
     sign_ratio_observed: int | None = None
-    eigenspace_signs_ok: bool | None = None
 
 
-def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = False) -> CorrelationResult:
+def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     """Vanishing and sign agreement of tr T_l W_q against delta(k, q, 1, M).
 
     Needs l, q prime with 4l < q, M squarefree or twice squarefree and
@@ -440,15 +439,6 @@ def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = Fals
             ratio_expected *= kronecker(ell, p)
     ratio_observed = _sign(tr) * _sign(dv) if tr and dv else None
 
-    eig_ok = None
-    if eigenspace:
-        t1 = trace.t_new_level(k, q * m, ell)
-        tq = trace.t_new(k, q, 1, m, ell)
-        assert (t1 + tq) % 2 == 0, (k, q, m, ell, t1, tq)
-        plus, minus = (t1 + tq) // 2, (t1 - tq) // 2
-        if plus and minus and dv:
-            eig_ok = _sign(plus) == _sign(dv) and _sign(minus) == -_sign(dv)
-
     return CorrelationResult(
         True,
         "",
@@ -458,5 +448,4 @@ def correlation_checks(k: int, q: int, m: int, ell: int, eigenspace: bool = Fals
         zero_observed=tr == 0,
         sign_ratio_expected=ratio_expected,
         sign_ratio_observed=ratio_observed,
-        eigenspace_signs_ok=eig_ok,
     )

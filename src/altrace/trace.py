@@ -50,11 +50,13 @@ def pk_from_s2(k: int, s2: int, ell: int) -> int:
     return w
 
 
-def _check_common(k: int, q: int, m: int, ell: int) -> None:
+def _check_common(k: int, q: int, r: int, m: int, ell: int) -> None:
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
     if not is_prime(q):
         raise ValueError("q must be prime, got %r" % (q,))
+    if r < 0:
+        raise ValueError("r must be >= 0, got %r" % (r,))
     if m < 1 or ell < 1:
         raise ValueError("level cofactor and Hecke index must be positive")
     if m % q == 0:
@@ -114,9 +116,7 @@ def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
 
 def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on S_k(q^r * m), for (l, q * m) = 1 and (m, q) = 1."""
-    _check_common(k, q, m, ell)
-    if r < 0:
-        return 0
+    _check_common(k, q, r, m, ell)
     w = _level_weights(m, False)
     val24 = _a1_24(k, q**r, q**r, w, ell) + 12 * _a2_2(k, q, r, w, ell)
     if r >= 2:
@@ -130,9 +130,7 @@ def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
 
 def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on the newspace S_k^new(q^r * m), for (l, q * m) = 1."""
-    _check_common(k, q, m, ell)
-    if r < 0:
-        return 0
+    _check_common(k, q, r, m, ell)
     w = _level_weights(m, True)
     a1 = lambda rr, eps: _a1_24(k, q**rr, q ** (rr + eps), w, ell)
     a2 = lambda rr: 12 * _a2_2(k, q, rr, w, ell)

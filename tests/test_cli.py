@@ -3,6 +3,8 @@ subprocess run of the murmuration scan script."""
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from altrace import classnum, cli, murmur, signs, trace, twist
+from altrace import classnum, cli, selftest, signs, trace, twist
 
 
 def run(capsys, *argv):
@@ -135,20 +137,40 @@ def test_equidist_sweep_small_grid_is_clean(capsys):
     assert sum(payload["verdicts"].values()) == payload["covered"]
 
 
+def test_equidist_sweep_flags_a_zero_reason_without_a_zero_claim(capsys, monkeypatch):
+    # a verdict that claims no sign must not name a reason for a zero
+    real = signs.equidistribution_predicate
+    target = (4, 5, 1, 2)
+    assert real(*target).covered
+
+    def predicate(k, q, r, m):
+        res = real(k, q, r, m)
+        if (k, q, r, m) == target:
+            return dataclasses.replace(res, predicted_sign=None, zero_reason=signs.ZERO_SPLIT_PRIME)
+        return res
+
+    monkeypatch.setattr(signs, "equidistribution_predicate", predicate)
+    code, payload = run_json(capsys, "equidist-sweep", "--k-range", "2", "6", "--qr-max", "9", "--M-max", "6")
+    assert code == 1
+    assert payload["mismatches"] == [["predicate-reason", *target]]
+    assert payload["mismatch_count"] == 1
+
+
 def test_murmur_writes_csv_and_svg(capsys, tmp_path):
     code, payload = run_json(
         capsys, "--output-dir", str(tmp_path),
-        "murmur", "--family", "I:M=1", "--k", "4", "--X", "10", "--ell-max", "7",
-        "--smooth", "0.5", "--fit", "--min-fit-points", "4", "--out", "tiny",
+        "murmur", "--family", "I:M=1", "--k", "4", "--X", "10", "--ell-max", "23",
+        "--smooth", "0.5", "--fit", "--out", "tiny",
     )
     assert code == 0
     assert payload["family"] == "I:M=1"
-    assert payload["points"] == {"raw": 4, "smoothed": 4}
+    assert payload["points"] == {"raw": 9, "smoothed": 9}  # enough for the fit
     assert set(payload["fit"]) == {"c", "d", "rms_residual"}
 
-    series = murmur.read_csv(payload["csv"])
-    assert set(series) == {"I:M=1#raw", "I:M=1#smoothed"}
-    assert [p.ell for p in series["I:M=1#raw"]] == [2, 3, 5, 7]
+    with open(payload["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["family"] for row in rows} == {"I:M=1#raw", "I:M=1#smoothed"}
+    assert [int(row["ell"]) for row in rows if row["family"] == "I:M=1#raw"] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     svg = open(payload["svg"]).read()
     assert svg.lstrip().startswith("<svg")
 
@@ -162,6 +184,22 @@ def test_murmur_eigenspace_scan(capsys, tmp_path):
     assert code == 0
     assert list(payload["points"]) == ["eps=+-"]
     assert payload["points"]["eps=+-"] >= 3
+
+
+def test_selftest_reports_each_criterion_and_a_crash(capsys, monkeypatch):
+    def criterion_99(seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", (selftest.criterion_7, selftest.criterion_10, criterion_99))
+    code = cli.main(["selftest", "--json"])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["total"], payload["passed"]) == (3, 2)
+    assert [r["number"] for r in payload["results"]] == [7, 10, 99]
+    fails = [line for line in err.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "raised" in fails[0] and "boom" in fails[0]
+    assert err.rstrip().endswith("2/3 acceptance checks passed")
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +221,14 @@ def test_domain_errors_become_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["murmur", "--family", "I:M=6,omega=5", "--X", "10", "--ell-max", "7"])
     assert exc.value.code == 2
+
+
+def test_trace_rejects_a_negative_exponent(capsys):
+    # q^r with r < 0 is no level, so there is no trace to print
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "--k", "2", "--q", "3", "--r", "-1"])
+    assert exc.value.code == 2
+    assert "r must be >= 0" in capsys.readouterr().err
 
 
 def test_trace_rejects_hecke_index_sharing_a_prime_with_M(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from fractions import Fraction
@@ -168,13 +169,6 @@ def test_scan_count_sums_dimensions_of_the_levels_kept_at_each_ell():
         assert p.count == sum(signs.dim_new(4, n) for n in levels if n % p.ell), p.ell
 
 
-def test_scan_worker_count_is_invisible():
-    spec = FamilySpec("I", m=2, k=6)
-    assert murmur.scan_WQ(spec, (2, 19), 12, workers=3) == murmur.scan_WQ(
-        spec, (2, 19), 12
-    )
-
-
 def test_scan_empty_window_raises():
     with pytest.raises(ValueError, match="empty level window"):
         murmur.scan_WQ(FamilySpec("I", m=6, omega_q=5), [7], 10)
@@ -291,7 +285,7 @@ def test_sqrt_fit_needs_enough_points():
     pts = [_pt(j, 1.0) for j in range(2, 9)]  # seven points
     with pytest.raises(ValueError, match="at least 8"):
         murmur.sqrt_fit(pts, 4)
-    murmur.sqrt_fit(pts, 4, min_points=7)  # explicit override
+    murmur.sqrt_fit(pts + [_pt(9, 1.0)], 4)  # eight are enough
 
 
 def _lstsq_fit(points, k):
@@ -320,13 +314,14 @@ def test_sqrt_fit_matches_numpy_lstsq(wide_table):
 
 
 def test_cancellation_report_matches_direct_sums():
-    rep = murmur.cancellation_diag(2, 30, ell_range=(7, 11))
+    rep = murmur.cancellation_diag(2, 30)
     assert (rep.k, rep.X, rep.beta) == (2, 30, Fraction(2))
-    assert rep.argmax_ell in (7, 11)
+    ells = [p for p in arith.primes_up_to(60) if p >= 15]  # primes in [X/2, 2X]
+    assert rep.argmax_ell in ells
 
     levels = [n for n in range(30, 61) if arith.is_squarefree(n)]
     expect = {}
-    for ell in (7, 11):
+    for ell in ells:
         s1 = sn = d1 = dn = 0
         for n in levels:
             if n % ell == 0:
@@ -341,6 +336,11 @@ def test_cancellation_report_matches_direct_sums():
     assert rep.max_abs_sum == pytest.approx(max(v[0] for v in expect.values()))
     assert rep.max_abs_diff == pytest.approx(max(v[1] for v in expect.values()))
     assert rep.max_abs_sum == pytest.approx(expect[rep.argmax_ell][0])
+
+
+def test_cancellation_threads_match_serial():
+    # the 2-thread run is the one perfbench times; it must report the same
+    assert murmur.cancellation_diag(2, 30, workers=2) == murmur.cancellation_diag(2, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +384,29 @@ def test_scans_at_two_scales_agree(wide_table):
 # artifact emission
 
 
+def read_csv(path) -> dict[str, list[MurmurationPoint]]:
+    """Re-read an emitted CSV; x is rebuilt exactly as ell/X."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    assert rows[0] == murmur.CSV_HEADER.split(",")
+    out: dict[str, list[MurmurationPoint]] = {}
+    for fam, _k, _beta, xw, ell, _x, avg, count in rows[1:]:
+        out.setdefault(fam, []).append(
+            MurmurationPoint(int(ell), int(xw), Fraction(int(ell), int(xw)), float(avg), int(count))
+        )
+    return out
+
+
 def test_csv_roundtrip_with_series_labels(tmp_path):
     spec = FamilySpec("III", r=2, fixed=(2,), idx=(1,))
     pts = murmur.scan_WQ(spec, (3, 13), 30)
     twisted = [MurmurationPoint(p.ell, p.X, p.x, -p.average, p.count) for p in pts]
-    path = tmp_path / "scan.csv"
-    murmur.emit({"": pts, "minus": twisted}, "csv", str(path), spec)
+    murmur.emit({"raw": pts, "minus": twisted}, str(tmp_path / "scan"), spec)
 
-    back = murmur.read_csv(str(path))
+    back = read_csv(tmp_path / "scan.csv")
     key = spec.canonical()
-    assert set(back) == {key, key + "#minus"}  # commas in the family survive quoting
-    for orig, rehydrated in zip(pts, back[key]):
+    assert set(back) == {key + "#raw", key + "#minus"}  # commas in the family survive quoting
+    for orig, rehydrated in zip(pts, back[key + "#raw"]):
         assert rehydrated.ell == orig.ell
         assert rehydrated.X == orig.X
         assert rehydrated.x == orig.x  # exact Fraction, rebuilt from ell/X
@@ -403,30 +415,16 @@ def test_csv_roundtrip_with_series_labels(tmp_path):
 
 
 def test_csv_empty_series_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    murmur.emit([], "csv", str(path))
-    assert path.read_text().strip() == murmur.CSV_HEADER
-    assert murmur.read_csv(str(path)) == {}
-
-
-def test_read_csv_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="not a scan CSV"):
-        murmur.read_csv(str(path))
+    murmur.emit({"raw": []}, str(tmp_path / "empty"), FamilySpec("I"))
+    assert (tmp_path / "empty.csv").read_text().strip() == murmur.CSV_HEADER
+    assert read_csv(tmp_path / "empty.csv") == {}
 
 
 def test_svg_has_a_color_per_series(tmp_path):
     pts = [_pt(p, math.sin(p)) for p in (11, 13, 17, 19)]
     neg = [_pt(p, math.cos(p)) for p in (11, 13, 17, 19)]
-    path = tmp_path / "scan.svg"
-    murmur.emit({"plus": pts, "minus": neg}, "svg", str(path))
-    text = path.read_text()
+    murmur.emit({"plus": pts, "minus": neg}, str(tmp_path / "scan"), FamilySpec("I"))
+    text = (tmp_path / "scan.svg").read_text()
     assert text.lstrip().startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert "#1f77b4" in text and "#d62728" in text
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="csv|svg"):
-        murmur.emit([], "png", str(tmp_path / "x.png"))

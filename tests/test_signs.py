@@ -218,9 +218,6 @@ def test_correlation_zero_iff_instances():
     # control: no vanishing mechanism
     rep = signs.correlation_checks(4, 13, 1, 2)
     assert rep.hypotheses_met and not rep.zero_expected and rep.trace_value != 0
-    # eigenspace sign check rides along when requested
-    rep = signs.correlation_checks(4, 13, 1, 2, eigenspace=True)
-    assert rep.eigenspace_signs_ok in (True, None)
 
 
 def test_correlation_out_of_scope_reports():

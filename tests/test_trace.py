@@ -317,6 +317,17 @@ def test_hecke_index_must_be_coprime():
             fn(4, 5, 2, 9, 3)
 
 
+def test_negative_exponent_is_rejected():
+    # q^r with r < 0 is not a level, so there is no trace to return
+    for fn in (trace.t_full, trace.t_new):
+        for r in (-1, -3):
+            with pytest.raises(ValueError, match="r must be >= 0"):
+                fn(2, 3, r, 1, 1)
+    # r = 0 is the plain level M, whatever the prime q
+    assert trace.t_new(2, 5, 0, 11, 2) == trace.t_new(2, 3, 0, 11, 2) == trace.t_new_level(2, 11, 2)
+    assert trace.t_full(2, 5, 0, 11, 1) == 1  # S_2(Gamma0(11)) is one-dimensional
+
+
 @given(
     st.sampled_from([2, 4, 6, 8]),
     st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2), (2, 3)]),
