@@ -18,7 +18,7 @@ from pathlib import Path
 # run from a checkout without installing the package
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from altrace import classnum, murmur  # noqa: E402
+from altrace import murmur  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,6 @@ def main() -> int:
     if args.quick:
         jobs = [replace(j, X=60, ell_max=31) for j in jobs]
 
-    bound = max(4 * j.ell_max * int(j.beta * j.X) for j in jobs)
-    print("priming class-number table to %d ..." % bound)
-    classnum.get_table(bound)
     os.makedirs(args.output_dir, exist_ok=True)
     for job in jobs:
         run_job(job, args.output_dir)

@@ -7,8 +7,8 @@ Three independent routes to H(disc) live here:
 * ``hurwitz_oracle`` -- a from-scratch enumeration of all reduced forms with
   automorphism weights, kept deliberately naive;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
-  bound, with an optional on-disk cache.  numpy is imported only where such
-  a table is built, loaded or saved, so the other routes run without it.
+  bound.  numpy is imported only where such a table is built, so the other
+  routes run without it.
 
 On top of those sit the weighted counts H_t, and the alpha/beta-style
 combinations the sign formulas consume.  Internally everything is an integer
@@ -17,8 +17,6 @@ in units of 1/12 (``*12`` names); the Fraction wrappers divide at the end.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
@@ -27,10 +25,6 @@ from .arith import factor, kronecker
 
 if TYPE_CHECKING:
     import numpy as np
-
-_MAGIC = b"ALHT"
-_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # primitive forms and the fundamental decomposition
@@ -190,29 +184,6 @@ class HurwitzTable:
         self.bound = bound
         self.h12 = h12
 
-    def save(self, path: str) -> None:
-        import numpy as np
-
-        data = np.ascontiguousarray(self.h12, dtype="<u4").tobytes()
-        header = struct.pack("<4sHQI", _MAGIC, _VERSION, self.bound, zlib.crc32(data))
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(data)
-
-    @staticmethod
-    def load(path: str) -> "HurwitzTable":
-        import numpy as np
-
-        with open(path, "rb") as fh:
-            header = fh.read(struct.calcsize("<4sHQI"))
-            magic, version, bound, crc = struct.unpack("<4sHQI", header)
-            if magic != _MAGIC or version != _VERSION:
-                raise ValueError("%s: not a class-number table" % path)
-            data = fh.read()
-        if len(data) != 4 * (bound + 1) or zlib.crc32(data) != crc:
-            raise ValueError("%s: corrupt class-number table" % path)
-        return HurwitzTable(bound, np.frombuffer(data, dtype="<u4").astype(np.uint32))
-
 
 def build_table(bound: int) -> HurwitzTable:
     """Sieve 12*H(-n) for all n <= bound by streaming over reduced forms.
@@ -246,29 +217,14 @@ def build_table(bound: int) -> HurwitzTable:
 _active_table: HurwitzTable | None = None
 
 
-def get_table(bound: int, cache_path: str | None = None) -> HurwitzTable:
-    """Build (or load from cache) a table covering |disc| <= bound and
-    install it as the process-wide fast path for hurwitz12_ext."""
+def get_table(bound: int) -> HurwitzTable:
+    """Build a table covering |disc| <= bound and install it as the
+    process-wide fast path for hurwitz12_ext; an installed table that
+    already covers the bound is returned as it is."""
     global _active_table
-    if _active_table is not None and _active_table.bound >= bound:
-        return _active_table
-    table = None
-    if cache_path:
-        try:
-            loaded = HurwitzTable.load(cache_path)
-            if loaded.bound >= bound:
-                table = loaded
-        except (OSError, ValueError):
-            table = None
-    if table is None:
-        table = build_table(bound)
-        if cache_path:
-            try:
-                table.save(cache_path)
-            except OSError:
-                pass
-    _active_table = table
-    return table
+    if _active_table is None or _active_table.bound < bound:
+        _active_table = build_table(bound)
+    return _active_table
 
 
 # ---------------------------------------------------------------------------

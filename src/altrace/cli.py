@@ -17,8 +17,6 @@ from fractions import Fraction
 from . import classnum, signs, trace, twist
 from .arith import is_squarefree
 
-CACHE_ENV_VAR = "ALTRACE_CACHE"
-
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
@@ -224,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Family grammar: I:M=<m>[,omega=<r>] | II:Q=<q>,M=all|sqf|sqf<r> | "
         "III:r=<r>,fixed=<p1,p2,...>,idx=<i1,...>",
     )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        help="class-number table file covering |disc| <= 10^6 (default: $%s)" % CACHE_ENV_VAR,
-    )
     parser.add_argument("--output-dir", default=".")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
-        if cache_path:
-            classnum.get_table(10**6, cache_path)
         payload, code = args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))

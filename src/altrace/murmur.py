@@ -7,6 +7,11 @@ window, normalized by the number of newforms.  Numerators and denominators
 accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
 division, so scans are reproducible across platforms.
+
+Each scan installs the class-number table its window reads before it
+loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
+or a square-divisor of it, and for Q = 1 it is at most 4l in size, so
+4 * max(l) * max(Q) bounds them all.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import signs, trace
+from . import classnum, signs, trace
 from .arith import factor, is_prime, is_squarefree, primes_up_to
 
 FAMILY_KINDS = ("I", "II", "III")
@@ -156,10 +161,17 @@ class MurmurationPoint:
 
 
 def _primes_in(ell_range) -> list[int]:
+    """The primes of a (lo, hi) range or an explicit list of primes; raises
+    if there are none."""
     if isinstance(ell_range, tuple) and len(ell_range) == 2:
         lo, hi = ell_range
-        return [p for p in primes_up_to(hi) if p >= lo]
+        out = [p for p in primes_up_to(hi) if p >= lo]
+        if not out:
+            raise ValueError("no primes in [%d, %d]" % (lo, hi))
+        return out
     out = [int(p) for p in ell_range]
+    if not out:
+        raise ValueError("no primes in []")
     if not all(is_prime(p) for p in out):
         raise ValueError("ell_range must contain primes only")
     return out
@@ -225,6 +237,7 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     k = spec.k
     ells = _primes_in(ell_range)
+    classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
     dims = [signs.dim_new(k, q * m) for q, m in levels]
 
     def point(ell: int) -> MurmurationPoint | None:
@@ -266,6 +279,8 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     k = spec.k
     ells = _primes_in(ell_range)
+    # every subset of a level's primes is a Q, the whole level included
+    classnum.get_table(4 * max(ells) * max(q * m for q, m in levels))
     subsets = list(range(1 << spec.r))
 
     def eig_sum(n: int, ps: list[int], ell: int) -> int:
@@ -395,6 +410,7 @@ def cancellation_diag(k: int, X: int, beta: Fraction = Fraction(2), workers: int
     levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
     if not levels:
         raise ValueError("no squarefree levels in [%d, %d]" % (lo, hi))
+    classnum.get_table(4 * max(ells) * levels[-1])
 
     # dim S^new(n) and tr W_n on it do not depend on ell
     per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]

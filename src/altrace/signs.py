@@ -403,7 +403,6 @@ class CorrelationResult:
     delta_value: int | None = None
     zero_expected: bool | None = None
     zero_observed: bool | None = None
-    sign_ratio_expected: int | None = None
     sign_ratio_observed: int | None = None
 
 
@@ -413,6 +412,11 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     Needs l, q prime with 4l < q, M squarefree or twice squarefree and
     coprime to ql, and weight at least 4 (the weight-2 statement has a
     hypothesis inconsistency, so it is reported as out of scope).
+
+    In scope the sign ratio of trace and delta is +1 whenever both are
+    nonzero, so sign_ratio_observed is None or 1: over the squarefree odd
+    part M' each kappa factor is 0 or -2 on both sides, and alpha_1 has one
+    sign.
     """
     if k == 2:
         return CorrelationResult(False, "weight 2 is outside the certified range")
@@ -433,10 +437,6 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     dv = delta(k, q, 1, m)
 
     zero_expected = _has_split_prime(-q * ell, mp) or (e == 1 and (q * ell) % 8 == 7)
-    ratio_expected = 1
-    for p, ee in factor(mp).factors:
-        if ee == 2:
-            ratio_expected *= kronecker(ell, p)
     ratio_observed = _sign(tr) * _sign(dv) if tr and dv else None
 
     return CorrelationResult(
@@ -446,6 +446,5 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
         delta_value=dv,
         zero_expected=zero_expected,
         zero_observed=tr == 0,
-        sign_ratio_expected=ratio_expected,
         sign_ratio_observed=ratio_observed,
     )

@@ -202,33 +202,6 @@ def test_table_satisfies_kronecker_hurwitz_relation():
         assert _kronecker_hurwitz_failures(bad), n
 
 
-def test_table_save_load_roundtrip(tmp_path):
-    table = classnum.build_table(600)
-    path = tmp_path / "h.tbl"
-    table.save(str(path))
-    loaded = classnum.HurwitzTable.load(str(path))
-    assert loaded.bound == 600
-    assert (loaded.h12 == table.h12).all()
-
-
-def test_table_load_rejects_corruption(tmp_path):
-    table = classnum.build_table(600)
-    path = tmp_path / "h.tbl"
-    table.save(str(path))
-    raw = bytearray(path.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        classnum.HurwitzTable.load(str(path))
-
-
-def test_table_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "h.tbl"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        classnum.HurwitzTable.load(str(path))
-
-
 def test_alpha1_case_table():
     # e = 0 is plain H(4d)
     assert classnum.alpha1(-7, 0) == 2

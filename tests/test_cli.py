@@ -7,13 +7,14 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from altrace import classnum, cli, selftest, signs, trace, twist
+from altrace import cli, selftest, signs, trace, twist
 
 
 def run(capsys, *argv):
@@ -186,6 +187,15 @@ def test_murmur_eigenspace_scan(capsys, tmp_path):
     assert payload["points"]["eps=+-"] >= 3
 
 
+def test_murmur_empty_prime_range_is_a_usage_error(capsys, tmp_path):
+    for extra in (["--family", "I:M=1", "--X", "100"], ["--family", "III:r=2", "--X", "30", "--eigenspace", "+-"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--output-dir", str(tmp_path), "murmur", *extra, "--ell-max", "1"])
+        assert exc.value.code == 2
+        assert "no primes in [2, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_selftest_reports_each_criterion_and_a_crash(capsys, monkeypatch):
     def criterion_99(seed):
         raise RuntimeError("boom")
@@ -269,7 +279,7 @@ def test_single_queries_import_no_numpy_scans_or_selftest():
         "print(sorted(m for m in %r if m in sys.modules), file=sys.stderr)\n"
         "sys.exit(code)\n" % (HEAVY_MODULES,)
     )
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV_VAR}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     for argv in SINGLE_QUERIES:
         done = subprocess.run(
@@ -278,22 +288,6 @@ def test_single_queries_import_no_numpy_scans_or_selftest():
         assert done.returncode == 0, (argv, done.stderr)
         json.loads(done.stdout)
         assert done.stderr.splitlines()[-1] == "[]", (argv, done.stderr)
-
-
-def test_cache_builds_then_loads_the_class_number_table(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "h12.bin"
-    monkeypatch.setattr(classnum, "_active_table", None)
-    code, first = run_json(capsys, "--cache", str(path), "classnum", "-23")
-    assert code == 0
-    assert classnum._active_table.bound == 10**6
-    assert classnum.HurwitzTable.load(str(path)).bound == 10**6
-
-    monkeypatch.setattr(classnum, "_active_table", None)
-    monkeypatch.setattr(classnum, "build_table", lambda bound: pytest.fail("rebuilt a cached table"))
-    code, second = run_json(capsys, "--cache", str(path), "classnum", "-23")
-    assert code == 0
-    assert classnum._active_table.bound == 10**6
-    assert second == first
 
 
 def test_bad_family_string_aborts(capsys):
@@ -308,8 +302,34 @@ def test_help_exits_cleanly(capsys):
     assert "Family grammar" in capsys.readouterr().out
 
 
-def test_scan_script_runs_from_a_checkout(tmp_path):
+def _run_scan_script(tmp_path, *argv):
+    # from a checkout, with no PYTHONPATH: the script finds src/ itself
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_murmuration_scan.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=tmp_path, capture_output=True, timeout=60)
-    assert done.returncode == 0, done.stderr.decode()
+    done = subprocess.run(
+        [sys.executable, str(script), *argv], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_scan_script_runs_from_a_checkout(tmp_path):
+    _run_scan_script(tmp_path, "--help")
+
+
+def test_scan_script_quick_run_writes_every_job(tmp_path):
+    out = _run_scan_script(tmp_path, "--quick", "--output-dir", str(tmp_path))
+    printed = {}  # (family, k) -> the point count the summary line prints
+    for line in out.splitlines():
+        m = re.match(r"(\S+)\s+k=(\d+) X=\d+\s+(\d+) pts", line)
+        if m:
+            printed[m[1], int(m[2])] = int(m[3])
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(csvs) == len(printed) == 5
+    for path in csvs:
+        assert path.with_suffix(".svg").read_text().lstrip().startswith("<svg")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        family = rows[0]["family"].split("#")[0]
+        raw = [row for row in rows if row["family"] == family + "#raw"]
+        assert len(raw) == printed[family, int(rows[0]["k"])], path.name

@@ -14,13 +14,6 @@ from altrace import arith, classnum, murmur, selftest, signs, trace
 from altrace.murmur import FamilySpec, MurmurationPoint, parse_family
 
 
-@pytest.fixture(scope="module")
-def wide_table():
-    # The two window-comparison tests below reach |disc| = 4 * 700 * 1000,
-    # the criterion-9 fits of test_sqrt_fit_matches_numpy_lstsq 4 * 75 * 5000.
-    return classnum.get_table(2_800_000)
-
-
 # ---------------------------------------------------------------------------
 # family grammar
 
@@ -176,6 +169,42 @@ def test_scan_empty_window_raises():
         murmur.scan_WQ(FamilySpec("I"), [4], 10)
 
 
+def test_empty_prime_range_raises():
+    # no primes to scan is its own error, not "every prime divides every level"
+    spec = FamilySpec("III", r=2)
+    for ell_range, msg in (((2, 1), r"no primes in \[2, 1\]"), ((24, 28), r"\[24, 28\]"), ([], r"no primes")):
+        with pytest.raises(ValueError, match=msg):
+            murmur.scan_WQ(FamilySpec("I"), ell_range, 100)
+        with pytest.raises(ValueError, match=msg):
+            murmur.scan_eigenspace(spec, (1, -1), ell_range, 30)
+    with pytest.raises(ValueError, match=r"no primes in \[0, 0\]"):
+        murmur.cancellation_diag(2, 0)
+
+
+def test_scans_install_the_table_their_window_reads(monkeypatch):
+    # with no table installed and the per-discriminant path disabled, every
+    # class number a scan reads must come from the table the scan installs
+    def no_fallback(disc):
+        raise AssertionError("per-discriminant fallback at disc %d" % disc)
+
+    monkeypatch.setattr(classnum, "_active_table", None)
+    monkeypatch.setattr(classnum, "_hurwitz12_pure", no_fallback)
+    for family, X in (
+        ("I:M=1", 60),
+        ("I:M=6,omega=2", 200),
+        ("II:Q=3,M=sqf", 60),
+        ("II:Q=1,M=all", 40),
+        ("II:Q=7,M=all", 40),
+        ("III:r=2,idx=1,2", 60),
+    ):
+        monkeypatch.setattr(classnum, "_active_table", None)
+        assert murmur.scan_WQ(parse_family(family, k=4), (2, 23), X), family
+    monkeypatch.setattr(classnum, "_active_table", None)
+    assert murmur.scan_eigenspace(parse_family("III:r=2", k=4), (1, -1), (2, 23), 60)
+    monkeypatch.setattr(classnum, "_active_table", None)
+    murmur.cancellation_diag(2, 30)
+
+
 # ---------------------------------------------------------------------------
 # eigenspace scans: partition and 2^r inversion
 
@@ -297,7 +326,7 @@ def _lstsq_fit(points, k):
     return float(coef[0]), float(coef[1]) if k == 2 else 0.0, rms / float(ys.max() - ys.min())
 
 
-def test_sqrt_fit_matches_numpy_lstsq(wide_table):
+def test_sqrt_fit_matches_numpy_lstsq():
     rng = random.Random(20)
     noisy = [
         [_pt(ell, 1.7 * math.sqrt(ell / 100) - 0.4 * ell / 100 + rng.gauss(0, 0.05)) for ell in range(2, 60, 3)]
@@ -344,10 +373,10 @@ def test_cancellation_threads_match_serial():
 
 
 # ---------------------------------------------------------------------------
-# window-comparison properties (slower; these two share the wide table)
+# window-comparison properties (slower)
 
 
-def test_dropping_divisible_levels_is_small(wide_table):
+def test_dropping_divisible_levels_is_small():
     # Excluding levels with ell | N only removes O(1/ell) of the mass:
     # putting their dimensions back into the denominator moves any average
     # by less than 5/ell_min in relative terms.
@@ -362,7 +391,7 @@ def test_dropping_divisible_levels_is_small(wide_table):
     assert any(r > 0 for r in rels)
 
 
-def test_scans_at_two_scales_agree(wide_table):
+def test_scans_at_two_scales_agree():
     # Slow-convergence regression check: the weight-2 full-level average,
     # sampled at matching x = ell/X and smoothed, should look the same at
     # X = 250 and X = 500 to within a quarter of the plotted range.
