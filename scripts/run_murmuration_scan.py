@@ -12,13 +12,15 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 
 # run from a checkout without installing the package
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from altrace import murmur  # noqa: E402
+
+# the delta-smoothing exponent of every smoothed series
+SMOOTH_DELTA = 0.75
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,7 @@ class ScanJob:
     k: int
     X: int
     ell_max: int
-    smooth: float | None = 0.75
     fit: bool = True
-    beta: Fraction = Fraction(2)
 
     @property
     def stem(self) -> str:
@@ -48,12 +48,10 @@ DEFAULT_JOBS = (
 
 
 def run_job(job: ScanJob, out_dir: str) -> None:
-    spec = murmur.parse_family(job.family, k=job.k, beta=job.beta)
+    spec = murmur.parse_family(job.family, k=job.k)
     t0 = time.perf_counter()
     pts = murmur.scan_WQ(spec, (2, job.ell_max), job.X)
-    series = {"raw": pts}
-    if job.smooth is not None:
-        series["smoothed"] = murmur.smooth(pts, job.smooth)
+    series = {"raw": pts, "smoothed": murmur.smooth(pts, SMOOTH_DELTA)}
     stem = os.path.join(out_dir, job.stem)
     murmur.emit(series, stem, spec)
     line = "%-22s k=%d X=%-4d %3d pts %5.1fs" % (
@@ -70,16 +68,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output-dir", default="scan_out")
     ap.add_argument("--quick", action="store_true", help="X=60 smoke run")
-    ap.add_argument("--family", default=None, help="run a single family instead")
-    ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--X", type=int, default=500)
-    ap.add_argument("--ell-max", type=int, default=115)
     args = ap.parse_args()
 
-    if args.family is not None:
-        jobs = [ScanJob(args.family, k=args.k, X=args.X, ell_max=args.ell_max)]
-    else:
-        jobs = list(DEFAULT_JOBS)
+    jobs = list(DEFAULT_JOBS)
     if args.quick:
         jobs = [replace(j, X=60, ell_max=31) for j in jobs]
 

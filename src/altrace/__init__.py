@@ -12,7 +12,7 @@ from .arith import FactoredInt, factor, is_prime, is_squarefree, kronecker, mobi
 from .classnum import alpha1, alpha2, hprime, hurwitz, hurwitz_oracle
 from .signs import DeltaResult, delta, dim_new, eigenspace_dims, equidistribution_predicate
 from .trace import t_full, t_full_fricke, t_new, t_new_level, t_new_squarefree
-from .twist import TwistCharacter, classify_local_types, quadtwist_bijection
+from .twist import TwistCharacter, classify_local_types
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,5 @@ __all__ = [
     "t_new_squarefree",
     "TwistCharacter",
     "classify_local_types",
-    "quadtwist_bijection",
     "__version__",
 ]

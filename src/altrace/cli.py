@@ -51,8 +51,6 @@ def _add_common(sub):
 
 def cmd_classnum(args) -> tuple[dict, int]:
     disc = args.disc
-    if disc >= 0 or disc % 4 not in (0, 1):
-        raise SystemExit("classnum: disc must be negative and = 0,1 mod 4")
     h12 = classnum.hurwitz12(disc)
     oracle = classnum.hurwitz12_oracle(disc)
     payload = {
@@ -117,8 +115,6 @@ def cmd_equidist_sweep(args) -> tuple[dict, int]:
     from . import selftest
 
     k_lo, k_hi = args.k_range
-    if k_lo % 2 or k_hi % 2 or k_lo < 2 or k_hi < k_lo:
-        raise SystemExit("equidist-sweep: --k-range needs even bounds 2 <= lo <= hi")
     res = selftest.sweep((k_lo, k_hi), args.qr_max, args.M_max)
     payload = {
         "grid": {"k_range": [k_lo, k_hi], "qr_max": args.qr_max, "M_max": args.M_max},
@@ -135,16 +131,12 @@ def cmd_equidist_sweep(args) -> tuple[dict, int]:
 def cmd_murmur(args) -> tuple[dict, int]:
     from . import murmur
 
-    try:
-        spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
-    except ValueError as exc:
-        raise SystemExit("murmur: %s" % exc)
+    spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
     ell_range = (2, args.ell_max)
     series: dict[str, list[murmur.MurmurationPoint]] = {}
-    if args.eigenspace:
-        eps = tuple(1 if ch == "+" else -1 for ch in args.eigenspace)
-        if any(ch not in "+-" for ch in args.eigenspace):
-            raise SystemExit("murmur: --eigenspace takes a +- string like '+-'")
+    if args.eigenspace is not None:
+        # any other character maps to 0, which scan_eigenspace rejects
+        eps = tuple({"+": 1, "-": -1}.get(ch, 0) for ch in args.eigenspace)
         pts = murmur.scan_eigenspace(spec, eps, ell_range, args.X)
         series["eps=" + args.eigenspace] = pts
     else:
@@ -195,9 +187,8 @@ def cmd_twist(args) -> tuple[dict, int]:
     if r % 2:
         chars = twist.quadtwist_characters(k, q, r, m)
         payload["pairing_characters"] = [c.label for c in chars]
-        first = twist.quadtwist_bijection(k, q, r, m)
-        payload["quadtwist_bijection"] = first.label if first else None
-        if first is not None:
+        payload["quadtwist_bijection"] = chars[0].label if chars else None
+        if chars:
             payload["delta"] = signs.delta(k, q, r, m)
     return payload, 0
 

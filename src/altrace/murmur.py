@@ -8,6 +8,12 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
 division, so scans are reproducible across platforms.
 
+scan_WQ and scan_eigenspace walk the window in one loop, ``_scan``: one
+row per level (a group key, the level's trace as a function of ell and its
+count), then one pass over the rows per prime.  They differ only in the
+row.  The joint eigenspace trace is one function, ``eigenspace_trace``,
+which selftest criterion 9 also inverts.
+
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
 or a square-divisor of it, and for Q = 1 it is at most 4l in size, so
@@ -20,6 +26,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import classnum, signs, trace
 from .arith import factor, is_prime, is_squarefree, primes_up_to
@@ -218,112 +225,113 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
     return out
 
 
-def _trace_at(spec: FamilySpec, k: int, q: int, m: int, ell: int) -> int:
-    if spec.kind == "II" and spec.m_set == "all":
-        if q == 1:
-            return trace.t_new_level(k, m, ell)
-        return trace.t_new(k, q, 1, m, ell)
-    return trace.t_new_squarefree(k, q, m, ell)
+def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> list[MurmurationPoint]:
+    """The window walk behind scan_WQ and scan_eigenspace.
+
+    levels are the window's (Q, M) pairs, Q the largest Atkin-Lehner modulus
+    the level's trace reads, and row(Q, M) gives the level's group key, its
+    trace as a function of ell, and its count (the trace at ell = 1).  The
+    point at ell averages ell^(1-k/2) * trace over the levels ell does not
+    divide, summed per key and weighted by sqrt(key), and divides by their
+    counts.  A prime whose kept levels carry no form gives no point; no_forms
+    is raised if no level of the window carries one.
+    """
+    if not levels:
+        raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
+    ells = _primes_in(ell_range)
+    classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
+    rows = [(q * m, *row(q, m)) for q, m in levels]
+    if not any(count for *_, count in rows):
+        raise ValueError(no_forms)
+    points = []
+    for ell in ells:
+        groups: dict[int, int] = {}
+        total = 0
+        for n, key, tr, count in rows:
+            if n % ell:
+                groups[key] = groups.get(key, 0) + tr(ell)
+                total += count
+        if total:
+            scale = ell ** (spec.k // 2 - 1)
+            avg = sum(s / scale * math.sqrt(key) for key, s in sorted(groups.items()))
+            points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / total, total))
+    if not points:
+        raise ValueError("every prime in the range divides every level of %s that carries a form" % (spec,))
+    return points
 
 
 def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     """Average of sqrt(N/Q) ell^(1-k/2) tr T_ell W_Q over X <= N <= beta X.
 
-    Primes dividing every level in the family (e.g. the fixed part) are
-    skipped.  Raises if the window itself is empty.
+    Each level's trace is grouped by M = N/Q and counted by dim S_k^new(N).
+    Primes dividing every level that carries a form (e.g. the fixed part)
+    give no point.  Raises if the window is empty or carries no newform.
     """
-    levels = _window_levels(spec, X)
-    if not levels:
-        raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     k = spec.k
-    ells = _primes_in(ell_range)
-    classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
-    dims = [signs.dim_new(k, q * m) for q, m in levels]
+    divisor_sum = spec.kind == "II" and spec.m_set == "all"
 
-    def point(ell: int) -> MurmurationPoint | None:
-        groups: dict[int, int] = {}
-        dim_total = 0
-        for (q, m), dim in zip(levels, dims):
-            if (q * m) % ell == 0:
-                continue
-            groups[m] = groups.get(m, 0) + _trace_at(spec, k, q, m, ell)
-            dim_total += dim
-        if not groups:
-            return None
-        if dim_total == 0:
-            raise ValueError("window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k))
-        scale = ell ** (k // 2 - 1)
-        avg = sum(s / scale * math.sqrt(m) for m, s in sorted(groups.items()))
-        return MurmurationPoint(ell, X, Fraction(ell, X), avg / dim_total, dim_total)
+    def row(q: int, m: int):
+        # looked up on the trace module per scan, so a kernel replaced there is the one called
+        if divisor_sum:
+            kernel = partial(trace.t_new_level, k, m) if q == 1 else partial(trace.t_new, k, q, 1, m)
+        else:
+            kernel = partial(trace.t_new_squarefree, k, q, m)
+        return m, kernel, signs.dim_new(k, q * m)
 
-    points = [p for p in map(point, ells) if p is not None]
-    if not points:
-        raise ValueError("every prime in the range divides every level of %s" % (spec,))
-    return points
+    no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k)
+    return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)
+
+
+def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(Q, epsilon_Q) for every Q dividing the squarefree level n, where
+    epsilon assigns +-1 to the primes of n in increasing order and
+    epsilon_Q is its product over the primes of Q."""
+    out = [(1, 1)]
+    for (p, _), e in zip(factor(n).factors, epsilon, strict=True):
+        out += [(q * p, s * e) for q, s in out]
+    return out
+
+
+def eigenspace_trace(k: int, n: int, moduli: list[tuple[int, int]], ell: int) -> int:
+    """tr T_ell on the joint Atkin-Lehner eigenspace of S_k^new(n) given by
+    moduli = signed_moduli(n, epsilon): the signed sum of the tr T_ell W_Q,
+    divided by their number 2^r.  At ell = 1 it is the eigenspace's
+    dimension."""
+    total = 0
+    for q, sign in moduli:
+        if q == 1 and ell == 1:
+            total += sign * signs.dim_new(k, n)
+        else:
+            total += sign * trace.t_new_squarefree(k, q, n // q, ell)
+    assert total % len(moduli) == 0, (n, ell, total)
+    return total // len(moduli)
 
 
 def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: int) -> list[MurmurationPoint]:
     """Average of ell^(1-k/2) a_ell over the joint Atkin-Lehner eigenspace.
 
     epsilon assigns +-1 to each of the r level primes in increasing order;
-    the eigenspace trace is the 2^r-term signed combination of the W_Q
-    traces, divided by 2^r.
+    each level's eigenspace trace is eigenspace_trace, counted by the
+    eigenspace's dimension.  Primes dividing every level whose eigenspace
+    is nonzero give no point.  Raises if the window is empty or the
+    eigenspace is zero at every level.
     """
     if spec.kind != "III":
         raise ValueError("eigenspace scans need a kind III family")
     if len(epsilon) != spec.r or any(e not in (-1, 1) for e in epsilon):
         raise ValueError("epsilon must be a +-1 vector of length r")
-    base = replace(spec, idx=())
-    levels = _window_levels(base, X)
-    if not levels:
-        raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     k = spec.k
-    ells = _primes_in(ell_range)
-    # every subset of a level's primes is a Q, the whole level included
-    classnum.get_table(4 * max(ells) * max(q * m for q, m in levels))
-    subsets = list(range(1 << spec.r))
 
-    def eig_sum(n: int, ps: list[int], ell: int) -> int:
-        total = 0
-        for mask in subsets:
-            q = 1
-            sign = 1
-            for i in range(spec.r):
-                if mask >> i & 1:
-                    q *= ps[i]
-                    sign *= epsilon[i]
-            if q == 1 and ell == 1:
-                t = signs.dim_new(k, n)
-            else:
-                t = trace.t_new_squarefree(k, q, n // q, ell)
-            total += sign * t
-        assert total % (1 << spec.r) == 0, (n, ell, total)
-        return total >> spec.r
-
-    per_level = []
-    for q, m in levels:
-        n = q * m
-        ps = [p for p, _ in factor(n).factors]
-        dim = eig_sum(n, ps, 1)
+    def row(n: int, _m: int):
+        moduli = signed_moduli(n, epsilon)
+        dim = eigenspace_trace(k, n, moduli, 1)
         assert dim >= 0, (n, dim)
-        per_level.append((n, ps, dim))
+        return 1, partial(eigenspace_trace, k, n, moduli), dim
 
-    def point(ell: int) -> MurmurationPoint | None:
-        num = 0
-        den = 0
-        for n, ps, dim in per_level:
-            if n % ell == 0:
-                continue
-            num += eig_sum(n, ps, ell)
-            den += dim
-        if num == 0 and den == 0 and any(n % ell == 0 for n, _, _ in per_level):
-            return None
-        if den == 0:
-            raise ValueError("eigenspace empty over window [%d, %s]" % (X, spec.beta * X))
-        avg = num / ell ** (k // 2 - 1) / den
-        return MurmurationPoint(ell, X, Fraction(ell, X), avg, den)
-
-    return [p for p in map(point, ells) if p is not None]
+    # every subset of a level's primes is a Q, so Q = N is the widest
+    levels = _window_levels(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
+    no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, k)
+    return _scan(spec, levels, ell_range, X, row, no_forms)
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -390,23 +398,22 @@ def sqrt_fit(points: list[MurmurationPoint], k: int) -> SqrtFit:
 class CancellationReport:
     k: int
     X: int
-    beta: Fraction
     max_abs_sum: float  # max |A+ + A-|
     max_abs_diff: float  # max |A+ - A-|
     argmax_ell: int
 
 
-def cancellation_diag(k: int, X: int, beta: Fraction = Fraction(2), workers: int = 1) -> CancellationReport:
-    """Compare |A+ + A-| against |A+ - A-| for the squarefree-level family.
+def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
+    """Compare |A+ + A-| against |A+ - A-| for the squarefree levels in [X, 2X].
 
     A^+- are the unweighted averages over the two Fricke eigenspaces,
-    reconstructed from the Q=1 and Q=N scans at the primes in [X/2, 2X].
+    reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
     With workers > 1 the primes are measured on that many threads.  The
     loop is pure Python, so threads are slower than serial; the option
     stays only because the perfbench scan workload times the 2-thread run.
     """
     ells = _primes_in((X // 2, 2 * X))
-    lo, hi = X, math.floor(beta * X)
+    lo, hi = X, 2 * X
     levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
     if not levels:
         raise ValueError("no squarefree levels in [%d, %d]" % (lo, hi))
@@ -438,7 +445,7 @@ def cancellation_diag(k: int, X: int, beta: Fraction = Fraction(2), workers: int
         rows = [measure(ell) for ell in ells]
     sums = [r[0] for r in rows]
     best = max(range(len(ells)), key=lambda i: sums[i])
-    return CancellationReport(k, X, beta, sums[best], max(r[1] for r in rows), ells[best])
+    return CancellationReport(k, X, sums[best], max(r[1] for r in rows), ells[best])
 
 
 # ---------------------------------------------------------------------------

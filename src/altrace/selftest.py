@@ -81,6 +81,8 @@ def sweep(k_range: tuple[int, int], qr_max: int, m_max: int) -> SweepResult:
     zero claim needs delta = 0, a sign claim delta of that sign, and a
     verdict with no claim the zero reason "none")."""
     k_lo, k_hi = k_range
+    if k_lo % 2 or k_hi % 2 or not 2 <= k_lo <= k_hi:
+        raise ValueError("k_range needs even bounds 2 <= lo <= hi, got %d %d" % (k_lo, k_hi))
     mismatches = []
     case_tags, verdicts = Counter(), Counter()
     covered = checked = 0
@@ -379,8 +381,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
     rep = murmur.cancellation_diag(2, 500)
     if not rep.max_abs_sum < 0.5 * rep.max_abs_diff:
         bad.append(("cancel", rep))
-    # exact 2^r inversion: the signed eigenspace combinations rebuild each
-    # W_Q trace, per level, as integers
+    # exact 2^r inversion: the eigenspace traces the eigenspace scans
+    # average (integers, or eigenspace_trace raises) rebuild each W_Q trace
     inv_checked = 0
     for x_win, r, fixed in ((60, 2, (2,)), (105, 2, (3,)), (30, 3, (2, 3))):
         base = murmur.FamilySpec(kind="III", r=r, fixed=fixed, k=4)
@@ -389,32 +391,14 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
             bad.append(("inv-empty", x_win, r, fixed))
             continue
         eps_vectors = [tuple(1 - 2 * (i >> j & 1) for j in range(r)) for i in range(1 << r)]
-        for _, n in ((q, q * m) for q, m in levels):
-            ps = [p for p, _ in murmur.factor(n).factors]
+        for _, n in levels:
+            moduli = {eps: murmur.signed_moduli(n, eps) for eps in eps_vectors}
             for ell in (5, 7):
                 if n % ell == 0:
                     continue
-                tr_eps = {}
-                for eps in eps_vectors:
-                    total = 0
-                    for mask in range(1 << r):
-                        qq = math.prod(ps[i] for i in range(r) if mask >> i & 1)
-                        sgn = math.prod(eps[i] for i in range(r) if mask >> i & 1)
-                        if qq == 1:
-                            tval = trace.t_new_squarefree(4, 1, n, ell)
-                        else:
-                            tval = trace.t_new_squarefree(4, qq, n // qq, ell)
-                        total += sgn * tval
-                    fr = Fraction(total, 1 << r)
-                    if fr.denominator != 1:
-                        bad.append(("inv-nonint", n, ell, eps))
-                    tr_eps[eps] = fr
-                for mask in range(1, 1 << r):
-                    qq = math.prod(ps[i] for i in range(r) if mask >> i & 1)
-                    recon = sum(
-                        math.prod(eps[i] for i in range(r) if mask >> i & 1) * tr_eps[eps]
-                        for eps in eps_vectors
-                    )
+                tr_eps = {eps: murmur.eigenspace_trace(4, n, moduli[eps], ell) for eps in eps_vectors}
+                for i, (qq, _) in enumerate(moduli[eps_vectors[0]][1:], start=1):
+                    recon = sum(moduli[eps][i][1] * tr_eps[eps] for eps in eps_vectors)
                     if recon != trace.t_new_squarefree(4, qq, n // qq, ell):
                         bad.append(("inv", n, ell, qq))
                 inv_checked += 1

@@ -374,7 +374,6 @@ class R2Asymptotics:
     kinfty_leading: Fraction  # leading term as k -> infinity, q fixed
     qinfty_coefficient: Fraction  # coefficient of q as q -> infinity, k fixed
     qinfty_hypotheses_met: bool
-    qinfty_sign: int | None
 
 
 def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
@@ -387,8 +386,7 @@ def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
     hyp = (_is_cubefree(m) or _is_cubefree(m // 2 if m % 2 == 0 else m)) and not any(
         ee == 1 and p % 4 == 1 for p, ee in factor(m).factors
     )
-    sign = _sign(coeff) if coeff else None
-    return R2Asymptotics(kinfty, coeff, hyp, sign)
+    return R2Asymptotics(kinfty, coeff, hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +398,6 @@ class CorrelationResult:
     hypotheses_met: bool
     note: str
     trace_value: int | None = None  # tr T_l W_q on S_k^new(qM), closed form
-    delta_value: int | None = None
     zero_expected: bool | None = None
     zero_observed: bool | None = None
     sign_ratio_observed: int | None = None
@@ -443,7 +440,6 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
         True,
         "",
         trace_value=tr,
-        delta_value=dv,
         zero_expected=zero_expected,
         zero_observed=tr == 0,
         sign_ratio_observed=ratio_observed,

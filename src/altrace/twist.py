@@ -125,7 +125,8 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
 
     Level q^r M with r odd: twisting by such a chi is a bijection between
     the +1 and -1 eigenspaces of W_q, so delta(k, q, r, M) = 0 and every
-    chi-positively-supported Hecke trace vanishes.
+    chi-positively-supported Hecke trace vanishes.  They are listed in a
+    fixed priority: odd primes ascending, then chi_-1, then chi_2, chi_-2.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
@@ -148,9 +149,3 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
         out.append(chi_two())
         out.append(chi_minus2())
     return out
-
-
-def quadtwist_bijection(k: int, q: int, r: int, m: int) -> TwistCharacter | None:
-    """First eigenspace-pairing character by the fixed priority, or None."""
-    chars = quadtwist_characters(k, q, r, m)
-    return chars[0] if chars else None

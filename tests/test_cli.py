@@ -196,6 +196,36 @@ def test_murmur_empty_prime_range_is_a_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["classnum", "5"], "need a negative discriminant (0 or 1 mod 4), got 5", id="disc-positive"),
+        pytest.param(["classnum", "--", "-5"], "need a negative discriminant (0 or 1 mod 4), got -5", id="disc-mod-4"),
+        pytest.param(["equidist-sweep", "--k-range", "3", "5"], "k_range needs even bounds", id="odd-k-range"),
+        pytest.param(["murmur", "--family", "I:M=0", "--X", "10", "--ell-max", "7"], "fixed M >= 1", id="family"),
+        pytest.param(["murmur", "--family", "I:M=1", "--beta", "abc", "--X", "10", "--ell-max", "7"], "'abc'", id="beta"),
+        pytest.param([*MURMUR_III, "--eigenspace", "+x"], "epsilon must be a +-1 vector", id="eps-char"),
+        pytest.param([*MURMUR_III, "--eigenspace="], "epsilon must be a +-1 vector", id="eps-empty"),
+        pytest.param([*MURMUR_III, "--eigenspace=--"], "epsilon must be a +-1 vector", id="eps-dashes"),
+        # no level of [6, 12] carries a weight-2 form, so no eigenspace does
+        pytest.param(
+            ["murmur", "--family", "III:r=2", "--X", "6", "--ell-max", "5", "--eigenspace", "++"],
+            "eigenspace (1, 1) is empty over window [6, 12] at weight 2",
+            id="eps-no-forms",
+        ),
+    ],
+)
+def test_bad_input_and_empty_scans_exit_2_with_a_message(capsys, tmp_path, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--output-dir", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_selftest_reports_each_criterion_and_a_crash(capsys, monkeypatch):
     def criterion_99(seed):
         raise RuntimeError("boom")

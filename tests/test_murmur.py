@@ -150,6 +150,16 @@ def test_scan_drops_primes_dividing_all_levels():
         murmur.scan_WQ(spec, [5], 10)
 
 
+def test_a_prime_whose_kept_levels_carry_no_form_gives_no_point():
+    # of the squarefree levels 6, 7, 10, 11 only S_2(11) carries a form, so
+    # ell = 11 drops it and keeps no form, while the window is not empty
+    spec = parse_family("I:M=1", k=2)
+    pts = murmur.scan_WQ(spec, (2, 11), 6)
+    assert [(p.ell, p.count) for p in pts] == [(2, 1), (3, 1), (5, 1), (7, 1)]
+    with pytest.raises(ValueError, match="divides every level"):
+        murmur.scan_WQ(spec, [11], 6)
+
+
 def test_scan_count_sums_dimensions_of_the_levels_kept_at_each_ell():
     # the dimensions are computed once per level, but each point must still
     # count only the levels its ell does not divide
@@ -242,6 +252,14 @@ def test_eigenspace_partition_and_inversion():
             for eps in eps_grid
         )
         assert lhs == wq_sum(mask)
+
+
+def test_empty_eigenspace_raises_naming_it():
+    # no level of [20, 40] has a weight-2 form in the (-1, -1) eigenspace
+    spec = parse_family("III:r=2", k=2)
+    with pytest.raises(ValueError, match=r"eigenspace \(-1, -1\) is empty over window \[20, 40\]"):
+        murmur.scan_eigenspace(spec, (-1, -1), (2, 13), 20)
+    assert murmur.scan_eigenspace(spec, (1, -1), (2, 13), 20)
 
 
 def test_eigenspace_errors():
@@ -344,7 +362,7 @@ def test_sqrt_fit_matches_numpy_lstsq():
 
 def test_cancellation_report_matches_direct_sums():
     rep = murmur.cancellation_diag(2, 30)
-    assert (rep.k, rep.X, rep.beta) == (2, 30, Fraction(2))
+    assert (rep.k, rep.X) == (2, 30)
     ells = [p for p in arith.primes_up_to(60) if p >= 15]  # primes in [X/2, 2X]
     assert rep.argmax_ell in ells
 

@@ -87,12 +87,15 @@ def test_quadtwist_character_selection():
 
 
 def test_quadtwist_bijection_priority():
-    # ascending odd primes first, then chi_-1, then chi_2
-    first = twist.quadtwist_bijection(4, 5, 1, 27 * 343)
-    assert first is not None and first.label == "chi_3"
-    first = twist.quadtwist_bijection(2, 19, 1, 32 * 125)
-    assert first is not None and first.label == "chi_-1"
-    assert twist.quadtwist_bijection(2, 17, 1, 16) is None
+    # ascending odd primes first, then chi_-1, then chi_2; the CLI reports
+    # the first as its quadtwist_bijection
+    labels = [c.label for c in twist.quadtwist_characters(4, 5, 1, 27 * 343)]
+    assert labels == ["chi_3", "chi_7"]
+    labels = [c.label for c in twist.quadtwist_characters(2, 19, 1, 32 * 343)]
+    assert labels == ["chi_7", "chi_-1"]
+    labels = [c.label for c in twist.quadtwist_characters(2, 13, 1, 128 * 125)]
+    assert labels == ["chi_5", "chi_2", "chi_-2"]
+    assert twist.quadtwist_characters(2, 17, 1, 16) == []
 
 
 def test_quadtwist_rejects_even_exponent():
