@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import classnum, signs, trace, twist
-from .arith import is_squarefree
 
 
 def _jsonable(obj):
@@ -75,15 +73,14 @@ def cmd_trace(args) -> tuple[dict, int]:
         "t_new": trace.t_new(k, q, r, m, ell),
     }
     mismatch = False
-    if r == 1 and is_squarefree(q * m):
+    if r == 1:
         sqf = trace.t_new_squarefree(k, q, m, ell)
         payload["t_new_squarefree"] = sqf
         mismatch = sqf != payload["t_new"]
     if args.squarefree_Q is not None:
         payload["t_new_squarefree_Q"] = trace.t_new_squarefree(k, args.squarefree_Q, m, ell)
-    n = q**r * m
-    if r == 1 and m == 1 and math.gcd(ell, n) == 1 and 4 * ell < n and is_squarefree(q * m):
-        fricke = trace.t_full_fricke(k, n, ell)
+    if r == 1 and m == 1 and 4 * ell < q:
+        fricke = trace.t_full_fricke(k, q, ell)
         payload["t_full_fricke"] = fricke
         mismatch = mismatch or fricke != payload["t_new_squarefree"]
     payload["cross_path_mismatch"] = mismatch

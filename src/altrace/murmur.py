@@ -12,7 +12,9 @@ scan_WQ and scan_eigenspace walk the window in one loop, ``_scan``: one
 row per level (a group key, the level's trace as a function of ell and its
 count), then one pass over the rows per prime.  They differ only in the
 row.  The joint eigenspace trace is one function, ``eigenspace_trace``,
-which selftest criterion 9 also inverts.
+which selftest criterion 9 also inverts.  Every row's trace, non-squarefree
+levels included, goes through ``trace.t_new_squarefree``: one class number
+per s.
 
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
@@ -39,13 +41,18 @@ class FamilySpec:
     """Arithmetically compatible family of (level, AL-modulus) pairs.
 
     kind I   : M fixed, Q ranges over squarefree integers coprime to M
-               (optionally with omega(Q) = omega_q prime factors).
+               (optionally with omega(Q) = omega_q prime factors).  A
+               non-squarefree M needs omega_q = 1.
     kind II  : Q fixed squarefree, M ranges over m_set ("all", "sqf", or
                "sqf<r>" for squarefree with exactly r prime factors).
-               m_set="all" needs Q prime or 1 (no closed trace otherwise).
+               m_set="all" needs Q prime or 1.
     kind III : N squarefree with exactly r prime factors, the smallest
                len(fixed) of which are the fixed primes; Q is the product
                of the primes at the 1-based sorted positions in idx.
+
+    The restrictions on kinds I and II keep out composite Q at
+    non-squarefree levels: the trace kernel covers them, but that trace has
+    no independent check yet (ROADMAP item G).
     """
 
     kind: str
@@ -71,6 +78,8 @@ class FamilySpec:
                 raise ValueError("kind I needs fixed M >= 1")
             if self.omega_q is not None and self.omega_q < 1:
                 raise ValueError("omega restriction must be >= 1")
+            if self.omega_q != 1 and not is_squarefree(self.m):
+                raise ValueError("kind I with a non-squarefree M needs omega=1 (Q prime)")
         elif self.kind == "II":
             if self.q < 1 or not is_squarefree(self.q):
                 raise ValueError("kind II needs squarefree Q >= 1")
@@ -268,15 +277,10 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     give no point.  Raises if the window is empty or carries no newform.
     """
     k = spec.k
-    divisor_sum = spec.kind == "II" and spec.m_set == "all"
 
     def row(q: int, m: int):
         # looked up on the trace module per scan, so a kernel replaced there is the one called
-        if divisor_sum:
-            kernel = partial(trace.t_new_level, k, m) if q == 1 else partial(trace.t_new, k, q, 1, m)
-        else:
-            kernel = partial(trace.t_new_squarefree, k, q, m)
-        return m, kernel, signs.dim_new(k, q * m)
+        return m, partial(trace.t_new_squarefree, k, q, m), signs.dim_new(k, q * m)
 
     no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k)
     return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)
@@ -408,6 +412,8 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
 
     A^+- are the unweighted averages over the two Fricke eigenspaces,
     reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
+    A prime whose kept levels (those it does not divide) leave an
+    eigenspace empty is dropped; raises if no prime is left.
     With workers > 1 the primes are measured on that many threads.  The
     loop is pure Python, so threads are slower than serial; the option
     stays only because the perfbench scan workload times the 2-thread run.
@@ -422,7 +428,7 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     # dim S^new(n) and tr W_n on it do not depend on ell
     per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]
 
-    def measure(ell: int) -> tuple[float, float]:
+    def measure(ell: int) -> tuple[float, float, int] | None:
         s1 = sn = d1 = dn = 0
         for n, dim, fricke in per_level:
             if n % ell == 0:
@@ -432,20 +438,22 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
             d1 += dim
             dn += fricke
         if d1 + dn == 0 or d1 - dn == 0:
-            raise ValueError("an eigenspace is empty over [%d, %d]" % (lo, hi))
+            return None  # the levels ell divides held every form of one eigenspace
         scale = 2 * ell ** (k // 2 - 1)
         plus = (s1 + sn) / scale / ((d1 + dn) // 2)
         minus = (s1 - sn) / scale / ((d1 - dn) // 2)
-        return abs(plus + minus), abs(plus - minus)
+        return abs(plus + minus), abs(plus - minus), ell
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(measure, ells))
     else:
         rows = [measure(ell) for ell in ells]
-    sums = [r[0] for r in rows]
-    best = max(range(len(ells)), key=lambda i: sums[i])
-    return CancellationReport(k, X, sums[best], max(r[1] for r in rows), ells[best])
+    rows = [r for r in rows if r is not None]
+    if not rows:
+        raise ValueError("an eigenspace is empty over [%d, %d] at every prime" % (lo, hi))
+    best = max(rows, key=lambda r: r[0])
+    return CancellationReport(k, X, best[0], max(r[1] for r in rows), best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -165,14 +165,15 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Squarefree trace consistency and full-space Fricke agreement."""
+    """The squarefree-Q kernel against the divisor sum at prime q and every
+    cofactor M, and full-space Fricke agreement."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
     bad = []
     checked = 0
     for q in primes_up_to(300):
         for m in range(1, 300 // q + 1):
-            if m % q == 0 or not is_squarefree(q * m):
+            if m % q == 0:
                 continue
             for ell in (1, 2, 3, 5, 7):
                 if math.gcd(ell, q * m) != 1:

@@ -6,9 +6,12 @@ over weighted class numbers H_t.  Both sum over t | M with per-level weights
 c_t (1 on the full space; the (mu*mu) newspace projection of that for
 ``t_new``), cached per M, so each s is visited once per level and no
 per-discriminant sum is memoized.  ``t_new_squarefree`` is the independent
-one-class-number-per-s route available on squarefree levels, and
-``t_full_fricke`` the single-term shortcut for the Fricke involution when
-the Hecke index is small against the level.
+one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
+cofactor: the divisor sum over t factors into closed local factors at the
+primes of the cofactor, so every level costs one class number per s.  The
+murmuration scans read only this kernel; the divisor sums stay as its
+check.  ``t_full_fricke`` is the single-term shortcut for the Fricke
+involution when the Hecke index is small against the level.
 
 All arguments are plain ints; results are exact ints (an AssertionError
 here means a genuine formula bug, not roundoff).
@@ -160,45 +163,93 @@ def t_new_level(k: int, n: int, ell: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# squarefree levels: one class number per s
+# squarefree Q: one class number per s
+
+
+# c_{p^(e-i)}, i = 0..3, of the newspace weights at p^e || m: the (mu*mu)
+# projection of the full-space indicator a in {e-1, e}, i.e. (1 - x)^2 (1 + x)
+_NEW_WEIGHTS = (1, -1, -1, 1)
+
+
+@cache
+def _local_factor(p: int, e: int, v: int, chi: int) -> int:
+    """L_p(e, v, chi): sum_t c_t H_t(D) over H(D*), locally at p^e || m.
+
+    D = p^(2v) D* where D* / p^2 is no longer a discriminant, chi = (D*|p).
+    By ht12's closed form, 12 H_{p^a}(D) carries at p the factor p^n
+    chi^(a-n) times sigma(p^j) - chi sigma(p^(j-1)), j = v - ceil(n/2) >= 0,
+    the local factor of H(D / p^(2 ceil(n/2))) over H(D*), where
+    n = min(a, 2v).  The sum runs over the local newspace weights; at e = 1
+    it is chi - 1.
+    """
+    total = 0
+    for i, c in enumerate(_NEW_WEIGHTS[: e + 1]):
+        a = e - i
+        n = min(a, 2 * v)
+        j = v - (n + 1) // 2
+        total += c * p**n * chi ** (a - n) * (classnum._sigma_pp(p, j) - chi * classnum._sigma_pp(p, j - 1))
+    return total
+
+
+def _hyperbolic(local, x: int) -> int:
+    """sum_t c_t gcd(core_square_part(t), x) over the newspace weights of
+    m = prod p^e, (p, e) in local, for x >= 1: a product of local sums."""
+    out = 1
+    for p, e in local:
+        if e == 1:
+            return 0  # the local sum 1 - 1, found before any division on squarefree m
+        w = 0
+        while x % p == 0:
+            x //= p
+            w += 1
+        out *= sum(c * p ** min((e - i) // 2, w) for i, c in enumerate(_NEW_WEIGHTS[: e + 1]))
+    return out
 
 
 def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
-    """tr T_l W_Q on S_k^new(Q * m) for squarefree level N = Q * m.
+    """tr T_l W_Q on S_k^new(Q * m) for squarefree Q coprime to m.
 
+    The name refers to Q: the cofactor m is any positive integer.
     Independent of the divisor-sum route: a single weighted class number per
-    s, through the multiplicative xi weights.  Q = 1 asks for the plain
-    newspace Hecke trace and is only valid for prime l; any Q >= 2 works for
-    every l coprime to the level (including l = 1).
+    s, through multiplicative local factors at the primes of m.  Q = 1 asks
+    for the plain newspace Hecke trace and is only valid for prime l; any
+    Q >= 2 works for every l coprime to the level (including l = 1).
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
-    n = big_q * m
-    if big_q < 1 or m < 1 or not is_squarefree(n):
-        raise ValueError("level Q * m must be squarefree")
-    if math.gcd(ell, n) != 1:
+    if big_q < 1 or m < 1:
+        raise ValueError("Q and m must be positive")
+    if not is_squarefree(big_q):
+        raise ValueError("Q must be squarefree, got %r" % (big_q,))
+    if math.gcd(big_q, m) != 1:
+        raise ValueError("Q must be coprime to m")
+    if math.gcd(ell, big_q * m) != 1:
         raise ValueError("Hecke index must be coprime to the level")
     if big_q == 1 and not is_prime(ell):
         raise ValueError("Q = 1 requires a prime Hecke index")
-    # xi_p(D) H(D) = ((D0|p) - 1) H(D / p^(2e)) with D = lam^2 D0, e = v_p(lam):
-    # the denominator of the local newspace weight xi_p is the local factor
-    # of H at p, so each s costs one class number and no division.  p | lam
-    # exactly when D / p^2 is again a discriminant (for p = 2: D = 0, 4 mod 16),
-    # and dividing out squares of the other primes leaves (D|p) unchanged.
-    primes = [p for p, _ in factor(m).factors]
+    # sum_t c_t H_t(D) = H(D*) * prod_p L_p(e, v, chi) with D* = D / p^(2v)
+    # stripped at every p | m: each s costs one class number.  p^2 divides
+    # out exactly when D / p^2 is again a discriminant (for p = 2: D = 0, 4
+    # mod 16), and dividing out squares of the other primes leaves (D|p)
+    # unchanged.  At p || m, L_p = chi - 1: the newspace weight xi_p times
+    # the local factor of H at p.
+    local = factor(m).factors
     total = 0
     s = 0
     while s * s * big_q <= 4 * ell:
         disc = big_q * (s * s * big_q - 4 * ell)
         weight = 1 if s == 0 else 2
-        for p in primes:
+        for p, e in local:
+            v = 0
             if p == 2:
                 while disc % 16 in (0, 4):
                     disc //= 4
+                    v += 1
             else:
                 while disc % (p * p) == 0:
                     disc //= p * p
-            c = kronecker(disc, p) - 1
+                    v += 1
+            c = kronecker(disc, p) - 1 if e == 1 else _local_factor(p, e, v, kronecker(disc, p))
             if not c:
                 break
             weight *= c
@@ -207,8 +258,9 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
         s += 1
     assert total % 24 == 0, (k, big_q, m, ell, total)
     val = -total // 24
-    if n == 1:
-        val -= 1
+    if big_q == 1:
+        # the hyperbolic term at prime l: its divisors 1 and l give gcds with l - 1
+        val -= _hyperbolic(local, ell - 1)
     if k == 2:
         val += mobius(m) * sigma(ell)
     return val

@@ -67,6 +67,20 @@ def test_trace_cross_checks_every_path(capsys):
     assert payload["cross_path_mismatch"] is False
 
 
+@pytest.mark.parametrize("m", [12, 27, 32])
+def test_trace_cross_checks_the_local_factor_kernel_at_non_squarefree_M(capsys, monkeypatch, m):
+    # every r = 1 query compares the kernel against the divisor sum
+    for k, q, ell in ((2, 5, 7), (4, 7, 1), (6, 11, 25)):
+        code, payload = run_json(capsys, "trace", "--k", str(k), "--q", str(q), "--M", str(m), "--ell", str(ell))
+        assert code == 0
+        assert payload["t_new_squarefree"] == payload["t_new"] == trace.t_new(k, q, 1, m, ell)
+        assert payload["cross_path_mismatch"] is False
+    real = trace.t_new_squarefree
+    monkeypatch.setattr(trace, "t_new_squarefree", lambda *args: real(*args) + 1)
+    code, payload = run_json(capsys, "trace", "--k", "2", "--q", "5", "--M", str(m), "--ell", "7")
+    assert code == 1 and payload["cross_path_mismatch"] is True
+
+
 def test_trace_squarefree_Q_option(capsys):
     code, payload = run_json(
         capsys, "trace", "--k", "4", "--q", "3", "--ell", "2", "--squarefree-Q", "15"

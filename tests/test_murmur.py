@@ -63,6 +63,11 @@ def test_family_validation():
     with pytest.raises(ValueError, match="Q prime or 1"):
         FamilySpec("II", q=6, m_set="all")
     FamilySpec("II", q=6, m_set="sqf")  # fine once M is restricted
+    with pytest.raises(ValueError, match="needs omega=1"):
+        FamilySpec("I", m=4)
+    with pytest.raises(ValueError, match="needs omega=1"):
+        parse_family("I:M=12,omega=2")
+    FamilySpec("I", m=4, omega_q=1)  # fine once Q is prime
     with pytest.raises(ValueError, match="strictly increasing primes"):
         FamilySpec("III", r=2, fixed=(3, 2))
     with pytest.raises(ValueError, match="strictly increasing primes"):
@@ -140,6 +145,35 @@ def test_scan_matches_hand_sum_kind_II_prime_Q():
     assert pt.average == pytest.approx(
         trace.t_new(2, 3, 1, 5, 2) * math.sqrt(5) / pt.count
     )
+
+
+@pytest.mark.parametrize("family, X", [("II:Q=1,M=all", 24), ("II:Q=3,M=all", 24), ("I:M=4,omega=1", 60)])
+def test_non_squarefree_scans_read_only_the_local_factor_kernel(monkeypatch, family, X):
+    # every row, non-squarefree levels included, goes through
+    # t_new_squarefree; the divisor sums recompute the points row by row
+    spec = parse_family(family, k=4)
+    ells = [2, 5, 7, 11, 13]
+    levels = murmur._window_levels(spec, X)
+    assert any(not arith.is_squarefree(m) for _, m in levels)
+    expect = []
+    for ell in ells:
+        groups, total = {}, 0
+        for q, m in levels:
+            if (q * m) % ell:
+                tr = trace.t_new_level(4, m, ell) if q == 1 else trace.t_new(4, q, 1, m, ell)
+                groups[m] = groups.get(m, 0) + tr
+                total += trace.t_new_level(4, q * m, 1)
+        if total:  # ell = 2 divides every level of I:M=4 and gives no point
+            avg = sum(s / ell * math.sqrt(m) for m, s in sorted(groups.items()))
+            expect.append((ell, avg / total, total))
+
+    def forbidden(*args):
+        raise AssertionError("divisor-sum trace called with %r" % (args,))
+
+    monkeypatch.setattr(trace, "t_new", forbidden)
+    monkeypatch.setattr(trace, "t_new_level", forbidden)
+    got = murmur.scan_WQ(spec, ells, X)
+    assert [(p.ell, p.average, p.count) for p in got] == expect
 
 
 def test_scan_drops_primes_dividing_all_levels():
@@ -383,6 +417,44 @@ def test_cancellation_report_matches_direct_sums():
     assert rep.max_abs_sum == pytest.approx(max(v[0] for v in expect.values()))
     assert rep.max_abs_diff == pytest.approx(max(v[1] for v in expect.values()))
     assert rep.max_abs_sum == pytest.approx(expect[rep.argmax_ell][0])
+
+
+def test_cancellation_drops_a_prime_that_empties_an_eigenspace():
+    # over [21, 42] the + Fricke space of S_2 is S_2(37) alone (dim 2,
+    # tr W_37 = 0), so ell = 37 leaves it empty; the other primes keep both
+    rep = murmur.cancellation_diag(2, 21)
+    assert signs.dim_new(2, 37) == 2 and trace.t_new_squarefree(2, 37, 1, 1) == 0
+    assert rep.argmax_ell != 37
+    ells = [p for p in arith.primes_up_to(42) if p >= 10 and p != 37]
+    levels = [n for n in range(21, 43) if arith.is_squarefree(n)]
+    sums, diffs = [], []
+    for ell in ells:
+        s1 = sn = d1 = dn = 0
+        for n in levels:
+            if n % ell:
+                s1 += trace.t_new_squarefree(2, 1, n, ell)
+                sn += trace.t_new_squarefree(2, n, 1, ell)
+                d1 += signs.dim_new(2, n)
+                dn += trace.t_new_squarefree(2, n, 1, 1)
+        plus = (s1 + sn) / (d1 + dn)
+        minus = (s1 - sn) / (d1 - dn)
+        sums.append(abs(plus + minus))
+        diffs.append(abs(plus - minus))
+    assert rep.max_abs_sum == pytest.approx(max(sums))
+    assert rep.max_abs_diff == pytest.approx(max(diffs))
+    assert rep.argmax_ell == ells[sums.index(max(sums))]
+    # no level in [5, 10] carries a form of weight 2, so no prime is left
+    with pytest.raises(ValueError, match=r"empty over \[5, 10\] at every prime"):
+        murmur.cancellation_diag(2, 5)
+
+
+def test_cancellation_report_at_100_is_pinned():
+    # dropping primes that empty an eigenspace leaves windows where every
+    # prime keeps both spaces exactly as they were
+    rep = murmur.cancellation_diag(2, 100)
+    assert rep.argmax_ell == 179
+    assert rep.max_abs_sum == pytest.approx(2.3100526677352873, rel=1e-12)
+    assert rep.max_abs_diff == pytest.approx(2.695784077832409, rel=1e-12)
 
 
 def test_cancellation_threads_match_serial():

@@ -293,14 +293,115 @@ def test_fricke_trace_same_with_and_without_table(k, n_level, n_hecke):
 
 
 def test_t_new_squarefree_guards():
-    with pytest.raises(ValueError):
-        trace.t_new_squarefree(2, 4, 1, 3)  # Q not squarefree
-    with pytest.raises(ValueError):
-        trace.t_new_squarefree(2, 3, 3, 5)  # Q*m not squarefree... 3*3 = 9
-    with pytest.raises(ValueError):
-        trace.t_new_squarefree(2, 1, 15, 4)  # Q = 1 needs prime Hecke index
+    # "squarefree" is Q: a non-squarefree cofactor is accepted
+    assert trace.t_new_squarefree(2, 3, 4, 5) == trace.t_new(2, 3, 1, 4, 5)
+    assert trace.t_new_squarefree(2, 1, 12, 5) == trace.t_new_level(2, 12, 5)
+    with pytest.raises(ValueError, match="Q must be squarefree"):
+        trace.t_new_squarefree(2, 4, 1, 3)
+    with pytest.raises(ValueError, match="Q must be squarefree"):
+        trace.t_new_squarefree(2, 12, 5, 7)
+    with pytest.raises(ValueError, match="coprime to m"):
+        trace.t_new_squarefree(2, 3, 3, 5)  # Q and m share the prime 3
+    with pytest.raises(ValueError, match="coprime to m"):
+        trace.t_new_squarefree(2, 6, 4, 5)
+    with pytest.raises(ValueError, match="prime Hecke index"):
+        trace.t_new_squarefree(2, 1, 15, 4)
+    with pytest.raises(ValueError, match="prime Hecke index"):
+        trace.t_new_squarefree(2, 1, 12, 25)
+    with pytest.raises(ValueError, match="coprime to the level"):
+        trace.t_new_squarefree(2, 5, 12, 3)
     with pytest.raises(ValueError):
         trace.t_new(3, 5, 1, 1, 1)  # odd weight
+
+
+# cofactors with p^3, 2^5 and p^2 q'^2 parts, times small cofactors
+_SQUAREFUL = [4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 96, 100, 125, 128, 196, 225, 243, 343, 441]
+
+
+@given(
+    st.sampled_from([2, 4, 6, 8, 10, 12]),
+    st.sampled_from(primes_up_to(47)),
+    st.sampled_from(_SQUAREFUL),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 4, 9, 25, 49, 15, 21, 35, 77, 8, 27, 121]),
+)
+@example(4, 3, 32, 1, 1)  # ell = 1: tr W_3 on the newspace at 96
+@example(2, 5, 27, 1, 4)
+@example(12, 11, 36, 7, 25)
+@example(6, 3, 125, 1, 49)
+@example(8, 7, 243, 2, 5)
+def test_local_factor_kernel_matches_divisor_sum_at_prime_q(k, q, base, c, ell):
+    m = base * c
+    assume(m % q and math.gcd(ell, q * m) == 1)
+    assert trace.t_new_squarefree(k, q, m, ell) == trace.t_new(k, q, 1, m, ell), (k, q, m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 6, 8, 10, 12]),
+    st.sampled_from(_SQUAREFUL),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(primes_up_to(150)),
+)
+# the hyperbolic term vanishes unless every exponent of m is even; at these
+# it does not, and square parts of m divide ell - 1: 2^4 | 16, 3^2 | 18,
+# 3 * 5 | 30
+@example(2, 16, 1, 17)
+@example(4, 64, 1, 17)
+@example(4, 9, 1, 19)
+@example(6, 225, 1, 31)
+@example(2, 32, 1, 17)
+@example(12, 343, 1, 2)
+def test_local_factor_kernel_matches_divisor_sum_at_q_one(k, base, c, ell):
+    m = base * c
+    assume(m % ell)
+    assert trace.t_new_squarefree(k, 1, m, ell) == trace.t_new_level(k, m, ell), (k, m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from([(2, 3), (2, 5), (3, 5), (3, 7), (5, 7), (2, 11), (7, 13)]),
+    st.sampled_from(_SQUAREFUL),
+    st.sampled_from([1, 1, 2, 3, 5, 7, 11, 13, 17, 19]),
+)
+@example(2, (5, 7), 4, 1)
+@example(4, (3, 5), 8, 1)
+@example(2, (2, 11), 9, 13)
+def test_composite_q_kernel_gives_integral_eigenspaces(k, qs, m, ell):
+    # composite Q with non-squarefree m has no divisor-sum twin, so only a
+    # necessary condition: every joint W_q1, W_q2 eigenspace of
+    # S_k^new(q1 q2 m) has an integer trace of T_ell, and a dimension >= 0
+    q1, q2 = qs
+    n = q1 * q2 * m
+    assume(math.gcd(q1 * q2, m) == 1 and math.gcd(ell, n) == 1)
+    t1 = trace.t_new_level(k, n, ell)
+    t_q1 = trace.t_new_squarefree(k, q1, n // q1, ell)
+    t_q2 = trace.t_new_squarefree(k, q2, n // q2, ell)
+    t_q12 = trace.t_new_squarefree(k, q1 * q2, m, ell)
+    for e1 in (1, -1):
+        for e2 in (1, -1):
+            total = t1 + e1 * t_q1 + e2 * t_q2 + e1 * e2 * t_q12
+            assert total % 4 == 0, (k, qs, m, ell, e1, e2, total)
+            assert ell > 1 or total >= 0, (k, qs, m, e1, e2, total)
+
+
+def test_local_factor_kernel_shares_no_code_with_the_divisor_sums(monkeypatch):
+    # the kernel and the divisor-sum t_new check each other only if neither
+    # reads the other's weighted class numbers or per-level weights
+    cases = [(2, 1, 32, 17), (4, 1, 108, 5), (6, 3, 250, 7), (2, 5, 27, 1), (8, 7, 144, 25)]
+    expect = [
+        trace.t_new_level(k, m, ell) if q == 1 else trace.t_new(k, q, 1, m, ell) for k, q, m, ell in cases
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("divisor-sum helper called with %r" % (args,))
+
+    monkeypatch.setattr(classnum, "ht12", forbidden)
+    monkeypatch.setattr(trace, "_level_weights", forbidden)
+    trace._local_factor.cache_clear()
+    got = [trace.t_new_squarefree(*case) for case in cases]
+    assert got == expect
+    with pytest.raises(AssertionError, match="divisor-sum helper"):
+        trace.t_new(2, 3, 1, 4, 5)
 
 
 def test_hecke_index_must_be_coprime():
