@@ -1,29 +1,22 @@
 """Exact elementary number theory used everywhere else in the package.
 
-Factorization (cached trial division), Kronecker symbols, the standard
-multiplicative functions, and the divisor sums that drive the trace
-formulas.  Everything returns exact ints, in pure Python: importing this
-module does not import numpy.
+Factorization (cached trial division, returned as the plain tuple of
+(prime, exponent) pairs), Kronecker symbols, the standard multiplicative
+functions, and the divisor sums that drive the trace formulas.  Everything
+returns exact ints, in pure Python: importing this module does not import
+numpy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 
 
-@dataclass(frozen=True)
-class FactoredInt:
-    """A positive integer together with its ordered prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]  # ((p1, e1), (p2, e2), ...), p1 < p2 < ...
-
-
 @cache
-def factor(n: int) -> FactoredInt:
-    """Trial division by 2, 3 and then the numbers 6j +- 1."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization ((p1, e1), (p2, e2), ...) of n, p1 < p2 < ...,
+    by trial division by 2, 3 and then the numbers 6j +- 1."""
     if n < 1:
         raise ValueError("factor() wants a positive integer, got %r" % (n,))
     m = n
@@ -41,7 +34,7 @@ def factor(n: int) -> FactoredInt:
     if m > 1:
         # no divisor up to sqrt(m), so what is left is prime
         fac.append((m, 1))
-    return FactoredInt(n, tuple(fac))
+    return tuple(fac)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -75,15 +68,15 @@ def kronecker(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factor(n).factors == ((n, 1),)
+    return n >= 2 and factor(n) == ((n, 1),)
 
 
 def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factor(n).factors)
+    return all(e == 1 for _, e in factor(n))
 
 
 def mobius(n: int) -> int:
-    fac = factor(n).factors
+    fac = factor(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -92,7 +85,7 @@ def mobius(n: int) -> int:
 def mu_star_mu(n: int) -> int:
     """(mu * mu)(n): the Dirichlet inverse of the divisor-count function."""
     out = 1
-    for _, e in factor(n).factors:
+    for _, e in factor(n):
         if e == 1:
             out = -2 * out
         elif e > 2:
@@ -102,39 +95,39 @@ def mu_star_mu(n: int) -> int:
 
 def sigma(n: int) -> int:
     out = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out *= (p ** (e + 1) - 1) // (p - 1)
     return out
 
 
 def euler_phi(n: int) -> int:
     out = n
-    for p, _ in factor(n).factors:
+    for p, _ in factor(n):
         out -= out // p
     return out
 
 
 def omega1(m: int) -> int:
     """Number of primes dividing m exactly once."""
-    return sum(1 for _, e in factor(m).factors if e == 1)
+    return sum(1 for _, e in factor(m) if e == 1)
 
 
 def omega2(n: int, m: int) -> int:
     """Number of primes p with p^2 || m and (n|p) = 1."""
-    return sum(1 for p, e in factor(m).factors if e == 2 and kronecker(n, p) == 1)
+    return sum(1 for p, e in factor(m) if e == 2 and kronecker(n, p) == 1)
 
 
 def core_square_part(n: int) -> int:
     """The largest q with q^2 | n (for n >= 1)."""
     out = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out *= p ** (e // 2)
     return out
 
 
 def divisors(n: int) -> list[int]:
     out = [1]
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out = [d * p**j for d in out for j in range(e + 1)]
     out.sort()
     return out
@@ -143,7 +136,7 @@ def divisors(n: int) -> list[int]:
 def divisors_with_squarefree_cofactor(m: int) -> list[int]:
     """All t | m such that m/t is squarefree (there are 2^omega(m) of them)."""
     out = [1]
-    for p, e in factor(m).factors:
+    for p, e in factor(m):
         out = [d * p**j for d in out for j in (e - 1, e)]
     out.sort()
     return out

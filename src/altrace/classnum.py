@@ -4,7 +4,7 @@ Three independent routes to H(disc) live here:
 
 * ``hurwitz`` -- fundamental-discriminant decomposition plus a direct count
   of primitive reduced forms (the default path, exact Fractions);
-* ``hurwitz_oracle`` -- a from-scratch enumeration of all reduced forms with
+* ``hurwitz12_oracle`` -- a from-scratch enumeration of all reduced forms with
   automorphism weights, kept deliberately naive;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
   bound.  numpy is imported only where such a table is built, so the other
@@ -59,7 +59,7 @@ def decompose(disc: int) -> tuple[int, int]:
     """Write disc = lam**2 * disc0 with disc0 fundamental; returns (disc0, lam)."""
     _check_disc(disc)
     q = 1
-    for p, e in factor(-disc).factors:
+    for p, e in factor(-disc):
         q *= p ** (e // 2)
     s = disc // (q * q)
     if s % 4 == 1:
@@ -78,7 +78,7 @@ def _h12_fundamental(disc0: int) -> int:
 def gamma_weight(disc0: int, lam: int) -> int:
     """Multiplicative weight relating h'(lam**2 disc0) to h'(disc0)."""
     out = 1
-    for p, m in factor(lam).factors:
+    for p, m in factor(lam):
         out *= p ** (m - 1) * (p - kronecker(disc0, p))
     return out
 
@@ -86,7 +86,7 @@ def gamma_weight(disc0: int, lam: int) -> int:
 def eta_weight(disc0: int, lam: int) -> int:
     """Multiplicative weight relating H(lam**2 disc0) to h'(disc0)."""
     out = 1
-    for p, m in factor(lam).factors:
+    for p, m in factor(lam):
         chi = kronecker(disc0, p)
         out *= _sigma_pp(p, m) - chi * _sigma_pp(p, m - 1)
     return out
@@ -144,6 +144,7 @@ def hurwitz12_ext(disc: int) -> int:
 
 
 def hurwitz12_oracle(disc: int) -> int:
+    """12 * H(disc) recounted from the definition (all reduced forms, weighted)."""
     if disc == 0:
         return -1
     _check_disc(disc)
@@ -166,11 +167,6 @@ def hurwitz12_oracle(disc: int) -> int:
                 total += 24
         b += 2
     return total
-
-
-def hurwitz_oracle(disc: int) -> Fraction:
-    """H(disc) recounted from the definition (all reduced forms, weighted)."""
-    return Fraction(hurwitz12_oracle(disc), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def ht12(t: int, disc: int) -> int:
         return hurwitz12_ext(disc)
     g = math.gcd(t, disc)
     b = 1
-    for p, e in factor(g).factors:
+    for p, e in factor(g):
         if e & 1:
             b *= p
     dp = disc // g
@@ -272,15 +268,11 @@ def alpha1_12(d: int, e: int) -> int:
     return 0
 
 
-def alpha1(d: int, e: int) -> Fraction:
-    return Fraction(alpha1_12(d, e), 12)
-
-
 def alpha2(m: int) -> int:
     """Multiplicative square-detector weight: vanishes unless m is a perfect
     square; alpha2(p^2) = p - 2, alpha2(p^(2j)) = p^(j-2) (p-1)^2 for j >= 2."""
     out = 1
-    for p, e in factor(m).factors:
+    for p, e in factor(m):
         if e & 1:
             return 0
         if e == 2:

@@ -77,8 +77,6 @@ def cmd_trace(args) -> tuple[dict, int]:
         sqf = trace.t_new_squarefree(k, q, m, ell)
         payload["t_new_squarefree"] = sqf
         mismatch = sqf != payload["t_new"]
-    if args.squarefree_Q is not None:
-        payload["t_new_squarefree_Q"] = trace.t_new_squarefree(k, args.squarefree_Q, m, ell)
     if r == 1 and m == 1 and 4 * ell < q:
         fricke = trace.t_full_fricke(k, q, ell)
         payload["t_full_fricke"] = fricke
@@ -162,23 +160,13 @@ def cmd_murmur(args) -> tuple[dict, int]:
 def cmd_twist(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
     types = twist.classify_local_types(q, r)
-    kappas = {}
-    if q != 2:
-        for t in types:
-            try:
-                if r >= 3 and r % 2:
-                    kappas[t] = {"q*": twist.kappa_at_q(q, r, t, "q*"), "other": twist.kappa_at_q(q, r, t, "other")}
-                else:
-                    kappas[t] = twist.kappa_at_q(q, r, t)
-            except ValueError:
-                pass
     payload = {
         "k": k,
         "q": q,
         "r": r,
         "M": m,
         "local_types": list(types),
-        "kappa_at_q": kappas,
+        "kappa_at_q": twist.kappas_at_q(q, r) if q != 2 else {},
         "chi_q_flips_every_type": twist.chi_q_flips_every_type(q, r) if q != 2 else None,
     }
     if r % 2:
@@ -223,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, typ in (("--k", int), ("--q", int), ("--r", int), ("--M", int), ("--ell", int)):
         p.add_argument(flag, type=typ, required=flag != "--r" and flag != "--M" and flag != "--ell")
     p.set_defaults(r=1, M=1, ell=1)
-    p.add_argument("--squarefree-Q", type=int, default=None, help="also evaluate with composite squarefree Q")
     _add_common(p)
     p.set_defaults(fn=cmd_trace)
 

@@ -202,7 +202,7 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
         for q in range(max(1, -(-lo // m)), hi // m + 1):
             if q * m < lo or math.gcd(q, m) != 1 or not is_squarefree(q):
                 continue
-            if spec.omega_q is not None and len(factor(q).factors) != spec.omega_q:
+            if spec.omega_q is not None and len(factor(q)) != spec.omega_q:
                 continue
             out.append((q, m))
     elif spec.kind == "II":
@@ -216,7 +216,7 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
             if spec.m_set != "all":
                 if not is_squarefree(m):
                     continue
-                if want_omega is not None and len(factor(m).factors) != want_omega:
+                if want_omega is not None and len(factor(m)) != want_omega:
                     continue
             out.append((q, m))
     else:
@@ -226,7 +226,7 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
                 continue
             if not is_squarefree(n):
                 continue
-            ps = [p for p, _ in factor(n).factors]
+            ps = [p for p, _ in factor(n)]
             if len(ps) != spec.r or tuple(ps[: len(spec.fixed)]) != spec.fixed:
                 continue
             q = math.prod(ps[i - 1] for i in spec.idx)
@@ -291,7 +291,7 @@ def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
     epsilon assigns +-1 to the primes of n in increasing order and
     epsilon_Q is its product over the primes of Q."""
     out = [(1, 1)]
-    for (p, _), e in zip(factor(n).factors, epsilon, strict=True):
+    for (p, _), e in zip(factor(n), epsilon, strict=True):
         out += [(q * p, s * e) for q, s in out]
     return out
 

@@ -23,7 +23,7 @@ from .arith import is_prime, is_squarefree, kronecker, prime_powers_up_to, prime
 DEFAULT_SEED = 1729
 
 # Covers every discriminant criteria 1-6 and 8 read, so none falls back to
-# per-discriminant form enumeration.  The largest, 247,504, is criterion 4's
+# per-discriminant form enumeration (tests/test_acceptance.py checks this).  The largest, 247,504, is criterion 4's
 # Fricke check (4 * 124 * 499); criterion 5 reads up to 225,548, criterion 8
 # 17,444, criterion 6 15,992 and criteria 2-3 796.  Criterion 9's scans
 # install their own table; criteria 7 and 10 read a few hundred closed-form
@@ -241,11 +241,8 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CheckResult:
     for q in primes_up_to(2000):
         if q == 2:
             continue
-        t1 = trace.t_new_level(4, q, 2)
-        tq = trace.t_new(4, q, 1, 1, 2)
+        plus, minus = (murmur.eigenspace_trace(4, q, murmur.signed_moduli(q, (e,)), 2) for e in (1, -1))
         dv = signs.delta(4, q, 1, 1)
-        assert (t1 + tq) % 2 == 0
-        plus, minus = (t1 + tq) // 2, (t1 - tq) // 2
         if dv == 0:
             continue
         ok = True
@@ -295,6 +292,16 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(7, "r=2 asymptotic ratios", t0, not bad, detail)
 
 
+def _unpaired_ells(k: int, q: int, m: int, chi: twist.TwistCharacter) -> list[int]:
+    """The ell <= 50 coprime to q M with chi(ell) = 1 at which tr T_ell W_q on
+    S_k^new(q M) is nonzero: none, when chi pairs the two W_q eigenspaces."""
+    return [
+        ell
+        for ell in range(1, 51)
+        if math.gcd(ell, q * m) == 1 and chi(ell) == 1 and trace.t_new(k, q, 1, m, ell) != 0
+    ]
+
+
 def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
     """Twist-bijection vanishing for p^3, 2^5, and 2^7 level parts."""
     t0 = time.perf_counter()
@@ -316,10 +323,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
         if not chars or signs.delta(k, q, 1, m) != 0:
             bad.append(("p3-delta", q, p, k))
             continue
-        chi = chars[0]
-        for ell in range(1, 51):
-            if math.gcd(ell, q * m) == 1 and chi(ell) == 1 and trace.t_new(k, q, 1, m, ell) != 0:
-                bad.append(("p3-trace", q, p, k, ell))
+        bad += [("p3-trace", q, p, k, ell) for ell in _unpaired_ells(k, q, m, chars[0])]
     for q in (3, 7, 11, 19, 23, 31):
         k = rng.choice((2, 4, 6))
         chars = twist.quadtwist_characters(k, q, 1, 32)
@@ -327,9 +331,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
             bad.append(("2^5-delta", q, k))
             continue
         chi = [c for c in chars if c.label == "chi_-1"][0]
-        for ell in range(1, 51):
-            if math.gcd(ell, q * 32) == 1 and chi(ell) == 1 and trace.t_new(k, q, 1, 32, ell) != 0:
-                bad.append(("2^5-trace", q, k, ell))
+        bad += [("2^5-trace", q, k, ell) for ell in _unpaired_ells(k, q, 32, chi)]
     for q in (5, 13, 29, 37, 53):
         k = rng.choice((2, 4, 6))
         chars = twist.quadtwist_characters(k, q, 1, 128)
@@ -340,9 +342,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
         for chi in chars:
             if chi.label not in ("chi_2", "chi_-2"):
                 continue
-            for ell in range(1, 51):
-                if math.gcd(ell, q * 128) == 1 and chi(ell) == 1 and trace.t_new(k, q, 1, 128, ell) != 0:
-                    bad.append(("2^7-trace", q, chi.label, k, ell))
+            bad += [("2^7-trace", q, chi.label, k, ell) for ell in _unpaired_ells(k, q, 128, chi)]
     detail = "20 odd-prime pairs + 6 chi_-1 + 5 chi_{+-2} levels, %d failures" % len(bad)
     if bad:
         detail += "; first: %s" % (bad[:3],)

@@ -45,7 +45,7 @@ ZERO_NONE = "none"
 def kappa_minus(delta_arg: int, m: int) -> int:
     """kappa_Delta(m): multiplicative; per prime power see the 4-case table."""
     out = 1
-    for p, e in factor(m).factors:
+    for p, e in factor(m):
         if e == 1:
             f = kronecker(delta_arg, p) - 1
         elif e == 2:
@@ -62,7 +62,7 @@ def kappa_minus(delta_arg: int, m: int) -> int:
 
 def kappa_infty(m: int) -> int:
     out = 1
-    for p, e in factor(m).factors:
+    for p, e in factor(m):
         if e == 1:
             out *= p - 1
         elif e == 2:
@@ -196,12 +196,12 @@ def _b_even(e: int) -> int:
 
 
 def _is_cubefree(m: int) -> bool:
-    return all(e <= 2 for _, e in factor(m).factors)
+    return all(e <= 2 for _, e in factor(m))
 
 
 def _has_split_prime(delta_arg: int, mp: int) -> bool:
     return any(
-        e == 1 and kronecker(delta_arg, p) == 1 for p, e in factor(mp).factors
+        e == 1 and kronecker(delta_arg, p) == 1 for p, e in factor(mp)
     )
 
 
@@ -238,7 +238,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             return res("req1(3)(ii*)", ZERO_SPLIT_PRIME, 0)
         if k2 != 0 and k1 != 0:
             prod = 1
-            for p, ee in factor(m).factors:
+            for p, ee in factor(m):
                 if ee == 2:
                     prod *= kronecker(2, p)
             eps_k = -1 if k % 8 in (0, 2) else 1
@@ -321,7 +321,7 @@ def dim_cusp(k: int, n: int) -> int:
     """dim S_k(Gamma_0(n)) for even k >= 2."""
     if k < 2 or k % 2 or n < 1:
         raise ValueError("need even weight >= 2 and positive level")
-    fac = factor(n).factors
+    fac = factor(n)
     psi = n
     for p, _ in fac:
         psi += psi // p
@@ -384,7 +384,7 @@ def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
     b = _b_even(e)
     coeff = Fraction(c * b * kappa_minus(-1, mp), 4)
     hyp = (_is_cubefree(m) or _is_cubefree(m // 2 if m % 2 == 0 else m)) and not any(
-        ee == 1 and p % 4 == 1 for p, ee in factor(m).factors
+        ee == 1 and p % 4 == 1 for p, ee in factor(m)
     )
     return R2Asymptotics(kinfty, coeff, hyp)
 

@@ -233,7 +233,7 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
     # mod 16), and dividing out squares of the other primes leaves (D|p)
     # unchanged.  At p || m, L_p = chi - 1: the newspace weight xi_p times
     # the local factor of H at p.
-    local = factor(m).factors
+    local = factor(m)
     total = 0
     s = 0
     while s * s * big_q <= 4 * ell:

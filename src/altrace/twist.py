@@ -101,22 +101,29 @@ def kappa_at_q(q: int, r: int, local_type: str, branch: str = "q*") -> int:
     raise ValueError("no ramified twist sign for type %s at level exponent %d" % (local_type, r))
 
 
+def kappas_at_q(q: int, r: int) -> dict[str, int | dict[str, int]]:
+    """kappa_at_q of every local type at exponent r, odd q, keyed by type.
+
+    Empty at r = 1, 2, where the ramified twist changes the level; at odd
+    r >= 3 each value maps the branches "q*" and "other" to their signs.
+    """
+    if q == 2 or not is_prime(q) or r < 1:
+        raise ValueError("need odd q prime and r >= 1")
+    if r < 3:
+        return {}
+    types = classify_local_types(q, r)
+    if r % 2:
+        return {t: {b: kappa_at_q(q, r, t, b) for b in ("q*", "other")} for t in types}
+    return {t: kappa_at_q(q, r, t) for t in types}
+
+
 def chi_q_flips_every_type(q: int, r: int) -> bool:
     """Whether the ramified character at odd q swaps eigenspaces for every
     local type occurring at exponent r.  Always false: either some type has
     kappa = +1, or (r = 1, 2) the ramified twist changes the level."""
-    if q == 2 or not is_prime(q) or r < 1:
-        raise ValueError("need odd q prime and r >= 1")
-    if r < 3:
-        return False
-    types = classify_local_types(q, r)
     kappas = set()
-    for t in types:
-        if r % 2:
-            kappas.add(kappa_at_q(q, r, t, "q*"))
-            kappas.add(kappa_at_q(q, r, t, "other"))
-        else:
-            kappas.add(kappa_at_q(q, r, t))
+    for v in kappas_at_q(q, r).values():
+        kappas.update(v.values() if isinstance(v, dict) else (v,))
     return kappas == {-1}
 
 
@@ -140,7 +147,7 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
     while mm % 2 == 0:
         mm //= 2
         v2 += 1
-    for p, e in factor(mm).factors:
+    for p, e in factor(mm):
         if e >= 3 and kronecker(q, p) == -1:
             out.append(chi_odd(p))
     if v2 >= 5 and q % 4 == 3:

@@ -7,7 +7,19 @@ criterion 9 murmuration fits.
 
 from __future__ import annotations
 
-from altrace import selftest
+import pytest
+
+from altrace import classnum, selftest
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_table_yet():
+    # the criteria install the tables they ask for; a larger one left by an
+    # earlier test would hide a read past selftest._TABLE_BOUND
+    saved = classnum._active_table
+    classnum._active_table = None
+    yield
+    classnum._active_table = saved
 
 
 def _check(fn):
@@ -23,36 +35,46 @@ def _check(fn):
     return result
 
 
+def _check_on_table(fn, monkeypatch):
+    # selftest._TABLE_BOUND claims to cover every class number criteria 1-6
+    # and 8 read, so the per-discriminant fallback must never run
+    def past_the_table(disc):
+        raise AssertionError("H(%d) read past the selftest table" % disc)
+
+    monkeypatch.setattr(classnum, "_hurwitz12_pure", past_the_table)
+    return _check(fn)
+
+
 def test_criterion_01_class_number_oracle():
     _check(selftest.criterion_1)
 
 
-def test_criterion_02_two_path_exactness():
-    _check(selftest.criterion_2)
+def test_criterion_02_two_path_exactness(monkeypatch):
+    _check_on_table(selftest.criterion_2, monkeypatch)
 
 
-def test_criterion_03_theorem_predicates():
-    _check(selftest.criterion_3)
+def test_criterion_03_theorem_predicates(monkeypatch):
+    _check_on_table(selftest.criterion_3, monkeypatch)
 
 
-def test_criterion_04_squarefree_trace_consistency():
-    _check(selftest.criterion_4)
+def test_criterion_04_squarefree_trace_consistency(monkeypatch):
+    _check_on_table(selftest.criterion_4, monkeypatch)
 
 
-def test_criterion_05_small_hecke_sign_correlation():
-    _check(selftest.criterion_5)
+def test_criterion_05_small_hecke_sign_correlation(monkeypatch):
+    _check_on_table(selftest.criterion_5, monkeypatch)
 
 
-def test_criterion_06_eigenspace_trace_signs():
-    _check(selftest.criterion_6)
+def test_criterion_06_eigenspace_trace_signs(monkeypatch):
+    _check_on_table(selftest.criterion_6, monkeypatch)
 
 
 def test_criterion_07_r2_asymptotic_ratios():
     _check(selftest.criterion_7)
 
 
-def test_criterion_08_quadratic_twist_vanishing():
-    _check(selftest.criterion_8)
+def test_criterion_08_quadratic_twist_vanishing(monkeypatch):
+    _check_on_table(selftest.criterion_8, monkeypatch)
 
 
 def test_criterion_09_murmuration_properties():

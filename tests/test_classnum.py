@@ -59,9 +59,10 @@ def test_oracle_agreement_small_range():
 
 
 def test_oracle_single_form_weights():
-    assert classnum.hurwitz_oracle(-3) == Fraction(1, 3)
-    assert classnum.hurwitz_oracle(-4) == Fraction(1, 2)
-    assert classnum.hurwitz_oracle(-23) == 3
+    # in 12ths: H(-3) = 1/3, H(-4) = 1/2, H(-23) = 3
+    assert classnum.hurwitz12_oracle(-3) == 4
+    assert classnum.hurwitz12_oracle(-4) == 6
+    assert classnum.hurwitz12_oracle(-23) == 36
 
 
 def _fundamental_discs(lo):
@@ -203,25 +204,25 @@ def test_table_satisfies_kronecker_hurwitz_relation():
 
 
 def test_alpha1_case_table():
-    # e = 0 is plain H(4d)
-    assert classnum.alpha1(-7, 0) == 2
-    assert classnum.alpha1(-4, 0) == Fraction(3, 2)
-    assert classnum.alpha1(-3, 0) == Fraction(4, 3)
+    # in 12ths throughout; e = 0 is plain H(4d)
+    assert classnum.alpha1_12(-7, 0) == 24
+    assert classnum.alpha1_12(-4, 0) == 18
+    assert classnum.alpha1_12(-3, 0) == 16
     for d in (-7, -15, -31):  # d = 1 mod 8: split at 2, rows 1 <= e <= 3 vanish
         for e in (1, 2, 3):
-            assert classnum.alpha1(d, e) == 0, (d, e)
-        assert classnum.alpha1(d, 4) == -2 * classnum.hurwitz(d)
+            assert classnum.alpha1_12(d, e) == 0, (d, e)
+        assert classnum.alpha1_12(d, 4) == -2 * classnum.hurwitz12(d)
     for d in (-3, -11, -19, -4, -8):
-        h, h4 = classnum.hurwitz(d), classnum.hurwitz(4 * d)
+        h, h4 = classnum.hurwitz12(d), classnum.hurwitz12(4 * d)
         s2 = kronecker(d, 2)
-        assert classnum.alpha1(d, 1) == 2 * h - h4
-        assert classnum.alpha1(d, 2) == 2 * h - h4
-        assert classnum.alpha1(d, 3) == (4 * s2 - 6) * h + h4
-        assert classnum.alpha1(d, 4) == (2 - 4 * s2) * h
-        assert classnum.alpha1(d, 5) == 0
-    assert classnum.alpha1(-11, 1) == -2
-    assert classnum.alpha1(-11, 3) == -6
-    assert classnum.alpha1(-4, 4) == 1
+        assert classnum.alpha1_12(d, 1) == 2 * h - h4
+        assert classnum.alpha1_12(d, 2) == 2 * h - h4
+        assert classnum.alpha1_12(d, 3) == (4 * s2 - 6) * h + h4
+        assert classnum.alpha1_12(d, 4) == (2 - 4 * s2) * h
+        assert classnum.alpha1_12(d, 5) == 0
+    assert classnum.alpha1_12(-11, 1) == -24
+    assert classnum.alpha1_12(-11, 3) == -72
+    assert classnum.alpha1_12(-4, 4) == 12
 
 
 def test_alpha2_multiplicative_and_pinned():

@@ -81,14 +81,6 @@ def test_trace_cross_checks_the_local_factor_kernel_at_non_squarefree_M(capsys, 
     assert code == 1 and payload["cross_path_mismatch"] is True
 
 
-def test_trace_squarefree_Q_option(capsys):
-    code, payload = run_json(
-        capsys, "trace", "--k", "4", "--q", "3", "--ell", "2", "--squarefree-Q", "15"
-    )
-    assert code == 0
-    assert payload["t_new_squarefree_Q"] == trace.t_new_squarefree(4, 15, 1, 2)
-
-
 def test_delta_payload_matches_library(capsys):
     code, payload = run_json(capsys, "delta", "--k", "2", "--q", "5")
     assert code == 0
@@ -332,6 +324,20 @@ def test_single_queries_import_no_numpy_scans_or_selftest():
         assert done.returncode == 0, (argv, done.stderr)
         json.loads(done.stdout)
         assert done.stderr.splitlines()[-1] == "[]", (argv, done.stderr)
+
+
+def test_package_root_imports_no_submodule():
+    probe = (
+        "import sys\n"
+        "import altrace\n"
+        "assert altrace.__version__\n"
+        "print(sorted(m for m in sys.modules if m.startswith('altrace.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_bad_family_string_aborts(capsys):

@@ -271,7 +271,7 @@ def test_eigenspace_partition_and_inversion():
     def wq_sum(pos_mask):
         total = 0
         for n in kept:
-            ps = [p for p, _ in arith.factor(n).factors]
+            ps = [p for p, _ in arith.factor(n)]
             q = math.prod(p for i, p in enumerate(ps) if pos_mask >> i & 1)
             total += trace.t_new_squarefree(spec.k, q, n // q, ell)
         return total

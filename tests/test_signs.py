@@ -87,7 +87,7 @@ def test_dim_formulas_against_known_genera():
 
 def _dim_cusp_reference(k: int, n: int) -> int:
     """dim S_k(Gamma_0(n)) from the genus formula in Fractions."""
-    fac = factor(n).factors
+    fac = factor(n)
     psi = n
     for p, _ in fac:
         psi += psi // p

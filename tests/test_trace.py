@@ -31,7 +31,7 @@ from altrace.arith import (
 def xi(disc: int, m: int) -> Fraction:
     """The local newspace weight xi_disc(m), multiplicative over p | m."""
     out = Fraction(1)
-    for p, _ in factor(m).factors:
+    for p, _ in factor(m):
         out *= _xi_p(disc, p)
         if not out:
             break
@@ -67,7 +67,7 @@ def _t_new_squarefree_reference(k: int, big_q: int, m: int, ell: int) -> tuple[i
         pk = trace.pk_from_s2(k, s * s * big_q, ell)
         w = xi(disc, m)
         if w:
-            square_hit |= any(disc % (p * p) == 0 for p, _ in factor(m).factors)
+            square_hit |= any(disc % (p * p) == 0 for p, _ in factor(m))
         total += weight * pk * w * Fraction(classnum.hurwitz12_ext(disc), 12)
         s += 1
     val = -total / 2
@@ -532,7 +532,7 @@ def test_level_weights_per_prime():
     # the weights are multiplicative over the primes of m
     for m in (12, 360, 2**5 * 27 * 7):
         prod = {1: 1}
-        for p, e in factor(m).factors:
+        for p, e in factor(m):
             cs = dict((t, c) for t, c, _ in trace._level_weights(p**e, True))
             prod = {a * t: ca * c for a, ca in prod.items() for t, c in cs.items()}
         assert {t: c for t, c, _ in trace._level_weights(m, True)} == prod, m
