@@ -9,12 +9,18 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 division, so scans are reproducible across platforms.
 
 scan_WQ and scan_eigenspace walk the window in one loop, ``_scan``: one
-row per level (a group key, the level's trace as a function of ell and its
-count), then one pass over the rows per prime.  They differ only in the
-row.  The joint eigenspace trace is one function, ``eigenspace_trace``,
-which selftest criterion 9 also inverts.  Every row's trace, non-squarefree
-levels included, goes through ``trace.t_new_squarefree``: one class number
-per s.
+row per level (a group key, the signed Atkin-Lehner moduli whose traces it
+averages, and its count), then one pass over the rows per prime.  They
+differ only in the row.  The traces at the scanned primes come from
+``window.TraceWindow``, one numpy pass per batch of primes over every level
+of the window, which equals ``trace.t_new_squarefree`` level by level (one
+class number per s, non-squarefree levels included); the counts at ell = 1
+stay on the per-level kernel.  A kernel replaced on the trace module
+(anything but a functools.wraps wrapper of it) is not the one the engine
+reproduces, so the scans then call it level by level instead
+(``_trace_window``).  The signed mean over the moduli is one
+function, ``_signed_mean``, shared with ``eigenspace_trace``, which
+selftest criterion 9 also inverts.
 
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
@@ -24,16 +30,18 @@ or a square-divisor of it, and for Q = 1 it is at most 4l in size, so
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 from . import classnum, signs, trace
 from .arith import factor, is_prime, is_squarefree, primes_up_to
 
 FAMILY_KINDS = ("I", "II", "III")
+# the per-level kernel window.TraceWindow reproduces
+_BATCHED_KERNEL = trace.t_new_squarefree
 
 
 @dataclass(frozen=True)
@@ -234,17 +242,37 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
     return out
 
 
+def _trace_window(k: int, levels, ell_max: int):
+    """Where a scan reads tr T_ell W_Q at the window's (Q, m) levels for
+    primes ell <= ell_max: a window.TraceWindow while trace.t_new_squarefree
+    is the kernel it reproduces (behind functools.wraps wrappers, such as a
+    profiler's), otherwise a window.LevelWindow calling the installed kernel
+    level by level, so a kernel replaced on the trace module is still the
+    one the scan reads."""
+    from . import window
+
+    kernel = trace.t_new_squarefree
+    if inspect.unwrap(kernel) is _BATCHED_KERNEL:
+        return window.TraceWindow(k, levels, ell_max)
+    return window.LevelWindow(kernel, k, levels)
+
+
 def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> list[MurmurationPoint]:
     """The window walk behind scan_WQ and scan_eigenspace.
 
     levels are the window's (Q, M) pairs, Q the largest Atkin-Lehner modulus
     the level's trace reads, and row(Q, M) gives the level's group key, its
-    trace as a function of ell, and its count (the trace at ell = 1).  The
-    point at ell averages ell^(1-k/2) * trace over the levels ell does not
-    divide, summed per key and weighted by sqrt(key), and divides by their
-    counts.  A prime whose kept levels carry no form gives no point; no_forms
-    is raised if no level of the window carries one.
+    signed moduli [(Q', sign)] (the same number at every level) and its count
+    (the trace at ell = 1).  The level's trace at ell is the signed mean of
+    tr T_ell W_Q' over its moduli, read from one _trace_window per modulus
+    slot.  The point at ell averages ell^(1-k/2) * trace over the
+    levels ell does not divide, summed per key and weighted by sqrt(key),
+    and divides by their counts.  A prime whose kept levels carry no form
+    gives no point; no_forms is raised if no level of the window carries one.
     """
+    # imported here, not with murmur: without cached bytecode it costs a few ms
+    from . import window
+
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     ells = _primes_in(ell_range)
@@ -252,18 +280,25 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     rows = [(q * m, *row(q, m)) for q, m in levels]
     if not any(count for *_, count in rows):
         raise ValueError(no_forms)
+    slots = [
+        _trace_window(spec.k, [(moduli[i][0], n // moduli[i][0]) for n, _, moduli, _ in rows], max(ells))
+        for i in range(len(rows[0][2]))
+    ]
     points = []
-    for ell in ells:
-        groups: dict[int, int] = {}
-        total = 0
-        for n, key, tr, count in rows:
-            if n % ell:
-                groups[key] = groups.get(key, 0) + tr(ell)
-                total += count
-        if total:
-            scale = ell ** (spec.k // 2 - 1)
-            avg = sum(s / scale * math.sqrt(key) for key, s in sorted(groups.items()))
-            points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / total, total))
+    for batch in window.prime_batches(ells, slots):
+        traces = [w.traces(batch) for w in slots]
+        for j, ell in enumerate(batch):
+            groups: dict[int, int] = {}
+            total = 0
+            for i, (n, key, moduli, count) in enumerate(rows):
+                if n % ell:
+                    tr = _signed_mean(n, ell, [(sign, t[j][i]) for (_, sign), t in zip(moduli, traces, strict=True)])
+                    groups[key] = groups.get(key, 0) + tr
+                    total += count
+            if total:
+                scale = ell ** (spec.k // 2 - 1)
+                avg = sum(s / scale * math.sqrt(key) for key, s in sorted(groups.items()))
+                points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / total, total))
     if not points:
         raise ValueError("every prime in the range divides every level of %s that carries a form" % (spec,))
     return points
@@ -279,8 +314,7 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     k = spec.k
 
     def row(q: int, m: int):
-        # looked up on the trace module per scan, so a kernel replaced there is the one called
-        return m, partial(trace.t_new_squarefree, k, q, m), signs.dim_new(k, q * m)
+        return m, [(q, 1)], signs.dim_new(k, q * m)
 
     no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k)
     return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)
@@ -301,22 +335,28 @@ def eigenspace_trace(k: int, n: int, moduli: list[tuple[int, int]], ell: int) ->
     moduli = signed_moduli(n, epsilon): the signed sum of the tr T_ell W_Q,
     divided by their number 2^r.  At ell = 1 it is the eigenspace's
     dimension."""
-    total = 0
-    for q, sign in moduli:
-        if q == 1 and ell == 1:
-            total += sign * signs.dim_new(k, n)
-        else:
-            total += sign * trace.t_new_squarefree(k, q, n // q, ell)
-    assert total % len(moduli) == 0, (n, ell, total)
-    return total // len(moduli)
+    terms = [
+        (sign, signs.dim_new(k, n) if q == 1 and ell == 1 else trace.t_new_squarefree(k, q, n // q, ell))
+        for q, sign in moduli
+    ]
+    return _signed_mean(n, ell, terms)
+
+
+def _signed_mean(n: int, ell: int, terms: list[tuple[int, int]]) -> int:
+    """The sum of sign * trace over the (sign, trace) terms of level n at
+    ell, divided by their number, which must divide it exactly."""
+    total = sum(sign * tr for sign, tr in terms)
+    assert total % len(terms) == 0, (n, ell, total)
+    return total // len(terms)
 
 
 def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: int) -> list[MurmurationPoint]:
     """Average of ell^(1-k/2) a_ell over the joint Atkin-Lehner eigenspace.
 
     epsilon assigns +-1 to each of the r level primes in increasing order;
-    each level's eigenspace trace is eigenspace_trace, counted by the
-    eigenspace's dimension.  Primes dividing every level whose eigenspace
+    each level's eigenspace trace is the signed mean eigenspace_trace takes,
+    over W_Q traces read from one _trace_window per Q-slot, counted by
+    the eigenspace's dimension.  Primes dividing every level whose eigenspace
     is nonzero give no point.  Raises if the window is empty or the
     eigenspace is zero at every level.
     """
@@ -330,7 +370,7 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         moduli = signed_moduli(n, epsilon)
         dim = eigenspace_trace(k, n, moduli, 1)
         assert dim >= 0, (n, dim)
-        return 1, partial(eigenspace_trace, k, n, moduli), dim
+        return 1, moduli, dim
 
     # every subset of a level's primes is a Q, so Q = N is the widest
     levels = _window_levels(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
@@ -414,10 +454,17 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
     A prime whose kept levels (those it does not divide) leave an
     eigenspace empty is dropped; raises if no prime is left.
-    With workers > 1 the primes are measured on that many threads.  The
-    loop is pure Python, so threads are slower than serial; the option
-    stays only because the perfbench scan workload times the 2-thread run.
+    The Q = 1 and Q = N traces come from two _trace_window windows, one numpy
+    pass per batch of primes.  With workers > 1 the batches (never single
+    primes) are measured on that many threads.  numpy releases the
+    interpreter lock only inside each array operation, so threads gain
+    little: on a 2-vCPU VM, not counting the table, cancellation_diag(2, 500)
+    takes about 0.55 s serial and 0.45 s on 2 threads, and (2, 100) about
+    15-20 ms serial and 20-30 ms on 2 threads.  The option stays because
+    the perfbench scan workload times the 2-thread run.
     """
+    from . import window
+
     ells = _primes_in((X // 2, 2 * X))
     lo, hi = X, 2 * X
     levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
@@ -427,29 +474,34 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
 
     # dim S^new(n) and tr W_n on it do not depend on ell
     per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]
+    plain = _trace_window(k, [(1, n) for n in levels], max(ells))
+    fricke = _trace_window(k, [(n, 1) for n in levels], max(ells))
 
-    def measure(ell: int) -> tuple[float, float, int] | None:
-        s1 = sn = d1 = dn = 0
-        for n, dim, fricke in per_level:
-            if n % ell == 0:
-                continue
-            s1 += trace.t_new_squarefree(k, 1, n, ell)
-            sn += trace.t_new_squarefree(k, n, 1, ell)
-            d1 += dim
-            dn += fricke
-        if d1 + dn == 0 or d1 - dn == 0:
-            return None  # the levels ell divides held every form of one eigenspace
-        scale = 2 * ell ** (k // 2 - 1)
-        plus = (s1 + sn) / scale / ((d1 + dn) // 2)
-        minus = (s1 - sn) / scale / ((d1 - dn) // 2)
-        return abs(plus + minus), abs(plus - minus), ell
+    def measure(batch: list[int]) -> list[tuple[float, float, int]]:
+        out = []
+        # the windows' traces are 0 at the levels ell divides
+        for ell, t1, tn in zip(batch, plain.traces(batch), fricke.traces(batch)):
+            s1, sn = sum(t1), sum(tn)
+            d1 = dn = 0
+            for n, dim, tr_w in per_level:
+                if n % ell:
+                    d1 += dim
+                    dn += tr_w
+            if d1 + dn == 0 or d1 - dn == 0:
+                continue  # the levels ell divides held every form of one eigenspace
+            scale = 2 * ell ** (k // 2 - 1)
+            plus = (s1 + sn) / scale / ((d1 + dn) // 2)
+            minus = (s1 - sn) / scale / ((d1 - dn) // 2)
+            out.append((abs(plus + minus), abs(plus - minus), ell))
+        return out
 
+    batches = window.prime_batches(ells, (plain, fricke))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(measure, ells))
+            parts = list(pool.map(measure, batches))
     else:
-        rows = [measure(ell) for ell in ells]
-    rows = [r for r in rows if r is not None]
+        parts = [measure(batch) for batch in batches]
+    rows = [r for part in parts for r in part]
     if not rows:
         raise ValueError("an eigenspace is empty over [%d, %d] at every prime" % (lo, hi))
     best = max(rows, key=lambda r: r[0])

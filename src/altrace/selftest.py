@@ -118,13 +118,13 @@ def sweep(k_range: tuple[int, int], qr_max: int, m_max: int) -> SweepResult:
 @cache
 def _theorem_grid() -> SweepResult:
     """The grid of criteria 2 and 3, walked once for both."""
-    classnum.get_table(_TABLE_BOUND)
     return sweep((2, 14), 200, 300)
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form delta equals the divisor-sum trace at ell = 1."""
     t0 = time.perf_counter()
+    classnum.get_table(_TABLE_BOUND)
     grid = _theorem_grid()
     bad = [x for x in grid.mismatches if x[0] == "two-path"]
     elapsed = time.perf_counter() - t0
@@ -144,6 +144,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
     corrected list.
     """
     t0 = time.perf_counter()
+    classnum.get_table(_TABLE_BOUND)
     grid = _theorem_grid()
     bad = [x for x in grid.mismatches if x[0] != "two-path"]
     list1 = [q for q in range(5, 201) if is_prime(q) and signs.delta(2, q, 1, 1) == 0]

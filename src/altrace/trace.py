@@ -8,10 +8,13 @@ c_t (1 on the full space; the (mu*mu) newspace projection of that for
 per-discriminant sum is memoized.  ``t_new_squarefree`` is the independent
 one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
 cofactor: the divisor sum over t factors into closed local factors at the
-primes of the cofactor, so every level costs one class number per s.  The
-murmuration scans read only this kernel; the divisor sums stay as its
-check.  ``t_full_fricke`` is the single-term shortcut for the Fricke
-involution when the Hecke index is small against the level.
+primes of the cofactor, so every level costs one class number per s.
+``window.TraceWindow`` evaluates that kernel for a whole window of levels
+and a batch of primes in one numpy pass; the murmuration scans read their
+traces from it, ``t_new_squarefree`` stays its per-level reference, and the
+divisor sums stay the check of both.  ``t_full_fricke`` is the single-term
+shortcut for the Fricke involution when the Hecke index is small against
+the level.
 
 All arguments are plain ints; results are exact ints (an AssertionError
 here means a genuine formula bug, not roundoff).

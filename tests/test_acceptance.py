@@ -12,10 +12,10 @@ import pytest
 from altrace import classnum, selftest
 
 
-@pytest.fixture(scope="module", autouse=True)
+@pytest.fixture(autouse=True)
 def no_table_yet():
-    # the criteria install the tables they ask for; a larger one left by an
-    # earlier test would hide a read past selftest._TABLE_BOUND
+    # each criterion installs the table it reads: a table left by an earlier
+    # test or criterion would hide a read past selftest._TABLE_BOUND
     saved = classnum._active_table
     classnum._active_table = None
     yield

@@ -340,6 +340,17 @@ def test_package_root_imports_no_submodule():
     assert done.stdout.strip() == "[]", done.stdout
 
 
+def test_scan_trace_and_window_modules_import_no_numpy():
+    # the batched trace engine imports numpy when a window is built, not
+    # when the module is
+    probe = "import sys\nimport altrace.murmur, altrace.trace, altrace.window\nprint('numpy' in sys.modules)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False", done.stdout
+
+
 def test_bad_family_string_aborts(capsys):
     with pytest.raises(SystemExit):
         cli.main(["murmur", "--family", "IV:M=1", "--X", "10", "--ell-max", "7"])

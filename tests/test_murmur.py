@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import random
 from fractions import Fraction
@@ -149,8 +150,9 @@ def test_scan_matches_hand_sum_kind_II_prime_Q():
 
 @pytest.mark.parametrize("family, X", [("II:Q=1,M=all", 24), ("II:Q=3,M=all", 24), ("I:M=4,omega=1", 60)])
 def test_non_squarefree_scans_read_only_the_local_factor_kernel(monkeypatch, family, X):
-    # every row, non-squarefree levels included, goes through
-    # t_new_squarefree; the divisor sums recompute the points row by row
+    # every row, non-squarefree levels included, reads its traces from
+    # window.TraceWindow, the batched local-factor kernel; the divisor sums
+    # recompute the points row by row
     spec = parse_family(family, k=4)
     ells = [2, 5, 7, 11, 13]
     levels = murmur._window_levels(spec, X)
@@ -174,6 +176,117 @@ def test_non_squarefree_scans_read_only_the_local_factor_kernel(monkeypatch, fam
     monkeypatch.setattr(trace, "t_new_level", forbidden)
     got = murmur.scan_WQ(spec, ells, X)
     assert [(p.ell, p.average, p.count) for p in got] == expect
+
+
+def _per_level_walk(spec, levels, ells, X, key, trace_at, count):
+    """The scan loop level by level, with each trace from the per-level
+    kernel: the points scan_WQ and scan_eigenspace must reproduce exactly."""
+    points = []
+    for ell in ells:
+        groups, total = {}, 0
+        for q, m in levels:
+            if (q * m) % ell:
+                groups[key(q, m)] = groups.get(key(q, m), 0) + trace_at(q, m, ell)
+                total += count(q, m)
+        if total:
+            scale = ell ** (spec.k // 2 - 1)
+            avg = sum(s / scale * math.sqrt(k) for k, s in sorted(groups.items()))
+            points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / total, total))
+    return points
+
+
+@pytest.mark.parametrize(
+    "family, k, X",
+    [("I:M=1", 2, 80), ("III:r=2,idx=1,2", 4, 80), ("II:Q=1,M=all", 2, 40), ("III:r=2", 2, 80)],
+)
+def test_scan_points_equal_the_per_level_walk(family, k, X):
+    # the benchmark's four scan families at reduced X: the batched traces
+    # must give bit-identical points, not merely close ones
+    spec = parse_family(family, k=k)
+    ells = arith.primes_up_to(X // 4)
+    if family == "III:r=2":
+        eps = (1, -1)
+        moduli = {n: murmur.signed_moduli(n, eps) for n in (q * m for q, m in murmur._window_levels(spec, X))}
+        levels = [(1, n) for n in moduli]
+        got = murmur.scan_eigenspace(spec, eps, (2, X // 4), X)
+        expect = _per_level_walk(
+            spec, levels, ells, X, lambda q, m: 1,
+            lambda q, m, ell: murmur.eigenspace_trace(k, m, moduli[m], ell),
+            lambda q, m: murmur.eigenspace_trace(k, m, moduli[m], 1),
+        )
+    else:
+        levels = murmur._window_levels(spec, X)
+        got = murmur.scan_WQ(spec, (2, X // 4), X)
+        expect = _per_level_walk(
+            spec, levels, ells, X, lambda q, m: m,
+            lambda q, m, ell: trace.t_new_squarefree(k, q, m, ell),
+            lambda q, m: signs.dim_new(k, q * m),
+        )
+    assert got == expect
+
+
+def test_cancellation_equals_the_per_level_sums():
+    # the same float expression over per-level kernel sums, compared with ==
+    X, k = 60, 2
+    levels = [n for n in range(X, 2 * X + 1) if arith.is_squarefree(n)]
+    rows = []
+    for ell in (p for p in arith.primes_up_to(2 * X) if p >= X // 2):
+        s1 = sn = d1 = dn = 0
+        for n in levels:
+            if n % ell:
+                s1 += trace.t_new_squarefree(k, 1, n, ell)
+                sn += trace.t_new_squarefree(k, n, 1, ell)
+                d1 += signs.dim_new(k, n)
+                dn += trace.t_new_squarefree(k, n, 1, 1)
+        if d1 + dn and d1 - dn:
+            plus = (s1 + sn) / 2 / ((d1 + dn) // 2)
+            minus = (s1 - sn) / 2 / ((d1 - dn) // 2)
+            rows.append((abs(plus + minus), abs(plus - minus), ell))
+    best = max(rows, key=lambda r: r[0])
+    expect = murmur.CancellationReport(k, X, best[0], max(r[1] for r in rows), best[2])
+    assert murmur.cancellation_diag(k, X) == expect
+    assert murmur.cancellation_diag(k, X, workers=2) == expect
+
+
+def test_scans_call_a_replaced_kernel_level_by_level(monkeypatch):
+    # the engine reproduces only the library's kernel: behind a functools.wraps
+    # wrapper (a profiler's) the scans keep it, and any other kernel installed
+    # on the trace module is called level by level, errors included
+    real = trace.t_new_squarefree
+    spec = parse_family("III:r=2,idx=1,2", k=4)
+    scans = (
+        lambda: murmur.scan_WQ(parse_family("I:M=1", k=2), (2, 20), 40),
+        lambda: murmur.scan_eigenspace(spec, (1, -1), (2, 20), 60),
+        lambda: murmur.cancellation_diag(2, 40),
+        lambda: murmur.cancellation_diag(2, 40, workers=2),
+    )
+    want = [scan() for scan in scans]
+    ells = []
+
+    @functools.wraps(real)
+    def profiled(k, q, m, ell):
+        ells.append(ell)
+        return real(k, q, m, ell)
+
+    monkeypatch.setattr(trace, "t_new_squarefree", profiled)
+    assert [scan() for scan in scans] == want
+    assert set(ells) == {1}
+
+    def plain(k, q, m, ell):
+        ells.append(ell)
+        return real(k, q, m, ell)
+
+    monkeypatch.setattr(trace, "t_new_squarefree", plain)
+    assert [scan() for scan in scans] == want
+    assert 19 in ells
+
+    def wrong(k, q, m, ell):
+        return real(k, q, m, ell) + (q * m == 41)
+
+    monkeypatch.setattr(trace, "t_new_squarefree", wrong)
+    got = murmur.scan_WQ(parse_family("I:M=1", k=2), (2, 20), 40)
+    assert [p.ell for p in got] == [p.ell for p in want[0]]
+    assert all(g.average != w.average for g, w in zip(got, want[0]))
 
 
 def test_scan_drops_primes_dividing_all_levels():
