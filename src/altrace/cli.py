@@ -160,6 +160,7 @@ def cmd_murmur(args) -> tuple[dict, int]:
 def cmd_twist(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
     types = twist.classify_local_types(q, r)
+    signs._check_delta_args(k, q, r, m)  # quadtwist_characters checks k and M only at odd r
     payload = {
         "k": k,
         "q": q,
@@ -260,7 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
+        # bad input: a domain error, an unwritable output path, a zero denominator in --beta
         parser.error(str(exc))
         return 2
     print(_render(payload, args.json))

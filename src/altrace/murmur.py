@@ -49,18 +49,12 @@ class FamilySpec:
     """Arithmetically compatible family of (level, AL-modulus) pairs.
 
     kind I   : M fixed, Q ranges over squarefree integers coprime to M
-               (optionally with omega(Q) = omega_q prime factors).  A
-               non-squarefree M needs omega_q = 1.
+               (optionally with omega(Q) = omega_q prime factors).
     kind II  : Q fixed squarefree, M ranges over m_set ("all", "sqf", or
                "sqf<r>" for squarefree with exactly r prime factors).
-               m_set="all" needs Q prime or 1.
     kind III : N squarefree with exactly r prime factors, the smallest
                len(fixed) of which are the fixed primes; Q is the product
                of the primes at the 1-based sorted positions in idx.
-
-    The restrictions on kinds I and II keep out composite Q at
-    non-squarefree levels: the trace kernel covers them, but that trace has
-    no independent check yet (ROADMAP item G).
     """
 
     kind: str
@@ -86,8 +80,6 @@ class FamilySpec:
                 raise ValueError("kind I needs fixed M >= 1")
             if self.omega_q is not None and self.omega_q < 1:
                 raise ValueError("omega restriction must be >= 1")
-            if self.omega_q != 1 and not is_squarefree(self.m):
-                raise ValueError("kind I with a non-squarefree M needs omega=1 (Q prime)")
         elif self.kind == "II":
             if self.q < 1 or not is_squarefree(self.q):
                 raise ValueError("kind II needs squarefree Q >= 1")
@@ -95,8 +87,6 @@ class FamilySpec:
                 self.m_set == "sqf" or (self.m_set.startswith("sqf") and self.m_set[3:].isdigit())
             ):
                 raise ValueError("M set must be 'all', 'sqf', or 'sqf<r>'")
-            if self.m_set == "all" and self.q != 1 and not is_prime(self.q):
-                raise ValueError("kind II with M ranging over all integers needs Q prime or 1")
         else:
             if self.r < 1:
                 raise ValueError("kind III needs r >= 1")
@@ -520,11 +510,8 @@ def emit(series: dict[str, list[MurmurationPoint]], stem: str, spec: FamilySpec)
     """Write each labelled series of the scan of spec to stem.csv, one row
     per point under the family "<spec>#<label>", and to a standalone SVG
     scatter, stem.svg, one colour per series."""
-    try:
-        _emit_csv(series, stem + ".csv", spec)
-        _emit_svg(series, stem + ".svg")
-    except OSError as exc:
-        raise OSError("cannot write %s.csv/.svg: %s" % (stem, exc)) from exc
+    _emit_csv(series, stem + ".csv", spec)
+    _emit_svg(series, stem + ".svg")
 
 
 def _emit_csv(series, path, spec):

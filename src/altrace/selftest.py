@@ -83,6 +83,8 @@ def sweep(k_range: tuple[int, int], qr_max: int, m_max: int) -> SweepResult:
     k_lo, k_hi = k_range
     if k_lo % 2 or k_hi % 2 or not 2 <= k_lo <= k_hi:
         raise ValueError("k_range needs even bounds 2 <= lo <= hi, got %d %d" % (k_lo, k_hi))
+    if qr_max < 2 or m_max < 1:
+        raise ValueError("empty grid: need qr_max >= 2 and M_max >= 1, got %d %d" % (qr_max, m_max))
     mismatches = []
     case_tags, verdicts = Counter(), Counter()
     covered = checked = 0
@@ -166,15 +168,18 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
-    """The squarefree-Q kernel against the divisor sum at prime q and every
-    cofactor M, and full-space Fricke agreement."""
+    """The squarefree-Q kernel against the divisor sum at every squarefree
+    Q >= 2, prime or composite, and every cofactor M, and full-space Fricke
+    agreement."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
     bad = []
     checked = 0
-    for q in primes_up_to(300):
+    for q in range(2, 301):
+        if not is_squarefree(q):
+            continue
         for m in range(1, 300 // q + 1):
-            if m % q == 0:
+            if math.gcd(m, q) != 1:
                 continue
             for ell in (1, 2, 3, 5, 7):
                 if math.gcd(ell, q * m) != 1:

@@ -2,7 +2,9 @@
 
 ``t_full``/``t_new`` evaluate tr T_l W_{q^r} on the full cuspform space and
 the newspace of level q^r * M via elliptic/hyperbolic/parabolic divisor sums
-over weighted class numbers H_t.  Both sum over t | M with per-level weights
+over weighted class numbers H_t.  The modulus q^r is any squarefree q >= 2
+at r = 1, a prime power at r >= 2, and 1 at r = 0 (the plain trace on level
+M; ``t_new_level``).  Both sum over t | M with per-level weights
 c_t (1 on the full space; the (mu*mu) newspace projection of that for
 ``t_new``), cached per M, so each s is visited once per level and no
 per-discriminant sum is memoized.  ``t_new_squarefree`` is the independent
@@ -57,15 +59,21 @@ def pk_from_s2(k: int, s2: int, ell: int) -> int:
 
 
 def _check_common(k: int, q: int, r: int, m: int, ell: int) -> None:
+    # q = 1 at r = 1 is refused: that branch has no hyperbolic term, so it
+    # would return a wrong plain trace; at r = 0, q is not read
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
-    if not is_prime(q):
-        raise ValueError("q must be prime, got %r" % (q,))
     if r < 0:
         raise ValueError("r must be >= 0, got %r" % (r,))
+    if q < 1:
+        raise ValueError("q must be positive, got %r" % (q,))
+    if r == 1 and (q == 1 or not is_squarefree(q)):
+        raise ValueError("q must be squarefree and >= 2 at r = 1, got %r" % (q,))
+    if r >= 2 and not is_prime(q):
+        raise ValueError("q must be prime at r >= 2, got %r" % (q,))
     if m < 1 or ell < 1:
         raise ValueError("level cofactor and Hecke index must be positive")
-    if m % q == 0:
+    if math.gcd(m, q) != 1:
         raise ValueError("cofactor M must be coprime to q")
     if math.gcd(ell, q * m) != 1:
         raise ValueError("Hecke index must be coprime to the level")
@@ -155,14 +163,7 @@ def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
 
 def t_new_level(k: int, n: int, ell: int = 1) -> int:
     """tr T_l on S_k^new(n), for (l, n) = 1."""
-    if math.gcd(n, ell) != 1:
-        raise ValueError("Hecke index must be coprime to the level")
-    q = 2
-    while n % q == 0 or ell % q == 0:
-        q += 1
-        while not is_prime(q):
-            q += 1
-    return t_new(k, q, 0, n, ell)
+    return t_new(k, 1, 0, n, ell)
 
 
 # ---------------------------------------------------------------------------

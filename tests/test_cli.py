@@ -65,12 +65,17 @@ def test_trace_cross_checks_every_path(capsys):
     assert payload["t_new_squarefree"] == 2
     assert payload["t_full_fricke"] == 2  # 4 ell < N, so the Fricke path runs
     assert payload["cross_path_mismatch"] is False
+    # a composite modulus at r = 1 runs the same three paths
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "30", "--ell", "7")
+    assert code == 0
+    assert payload["t_new"] == payload["t_new_squarefree"] == payload["t_full_fricke"] == 28
+    assert payload["cross_path_mismatch"] is False
 
 
 @pytest.mark.parametrize("m", [12, 27, 32])
 def test_trace_cross_checks_the_local_factor_kernel_at_non_squarefree_M(capsys, monkeypatch, m):
     # every r = 1 query compares the kernel against the divisor sum
-    for k, q, ell in ((2, 5, 7), (4, 7, 1), (6, 11, 25)):
+    for k, q, ell in ((2, 5, 7), (4, 7, 1), (6, 11, 25), (4, 35, 11)):
         code, payload = run_json(capsys, "trace", "--k", str(k), "--q", str(q), "--M", str(m), "--ell", str(ell))
         assert code == 0
         assert payload["t_new_squarefree"] == payload["t_new"] == trace.t_new(k, q, 1, m, ell)
@@ -103,6 +108,15 @@ def test_twist_payload(capsys):
     assert payload["quadtwist_bijection"] == "chi_3"
     assert payload["delta"] == 0  # twisting bijection forces a balanced space
     assert payload["chi_q_flips_every_type"] is False
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_twist_checks_weight_and_cofactor_at_every_exponent(capsys, r):
+    for k, m, message in ((5, 1, "weight must be an even integer"), (4, 3, "coprime to q")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["twist", "--q", "3", "--r", str(r), "--k", str(k), "--M", str(m)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_twist_even_exponent_kappas(capsys):
@@ -211,8 +225,20 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
         pytest.param(["classnum", "5"], "need a negative discriminant (0 or 1 mod 4), got 5", id="disc-positive"),
         pytest.param(["classnum", "--", "-5"], "need a negative discriminant (0 or 1 mod 4), got -5", id="disc-mod-4"),
         pytest.param(["equidist-sweep", "--k-range", "3", "5"], "k_range needs even bounds", id="odd-k-range"),
+        pytest.param(["equidist-sweep", "--qr-max", "1"], "empty grid", id="sweep-no-modulus"),
+        pytest.param(["equidist-sweep", "--M-max", "0"], "empty grid", id="sweep-no-cofactor"),
         pytest.param(["murmur", "--family", "I:M=0", "--X", "10", "--ell-max", "7"], "fixed M >= 1", id="family"),
         pytest.param(["murmur", "--family", "I:M=1", "--beta", "abc", "--X", "10", "--ell-max", "7"], "'abc'", id="beta"),
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--beta", "1/0", "--X", "10", "--ell-max", "7"],
+            "Fraction(1, 0)",
+            id="beta-zero-denominator",
+        ),
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--X", "10", "--ell-max", "7", "--out", "nodir/x"],
+            "No such file or directory",
+            id="out-in-missing-dir",
+        ),
         pytest.param([*MURMUR_III, "--eigenspace", "+x"], "epsilon must be a +-1 vector", id="eps-char"),
         pytest.param([*MURMUR_III, "--eigenspace="], "epsilon must be a +-1 vector", id="eps-empty"),
         pytest.param([*MURMUR_III, "--eigenspace=--"], "epsilon must be a +-1 vector", id="eps-dashes"),
@@ -275,6 +301,30 @@ def test_trace_rejects_a_negative_exponent(capsys):
         cli.main(["trace", "--k", "2", "--q", "3", "--r", "-1"])
     assert exc.value.code == 2
     assert "r must be >= 0" in capsys.readouterr().err
+
+
+def test_murmur_output_dir_below_a_file_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "afile").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--output-dir", str(tmp_path / "afile" / "sub"), *MURMUR_III])
+    assert exc.value.code == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "q, r, m, message",
+    [
+        (1, 1, 1, "squarefree and >= 2 at r = 1, got 1"),
+        (12, 1, 1, "squarefree and >= 2 at r = 1, got 12"),
+        (6, 2, 1, "prime at r >= 2, got 6"),
+        (6, 1, 4, "cofactor M must be coprime to q"),
+    ],
+)
+def test_trace_rejects_a_bad_modulus(capsys, q, r, m, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "--k", "2", "--q", str(q), "--r", str(r), "--M", str(m), "--ell", "7"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_trace_rejects_hecke_index_sharing_a_prime_with_M(capsys):

@@ -61,14 +61,12 @@ def test_parse_family_rejects_malformed():
 def test_family_validation():
     with pytest.raises(ValueError, match="squarefree Q"):
         FamilySpec("II", q=4)
-    with pytest.raises(ValueError, match="Q prime or 1"):
-        FamilySpec("II", q=6, m_set="all")
-    FamilySpec("II", q=6, m_set="sqf")  # fine once M is restricted
-    with pytest.raises(ValueError, match="needs omega=1"):
-        FamilySpec("I", m=4)
-    with pytest.raises(ValueError, match="needs omega=1"):
-        parse_family("I:M=12,omega=2")
-    FamilySpec("I", m=4, omega_q=1)  # fine once Q is prime
+    # composite Q at non-squarefree levels: the kernel has the divisor sum as its twin
+    FamilySpec("II", q=6, m_set="all")
+    FamilySpec("II", q=6, m_set="sqf")
+    FamilySpec("I", m=4)
+    parse_family("I:M=12,omega=2")
+    FamilySpec("I", m=4, omega_q=1)
     with pytest.raises(ValueError, match="strictly increasing primes"):
         FamilySpec("III", r=2, fixed=(3, 2))
     with pytest.raises(ValueError, match="strictly increasing primes"):
@@ -148,7 +146,11 @@ def test_scan_matches_hand_sum_kind_II_prime_Q():
     )
 
 
-@pytest.mark.parametrize("family, X", [("II:Q=1,M=all", 24), ("II:Q=3,M=all", 24), ("I:M=4,omega=1", 60)])
+@pytest.mark.parametrize(
+    "family, X",
+    # II:Q=6 at X = 24 has only the cofactors 5 and 7; X = 150 reaches 25 and 49
+    [("II:Q=1,M=all", 24), ("II:Q=3,M=all", 24), ("I:M=4,omega=1", 60), ("II:Q=6,M=all", 150), ("I:M=4", 60)],
+)
 def test_non_squarefree_scans_read_only_the_local_factor_kernel(monkeypatch, family, X):
     # every row, non-squarefree levels included, reads its traces from
     # window.TraceWindow, the batched local-factor kernel; the divisor sums

@@ -367,9 +367,9 @@ def test_local_factor_kernel_matches_divisor_sum_at_q_one(k, base, c, ell):
 @example(4, (3, 5), 8, 1)
 @example(2, (2, 11), 9, 13)
 def test_composite_q_kernel_gives_integral_eigenspaces(k, qs, m, ell):
-    # composite Q with non-squarefree m has no divisor-sum twin, so only a
-    # necessary condition: every joint W_q1, W_q2 eigenspace of
-    # S_k^new(q1 q2 m) has an integer trace of T_ell, and a dimension >= 0
+    # what the equalities with the divisor sum do not check: every joint
+    # W_q1, W_q2 eigenspace of S_k^new(q1 q2 m) has an integer trace of
+    # T_ell, and a dimension >= 0
     q1, q2 = qs
     n = q1 * q2 * m
     assume(math.gcd(q1 * q2, m) == 1 and math.gcd(ell, n) == 1)
@@ -382,6 +382,58 @@ def test_composite_q_kernel_gives_integral_eigenspaces(k, qs, m, ell):
             total = t1 + e1 * t_q1 + e2 * t_q2 + e1 * e2 * t_q12
             assert total % 4 == 0, (k, qs, m, ell, e1, e2, total)
             assert ell > 1 or total >= 0, (k, qs, m, e1, e2, total)
+
+
+# composite squarefree Q, some with the prime 2, paired with the squareful
+# cofactors coprime to them
+_COMPOSITE_Q = [6, 10, 14, 15, 21, 22, 30, 35, 42, 55, 77, 105, 210]
+_COMPOSITE_Q_COFACTORS = [(q, m) for q in _COMPOSITE_Q for m in _SQUAREFUL if math.gcd(q, m) == 1]
+
+
+@given(
+    st.sampled_from([2, 4, 6, 8]),
+    st.sampled_from(_COMPOSITE_Q_COFACTORS),
+    st.sampled_from([1, 1, 11, 13, 17]),
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 4, 9, 25, 49, 15, 21, 35, 77, 8, 27, 121]),
+)
+@example(2, (6, 25), 1, 1)
+@example(4, (10, 27), 1, 7)
+@example(6, (35, 36), 1, 11)
+@example(2, (30, 49), 1, 13)
+def test_divisor_sum_matches_local_factor_kernel_at_composite_q(k, q_base, c, ell):
+    q, base = q_base
+    m = base * c
+    assume(math.gcd(m, q) == 1 and math.gcd(ell, q * m) == 1)
+    assert trace.t_new(k, q, 1, m, ell) == trace.t_new_squarefree(k, q, m, ell), (k, q, m, ell)
+
+
+def test_full_space_trace_at_composite_q():
+    # M = 1: the Fricke shortcut; M > 1: the full space is the newspaces of
+    # the levels Q d, d | M, each with sigma_0(M / d) old copies, on which
+    # W_Q acts as on the newforms (W_Q fixes every Q-part of the level)
+    for q in (6, 10, 15, 30, 42, 105, 210, 330, 390):
+        for ell in range(1, (q - 1) // 4 + 1):
+            if math.gcd(ell, q) == 1:
+                for k in (2, 4):
+                    assert trace.t_full(k, q, 1, 1, ell) == trace.t_full_fricke(k, q, ell), (k, q, ell)
+    for k, q, m, ell in ((2, 6, 25, 7), (4, 10, 9, 1), (2, 15, 8, 7), (6, 35, 12, 1), (4, 30, 49, 11)):
+        old = sum(len(divisors(m // d)) * trace.t_new(k, q, 1, d, ell) for d in divisors(m))
+        assert trace.t_full(k, q, 1, m, ell) == old, (k, q, m, ell)
+
+
+def test_atkin_lehner_modulus_rule():
+    # r = 0: q is not read; r = 1: squarefree q >= 2; r >= 2: prime q
+    assert trace.t_new(2, 1, 0, 11, 2) == trace.t_new(2, 5, 0, 11, 2) == -2
+    assert trace.t_new(2, 6, 1, 5, 7) == trace.t_new_squarefree(2, 6, 5, 7)
+    for fn in (trace.t_full, trace.t_new):
+        with pytest.raises(ValueError, match="squarefree and >= 2 at r = 1, got 1"):
+            fn(2, 1, 1, 11, 2)  # no hyperbolic term at r = 1: it would be a wrong plain trace
+        with pytest.raises(ValueError, match="squarefree and >= 2 at r = 1, got 12"):
+            fn(2, 12, 1, 5, 7)
+        with pytest.raises(ValueError, match="prime at r >= 2, got 6"):
+            fn(2, 6, 2, 5, 7)
+        with pytest.raises(ValueError, match="cofactor M must be coprime to q"):
+            fn(2, 6, 1, 4, 5)  # 4 is no multiple of 6, but shares the prime 2
 
 
 def test_local_factor_kernel_shares_no_code_with_the_divisor_sums(monkeypatch):

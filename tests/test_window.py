@@ -28,10 +28,12 @@ _WINDOW_FAMILIES = (
     "I:M=6,omega=2",
     "I:M=4,omega=1",
     "I:M=9,omega=1",
+    "I:M=4",
     "II:Q=1,M=all",
     "II:Q=2,M=all",
     "II:Q=3,M=all",
     "II:Q=5,M=all",
+    "II:Q=6,M=all",
     "II:Q=6,M=sqf",
     "III:r=2,idx=1",
     "III:r=2,idx=1,2",
