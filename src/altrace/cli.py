@@ -14,6 +14,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import classnum, signs, trace, twist
+from .arith import divisors
 
 
 def _jsonable(obj):
@@ -72,11 +73,21 @@ def cmd_trace(args) -> tuple[dict, int]:
         "t_full": trace.t_full(k, q, r, m, ell),
         "t_new": trace.t_new(k, q, r, m, ell),
     }
-    mismatch = False
     if r == 1:
         sqf = trace.t_new_squarefree(k, q, m, ell)
         payload["t_new_squarefree"] = sqf
         mismatch = sqf != payload["t_new"]
+    else:
+        # S_k(q^r M) is the sum of the newspaces at the levels q^j d, d | M,
+        # each sigma_0(M / d) times; W_{q^r} has trace 0 on the old copies
+        # from q^j unless j = r mod 2 (j = 0 is the plain trace at level d)
+        old = sum(
+            len(divisors(m // d)) * trace.t_new(k, q, j, d, ell)
+            for j in range(r % 2, r + 1, 2)
+            for d in divisors(m)
+        )
+        payload["t_full_from_newspaces"] = old
+        mismatch = old != payload["t_full"]
     if r == 1 and m == 1 and 4 * ell < q:
         fricke = trace.t_full_fricke(k, q, ell)
         payload["t_full_fricke"] = fricke
@@ -182,7 +193,7 @@ def cmd_twist(args) -> tuple[dict, int]:
 def cmd_selftest(args) -> tuple[dict, int]:
     from . import selftest
 
-    results = selftest.run_all(seed=selftest.DEFAULT_SEED if args.seed is None else args.seed)
+    results = selftest.run_all()
     print(selftest.format_results(results), file=sys.stderr)
     payload = {
         "results": [asdict(r) for r in results],
@@ -200,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "III:r=<r>,fixed=<p1,p2,...>,idx=<i1,...>",
     )
     parser.add_argument("--output-dir", default=".")
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampled spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classnum", help="Hurwitz class number with oracle cross-check")

@@ -438,7 +438,7 @@ class CancellationReport:
 
 
 def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
-    """Compare |A+ + A-| against |A+ - A-| for the squarefree levels in [X, 2X].
+    """Compare |A+ + A-| against |A+ - A-| for the squarefree levels in [X, 2X], X >= 2.
 
     A^+- are the unweighted averages over the two Fricke eigenspaces,
     reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
@@ -456,6 +456,8 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     from . import window
 
     ells = _primes_in((X // 2, 2 * X))
+    if X < 2:
+        raise ValueError("cancellation_diag needs X >= 2, got X = %d" % X)
     lo, hi = X, 2 * X
     levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
     if not levels:

@@ -10,7 +10,6 @@ command line and the test suite can never drift apart; ``sweep`` is the one
 from __future__ import annotations
 
 import math
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -20,12 +19,10 @@ from functools import cache
 from . import classnum, murmur, signs, trace, twist
 from .arith import is_prime, is_squarefree, kronecker, prime_powers_up_to, primes_up_to
 
-DEFAULT_SEED = 1729
-
 # Covers every discriminant criteria 1-6 and 8 read, so none falls back to
 # per-discriminant form enumeration (tests/test_acceptance.py checks this).  The largest, 247,504, is criterion 4's
 # Fricke check (4 * 124 * 499); criterion 5 reads up to 225,548, criterion 8
-# 17,444, criterion 6 15,992 and criteria 2-3 796.  Criterion 9's scans
+# 19,400, criterion 6 15,992 and criteria 2-3 796.  Criterion 9's scans
 # install their own table; criteria 7 and 10 read a few hundred closed-form
 # class numbers, some far past any table, by the per-discriminant path.
 _TABLE_BOUND = 250_000
@@ -44,7 +41,7 @@ def _result(number, name, t0, passed, detail) -> CheckResult:
     return CheckResult(number, name, bool(passed), detail, time.perf_counter() - t0)
 
 
-def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_1() -> CheckResult:
     """Sieved Hurwitz numbers match the reduced-forms oracle, |disc| <= 20000."""
     t0 = time.perf_counter()
     table = classnum.get_table(_TABLE_BOUND)
@@ -123,7 +120,7 @@ def _theorem_grid() -> SweepResult:
     return sweep((2, 14), 200, 300)
 
 
-def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_2() -> CheckResult:
     """Closed-form delta equals the divisor-sum trace at ell = 1."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
@@ -136,7 +133,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(2, "two-path exactness", t0, not bad and elapsed < 300, detail + " (budget 300s)")
 
 
-def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_3() -> CheckResult:
     """Predicate verdicts match computed delta; exceptional lists exact.
 
     The printed weight-2 M=1 list is {5,7,13,17}; the computed one, cross-
@@ -167,7 +164,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(3, "theorem predicates", t0, not bad and lists_ok, detail)
 
 
-def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_4() -> CheckResult:
     """The squarefree-Q kernel against the divisor sum at every squarefree
     Q >= 2, prime or composite, and every cofactor M, and full-space Fricke
     agreement."""
@@ -208,7 +205,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(4, "squarefree trace consistency", t0, not bad, detail)
 
 
-def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_5() -> CheckResult:
     """Small-Hecke correlation: zero-iff and sign agreement, k = 4."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
@@ -238,7 +235,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(5, "small-Hecke sign correlation", t0, not bad, detail)
 
 
-def criterion_6(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_6() -> CheckResult:
     """Eigenspace T_2 traces carry the sign of +-delta for q in [200, 2000]."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
@@ -269,7 +266,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(6, "eigenspace trace signs", t0, not violations_in_range, detail)
 
 
-def criterion_7(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_7() -> CheckResult:
     """delta(k, 25, M) tracks its two r = 2 asymptotic regimes within 10%."""
     t0 = time.perf_counter()
     bad = []
@@ -308,48 +305,40 @@ def _unpaired_ells(k: int, q: int, m: int, chi: twist.TwistCharacter) -> list[in
     ]
 
 
-def criterion_8(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Twist-bijection vanishing for p^3, 2^5, and 2^7 level parts."""
+def criterion_8() -> CheckResult:
+    """Twist-bijection vanishing for p^3, 2^5, and 2^7 level parts, at every
+    (q, p) with q <= 100 prime, p in 3..23 prime and (q|p) = -1, and every
+    listed 2-power level, each at k = 2, 4 and 6."""
     t0 = time.perf_counter()
     classnum.get_table(_TABLE_BOUND)
-    rng = random.Random(seed)
-    odd_p = [3, 5, 7, 11, 13, 17, 19, 23]
-    qs = primes_up_to(100)
+    weights = (2, 4, 6)
+    pairs = [(q, p) for p in primes_up_to(23)[1:] for q in primes_up_to(100) if kronecker(q, p) == -1]
     bad = []
-    pairs = []
-    while len(pairs) < 20:
-        p = rng.choice(odd_p)
-        q = rng.choice(qs)
-        if q != p and kronecker(q, p) == -1 and (q, p) not in pairs:
-            pairs.append((q, p))
     for q, p in pairs:
-        k = rng.choice((2, 4, 6))
         m = p**3
-        chars = twist.quadtwist_characters(k, q, 1, m)
-        if not chars or signs.delta(k, q, 1, m) != 0:
-            bad.append(("p3-delta", q, p, k))
-            continue
-        bad += [("p3-trace", q, p, k, ell) for ell in _unpaired_ells(k, q, m, chars[0])]
-    for q in (3, 7, 11, 19, 23, 31):
-        k = rng.choice((2, 4, 6))
-        chars = twist.quadtwist_characters(k, q, 1, 32)
-        if not any(c.label == "chi_-1" for c in chars) or signs.delta(k, q, 1, 32) != 0:
-            bad.append(("2^5-delta", q, k))
-            continue
-        chi = [c for c in chars if c.label == "chi_-1"][0]
-        bad += [("2^5-trace", q, k, ell) for ell in _unpaired_ells(k, q, 32, chi)]
-    for q in (5, 13, 29, 37, 53):
-        k = rng.choice((2, 4, 6))
-        chars = twist.quadtwist_characters(k, q, 1, 128)
-        labels = {c.label for c in chars}
-        if not {"chi_2", "chi_-2"} <= labels or signs.delta(k, q, 1, 128) != 0:
-            bad.append(("2^7-delta", q, k))
-            continue
-        for chi in chars:
-            if chi.label not in ("chi_2", "chi_-2"):
+        for k in weights:
+            chars = twist.quadtwist_characters(k, q, 1, m)
+            if not chars or signs.delta(k, q, 1, m) != 0:
+                bad.append(("p3-delta", q, p, k))
                 continue
-            bad += [("2^7-trace", q, chi.label, k, ell) for ell in _unpaired_ells(k, q, 128, chi)]
-    detail = "20 odd-prime pairs + 6 chi_-1 + 5 chi_{+-2} levels, %d failures" % len(bad)
+            bad += [("p3-trace", q, p, k, ell) for ell in _unpaired_ells(k, q, m, chars[0])]
+    cases = len(pairs) * len(weights)
+    two_power_levels = ((32, (3, 7, 11, 19, 23, 31), ("chi_-1",)), (128, (5, 13, 29, 37, 53), ("chi_2", "chi_-2")))
+    for m, qs, labels in two_power_levels:
+        for q in qs:
+            for k in weights:
+                cases += 1
+                chars = [c for c in twist.quadtwist_characters(k, q, 1, m) if c.label in labels]
+                if {c.label for c in chars} != set(labels) or signs.delta(k, q, 1, m) != 0:
+                    bad.append(("2^e-delta", m, q, k))
+                    continue
+                for chi in chars:
+                    bad += [("2^e-trace", m, q, chi.label, k, ell) for ell in _unpaired_ells(k, q, m, chi)]
+    detail = "%d cases (%d odd-prime pairs, 6 chi_-1 and 5 chi_{+-2} levels, k = 2, 4, 6), %d failures" % (
+        cases,
+        len(pairs),
+        len(bad),
+    )
     if bad:
         detail += "; first: %s" % (bad[:3],)
     return _result(8, "quadratic twist vanishing", t0, not bad, detail)
@@ -368,7 +357,7 @@ def fit_points(m: int, k: int) -> list[murmur.MurmurationPoint]:
     return [p for p in pts if float(p.x) < x_cut]
 
 
-def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_9() -> CheckResult:
     """Murmuration properties: sqrt-x fit, +-cancellation, 2^r inversion.
 
     The fit subcheck takes fit_points for M in {1, 5}, k in {2, 4}; the
@@ -419,7 +408,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(9, "murmuration properties", t0, not bad, detail)
 
 
-def criterion_10(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_10() -> CheckResult:
     """Boundedness of delta in the weight for q = 5, M = 6."""
     t0 = time.perf_counter()
     bad = []
@@ -447,11 +436,11 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
     for fn in ALL_CRITERIA:
         try:
-            results.append(fn(seed))
+            results.append(fn())
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
             number = int(fn.__name__.split("_")[1])
             results.append(CheckResult(number, fn.__name__, False, "raised %r" % (exc,), 0.0))

@@ -18,6 +18,13 @@ divisor sums stay the check of both.  ``t_full_fricke`` is the single-term
 shortcut for the Fricke involution when the Hecke index is small against
 the level.
 
+All four kernels check their arguments by one rule, ``_check_common``: an
+even weight k >= 2, the modulus rule above, a positive cofactor M coprime
+to q, and a positive Hecke index l coprime to the level.
+``t_new_squarefree`` passes Q as q at r = 1 (r = 0 when Q = 1) and adds
+only that Q = 1 needs a prime l; ``t_full_fricke`` passes N as q at r = 1
+with M = 1 and adds only 4n < N.
+
 All arguments are plain ints; results are exact ints (an AssertionError
 here means a genuine formula bug, not roundoff).
 """
@@ -219,16 +226,7 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
     for the plain newspace Hecke trace and is only valid for prime l; any
     Q >= 2 works for every l coprime to the level (including l = 1).
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if big_q < 1 or m < 1:
-        raise ValueError("Q and m must be positive")
-    if not is_squarefree(big_q):
-        raise ValueError("Q must be squarefree, got %r" % (big_q,))
-    if math.gcd(big_q, m) != 1:
-        raise ValueError("Q must be coprime to m")
-    if math.gcd(ell, big_q * m) != 1:
-        raise ValueError("Hecke index must be coprime to the level")
+    _check_common(k, big_q, 1 if big_q > 1 else 0, m, ell)
     if big_q == 1 and not is_prime(ell):
         raise ValueError("Q = 1 requires a prime Hecke index")
     # sum_t c_t H_t(D) = H(D*) * prod_p L_p(e, v, chi) with D* = D / p^(2v)
@@ -275,12 +273,7 @@ def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
 
     In this range the elliptic sum collapses to its s = 0 term.
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if not is_squarefree(n_level):
-        raise ValueError("level must be squarefree")
-    if math.gcd(n_level, n_hecke) != 1:
-        raise ValueError("Hecke index must be coprime to the level")
+    _check_common(k, n_level, 1, 1, n_hecke)
     if 4 * n_hecke >= n_level:
         raise ValueError("needs 4n < N")
     val24 = -pk_from_s2(k, 0, n_hecke) * classnum.hurwitz12_ext(-4 * n_hecke * n_level)

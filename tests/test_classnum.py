@@ -146,8 +146,11 @@ def test_table_matches_pure_path():
     for n in range(3, 2000):
         if -n % 4 in (0, 1):
             assert int(table.h12[n]) == classnum.hurwitz12(-n), -n
-    # beyond-bound lookups fall back to the pure path
-    assert classnum.hurwitz12_ext(-(table.bound * 4 + 3) * 4) == classnum.hurwitz12(-(table.bound * 4 + 3) * 4)
+    # beyond-bound lookups fall back to the pure path; a small table is
+    # installed, since an earlier test may have left a much larger one
+    with mock.patch.object(classnum, "_active_table", classnum.build_table(2000)):
+        disc = -(2000 * 4 + 3) * 4
+        assert classnum.hurwitz12_ext(disc) == classnum.hurwitz12(disc)
 
 
 @given(st.integers(min_value=0, max_value=9999), st.booleans())
@@ -163,13 +166,15 @@ def test_ht12_same_with_and_without_table(n, odd):
     assert on == off, disc
 
 
-def _kronecker_hurwitz_failures(h12) -> list[int]:
-    """Indices at which a table h12[n] = 12 H(-n) breaks the class number relation.
+def _class_number_relation_failures(h12) -> list[int]:
+    """Indices at which a table h12[n] = 12 H(-n) breaks a class number relation.
 
-    Kronecker-Hurwitz in 12ths: sum over s in Z of h12(4n - s^2) is
-    24 sigma(n) - 12 lambda(n), lambda(n) = sum_{d | n} min(d, n/d), with
-    h12(0) = -1; every n = 1, 2 mod 4 must hold 0.  Reports 4n for each
-    failing n and each nonzero entry off the discriminants.
+    With h12(0) = -1 and lambda(m) = sum_{d | m} min(d, m/d), the sums
+    c(m) = sum over s in Z of h12(m - s^2) satisfy, in 12ths:
+    Kronecker-Hurwitz, c(4n) = 24 sigma(n) - 12 lambda(n), and Eichler,
+    c(m) = 4 sigma(m) - 6 lambda(m) for odd m; and h12(m) = 0 at m = 1, 2
+    mod 4.  These fix h12 index by index (the s = 0 term is h12(m)), so a
+    table meeting them at every index is exact.  Reports each failing m.
     """
     import numpy as np
 
@@ -179,28 +184,32 @@ def _kronecker_hurwitz_failures(h12) -> list[int]:
     conv = h.copy()
     for s in range(1, math.isqrt(bound) + 1):
         conv[s * s :] += 2 * h[: bound + 1 - s * s]
-    nmax = bound // 4
-    sig = np.zeros(nmax + 1, dtype=np.int64)
-    lam = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, nmax + 1):
-        sig[d::d] += d
-    for d in range(1, math.isqrt(nmax) + 1):
+    # sigma and lambda over the divisor pairs d * e = m with d <= e
+    sig = np.zeros(bound + 1, dtype=np.int64)
+    lam = np.zeros(bound + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(bound) + 1):
+        sig[d * d] += d
         lam[d * d] += d
+        sig[d * (d + 1) :: d] += d + np.arange(d + 1, bound // d + 1)
         lam[d * (d + 1) :: d] += 2 * d
-    n = np.arange(nmax + 1)
-    wrong = (conv[::4] != 24 * sig - 12 * lam) & (n > 0)
-    off = np.flatnonzero((np.arange(bound + 1) % 4 % 3 != 0) & (h != 0))
-    return sorted(4 * n[wrong].tolist() + off.tolist())
+    m = np.arange(bound + 1)
+    n = m // 4
+    wrong = np.where(m % 4 == 0, conv != 24 * sig[n] - 12 * lam[n], False)
+    wrong |= (m % 2 == 1) & (conv != 4 * sig - 6 * lam)
+    wrong |= (m % 4 % 3 != 0) & (h != 0)
+    wrong[0] = False
+    return np.flatnonzero(wrong).tolist()
 
 
 def test_table_satisfies_kronecker_hurwitz_relation():
     table = classnum.build_table(200_000)
-    assert _kronecker_hurwitz_failures(table.h12) == []
-    # one wrong entry, on either discriminant class or off them, is caught
-    for n in (4 * 12_345, 199_999, 77_777):
+    assert _class_number_relation_failures(table.h12) == []
+    # one wrong entry, in either discriminant class or off them, is reported
+    # first at its own index (at 3 mod 4, by Eichler's relation)
+    for n in (4 * 12_345, 7, 199_999, 77_777):
         bad = table.h12.copy()
         bad[n] += 12
-        assert _kronecker_hurwitz_failures(bad), n
+        assert _class_number_relation_failures(bad)[0] == n, n
 
 
 def test_alpha1_case_table():

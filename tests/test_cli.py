@@ -86,6 +86,20 @@ def test_trace_cross_checks_the_local_factor_kernel_at_non_squarefree_M(capsys, 
     assert code == 1 and payload["cross_path_mismatch"] is True
 
 
+def test_trace_cross_checks_the_full_space_off_r_one(capsys, monkeypatch):
+    # r = 0 and r >= 2 compare t_full with the newspaces it is made of
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "5", "--r", "2", "--M", "3", "--ell", "7")
+    assert code == 0
+    assert (payload["t_full"], payload["t_new"], payload["t_full_from_newspaces"]) == (-36, -48, -36)
+    assert payload["cross_path_mismatch"] is False
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "3", "--r", "0", "--M", "20", "--ell", "7")
+    assert code == 0 and payload["t_full_from_newspaces"] == payload["t_full"] == trace.t_full(4, 1, 0, 20, 7)
+    real = trace.t_new
+    monkeypatch.setattr(trace, "t_new", lambda k, q, r, m, ell: real(k, q, r, m, ell) + (r == 0))
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "5", "--r", "2", "--M", "3", "--ell", "7")
+    assert code == 1 and payload["cross_path_mismatch"] is True
+
+
 def test_delta_payload_matches_library(capsys):
     code, payload = run_json(capsys, "delta", "--k", "2", "--q", "5")
     assert code == 0
@@ -259,7 +273,7 @@ def test_bad_input_and_empty_scans_exit_2_with_a_message(capsys, tmp_path, argv,
 
 
 def test_selftest_reports_each_criterion_and_a_crash(capsys, monkeypatch):
-    def criterion_99(seed):
+    def criterion_99():
         raise RuntimeError("boom")
 
     monkeypatch.setattr(selftest, "ALL_CRITERIA", (selftest.criterion_7, selftest.criterion_10, criterion_99))

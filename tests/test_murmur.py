@@ -340,6 +340,14 @@ def test_empty_prime_range_raises():
         murmur.cancellation_diag(2, 0)
 
 
+def test_cancellation_rejects_a_window_at_level_one():
+    # X = 1 has the prime 2, but its window [1, 2] holds level 1, where the
+    # Fricke trace would be the Q = 1 kernel at ell = 1
+    for k in (2, 4):
+        with pytest.raises(ValueError, match="needs X >= 2, got X = 1"):
+            murmur.cancellation_diag(k, 1)
+
+
 def test_scans_install_the_table_their_window_reads(monkeypatch):
     # with no table installed and the per-discriminant path disabled, every
     # class number a scan reads must come from the table the scan installs

@@ -296,13 +296,13 @@ def test_t_new_squarefree_guards():
     # "squarefree" is Q: a non-squarefree cofactor is accepted
     assert trace.t_new_squarefree(2, 3, 4, 5) == trace.t_new(2, 3, 1, 4, 5)
     assert trace.t_new_squarefree(2, 1, 12, 5) == trace.t_new_level(2, 12, 5)
-    with pytest.raises(ValueError, match="Q must be squarefree"):
+    with pytest.raises(ValueError, match="q must be squarefree and >= 2 at r = 1, got 4"):
         trace.t_new_squarefree(2, 4, 1, 3)
-    with pytest.raises(ValueError, match="Q must be squarefree"):
+    with pytest.raises(ValueError, match="q must be squarefree and >= 2 at r = 1, got 12"):
         trace.t_new_squarefree(2, 12, 5, 7)
-    with pytest.raises(ValueError, match="coprime to m"):
+    with pytest.raises(ValueError, match="cofactor M must be coprime to q"):
         trace.t_new_squarefree(2, 3, 3, 5)  # Q and m share the prime 3
-    with pytest.raises(ValueError, match="coprime to m"):
+    with pytest.raises(ValueError, match="cofactor M must be coprime to q"):
         trace.t_new_squarefree(2, 6, 4, 5)
     with pytest.raises(ValueError, match="prime Hecke index"):
         trace.t_new_squarefree(2, 1, 15, 4)
@@ -408,17 +408,45 @@ def test_divisor_sum_matches_local_factor_kernel_at_composite_q(k, q_base, c, el
 
 
 def test_full_space_trace_at_composite_q():
-    # M = 1: the Fricke shortcut; M > 1: the full space is the newspaces of
-    # the levels Q d, d | M, each with sigma_0(M / d) old copies, on which
-    # W_Q acts as on the newforms (W_Q fixes every Q-part of the level)
+    # M = 1: the Fricke shortcut (M > 1 is in the old-copy test below)
     for q in (6, 10, 15, 30, 42, 105, 210, 330, 390):
         for ell in range(1, (q - 1) // 4 + 1):
             if math.gcd(ell, q) == 1:
                 for k in (2, 4):
                     assert trace.t_full(k, q, 1, 1, ell) == trace.t_full_fricke(k, q, ell), (k, q, ell)
-    for k, q, m, ell in ((2, 6, 25, 7), (4, 10, 9, 1), (2, 15, 8, 7), (6, 35, 12, 1), (4, 30, 49, 11)):
-        old = sum(len(divisors(m // d)) * trace.t_new(k, q, 1, d, ell) for d in divisors(m))
-        assert trace.t_full(k, q, 1, m, ell) == old, (k, q, m, ell)
+
+
+@given(
+    st.sampled_from([2, 4, 6, 8]),
+    st.one_of(
+        st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.sampled_from(_COMPOSITE_Q), st.just(1)),
+    ),
+    st.integers(min_value=1, max_value=36),
+    st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13, 25]),
+)
+@example(4, (5, 2), 3, 7)  # -36 both ways
+@example(2, (3, 4), 1, 1)  # j = 0 at k = 2, M = 1: the plain trace on S_2(1) = 0
+@example(8, (2, 4), 9, 5)
+@example(4, (3, 0), 20, 7)  # r = 0: the plain trace on S_4(20)
+@example(2, (6, 1), 25, 7)
+@example(4, (10, 1), 9, 1)
+@example(2, (15, 1), 8, 7)
+@example(6, (35, 1), 12, 1)
+@example(4, (30, 1), 49, 11)
+def test_full_space_is_its_old_copies_of_newspaces(k, q_r, m, ell):
+    # S_k(q^r M) holds the newspace of each level q^j d, d | M, sigma_0(M / d)
+    # times over d and r - j + 1 times over j; W_{q^r} swaps the copies from
+    # q^j in pairs, keeping one (with the W_{q^j} sign) when r - j is even.
+    # At r = 1 q may be any squarefree modulus: W_q fixes every q-part
+    q, r = q_r
+    assume(math.gcd(m, q) == 1 and math.gcd(ell, q * m) == 1)
+    old = 0
+    for d in divisors(m):
+        copies = len(divisors(m // d))
+        for j in range(r % 2, r + 1, 2):
+            old += copies * (trace.t_new(k, q, j, d, ell) if j else trace.t_new_level(k, d, ell))
+    assert trace.t_full(k, q, r, m, ell) == old, (k, q, r, m, ell)
 
 
 def test_atkin_lehner_modulus_rule():
@@ -468,6 +496,22 @@ def test_hecke_index_must_be_coprime():
             fn(2, 3, 1, 4, 2)
         with pytest.raises(ValueError, match="coprime to the level"):
             fn(4, 5, 2, 9, 3)
+
+
+def test_every_kernel_rejects_a_hecke_index_below_one():
+    # one argument rule: no kernel returns a trace of T_0 or T_-3
+    kernels = (
+        lambda k, ell: trace.t_full(k, 7, 1, 1, ell),
+        lambda k, ell: trace.t_new(k, 7, 1, 1, ell),
+        lambda k, ell: trace.t_new_squarefree(k, 2, 1, ell),
+        lambda k, ell: trace.t_new_squarefree(k, 1, 5, ell),
+        lambda k, ell: trace.t_full_fricke(k, 7, ell),
+    )
+    for fn in kernels:
+        for k in (2, 4):
+            for ell in (0, -3):
+                with pytest.raises(ValueError, match="Hecke index must be positive"):
+                    fn(k, ell)
 
 
 def test_negative_exponent_is_rejected():
