@@ -5,6 +5,10 @@ Factorization (cached trial division, returned as the plain tuple of
 functions, and the divisor sums that drive the trace formulas.  Everything
 returns exact ints, in pure Python: importing this module does not import
 numpy.
+
+``check_level`` is the one argument rule for a level: the trace kernels,
+the closed forms, the dimension formulas, the twist pairing and the CLI's
+``twist`` call it, and each adds only what its own formula needs.
 """
 from __future__ import annotations
 
@@ -35,6 +39,30 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         # no divisor up to sqrt(m), so what is left is prime
         fac.append((m, 1))
     return tuple(fac)
+
+
+def check_level(k: int, q: int, r: int, m: int, ell: int = 1) -> None:
+    """Raise ValueError unless k is an even weight >= 2, q^r a modulus (any
+    squarefree q >= 2 at r = 1, a prime q at r >= 2, q >= 1 unread at r = 0),
+    m >= 1 coprime to q and ell >= 1 coprime to q * m."""
+    if k < 2 or k % 2:
+        raise ValueError("weight must be an even integer >= 2")
+    if r < 0:
+        raise ValueError("r must be >= 0, got %r" % (r,))
+    if q < 1:
+        raise ValueError("q must be positive, got %r" % (q,))
+    if r >= 1 and factor(q) != ((q, 1),):  # one cached lookup passes a prime q
+        if r >= 2:
+            raise ValueError("q must be prime at r >= 2, got %r" % (q,))
+        # q = 1 is refused: the kernels' r = 1 branch has no hyperbolic term
+        if q == 1 or not is_squarefree(q):
+            raise ValueError("q must be squarefree and >= 2 at r = 1, got %r" % (q,))
+    if m < 1 or ell < 1:
+        raise ValueError("level cofactor and Hecke index must be positive")
+    if math.gcd(m, q) != 1:
+        raise ValueError("cofactor M must be coprime to q")
+    if math.gcd(ell, q * m) != 1:
+        raise ValueError("Hecke index must be coprime to the level")
 
 
 def kronecker(a: int, n: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import classnum, signs, trace, twist
-from .arith import divisors
+from .arith import check_level, divisors
 
 
 def _jsonable(obj):
@@ -171,7 +171,7 @@ def cmd_murmur(args) -> tuple[dict, int]:
 def cmd_twist(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
     types = twist.classify_local_types(q, r)
-    signs._check_delta_args(k, q, r, m)  # quadtwist_characters checks k and M only at odd r
+    check_level(k, q, r, m)  # quadtwist_characters runs only at odd r
     payload = {
         "k": k,
         "q": q,

@@ -445,23 +445,24 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     A prime whose kept levels (those it does not divide) leave an
     eigenspace empty is dropped; raises if no prime is left.
     The Q = 1 and Q = N traces come from two _trace_window windows, one numpy
-    pass per batch of primes.  With workers > 1 the batches (never single
-    primes) are measured on that many threads.  numpy releases the
-    interpreter lock only inside each array operation, so threads gain
-    little: on a 2-vCPU VM, not counting the table, cancellation_diag(2, 500)
-    takes about 0.55 s serial and 0.45 s on 2 threads, and (2, 100) about
-    15-20 ms serial and 20-30 ms on 2 threads.  The option stays because
-    the perfbench scan workload times the 2-thread run.
+    pass per batch of primes.  workers >= 1; with workers > 1 the batches
+    (never single primes) are measured on that many threads.  numpy
+    releases the interpreter lock only inside each array operation, so
+    threads gain little: on a 2-vCPU VM, not counting the table,
+    cancellation_diag(2, 500) takes about 0.55 s serial and 0.45 s on 2
+    threads, and (2, 100) about 15-20 ms serial and 20-30 ms on 2 threads.
+    The option stays because the perfbench scan workload times the
+    2-thread run.
     """
     from . import window
 
+    if workers < 1:
+        raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))
     ells = _primes_in((X // 2, 2 * X))
     if X < 2:
         raise ValueError("cancellation_diag needs X >= 2, got X = %d" % X)
-    lo, hi = X, 2 * X
-    levels = [n for n in range(lo, hi + 1) if is_squarefree(n)]
-    if not levels:
-        raise ValueError("no squarefree levels in [%d, %d]" % (lo, hi))
+    # [X, 2X] holds a prime (Bertrand), so there is a level
+    levels = [q for q, _ in _window_levels(FamilySpec("I", k=k), X)]
     classnum.get_table(4 * max(ells) * levels[-1])
 
     # dim S^new(n) and tr W_n on it do not depend on ell
@@ -495,7 +496,7 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
         parts = [measure(batch) for batch in batches]
     rows = [r for part in parts for r in part]
     if not rows:
-        raise ValueError("an eigenspace is empty over [%d, %d] at every prime" % (lo, hi))
+        raise ValueError("an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X))
     best = max(rows, key=lambda r: r[0])
     return CancellationReport(k, X, best[0], max(r[1] for r in rows), best[2])
 
@@ -506,6 +507,7 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
 CSV_HEADER = "family,k,beta,X,ell,x,avg,count"
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 420, 50
 
 
 def emit(series: dict[str, list[MurmurationPoint]], stem: str, spec: FamilySpec) -> None:
@@ -528,7 +530,8 @@ def _emit_csv(series, path, spec):
                 )
 
 
-def _emit_svg(series, path, width=640, height=420, margin=50):
+def _emit_svg(series, path):
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     pts_all = [p for pts in series.values() for p in pts]
     if pts_all:
         x_lo = min(float(p.x) for p in pts_all)

@@ -10,6 +10,9 @@ other in the test suite).
 from congruence data alone, tagging which case fired.  ``dim_new`` and
 ``eigenspace_dims`` supply the dimension bookkeeping, and
 ``correlation_checks`` packages the small-Hecke sign-correlation facts.
+
+Levels are checked by the one rule ``arith.check_level``, as in modules
+trace and twist; ``delta`` adds only a prime q and r >= 1.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from fractions import Fraction
 
 from . import classnum
 from .arith import (
+    check_level,
     divisors,
     euler_phi,
     factor,
@@ -96,24 +100,15 @@ def _split_even(m: int) -> tuple[int, int]:
     return e, m
 
 
-def _check_delta_args(k: int, q: int, r: int, m: int) -> None:
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if m < 1 or m % q == 0:
-        raise ValueError("M must be a positive integer coprime to q")
-
-
 # ---------------------------------------------------------------------------
 # the closed forms
 
 
 def delta(k: int, q: int, r: int, m: int) -> int:
     """tr W_q on S_k^new(q^r M) = dim^{+} - dim^{-}, via the closed forms."""
-    _check_delta_args(k, q, r, m)
+    check_level(k, q, r, m)
+    if r < 1 or not is_prime(q):
+        raise ValueError("delta needs a prime q and r >= 1, got q = %r, r = %r" % (q, r))
     e, mp = _split_even(m)
     c = -1 if (k // 2) % 2 else 1
     a12 = lambda d: classnum.alpha1_12(d, e)
@@ -319,8 +314,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
 
 def dim_cusp(k: int, n: int) -> int:
     """dim S_k(Gamma_0(n)) for even k >= 2."""
-    if k < 2 or k % 2 or n < 1:
-        raise ValueError("need even weight >= 2 and positive level")
+    check_level(k, 1, 0, n)
     fac = factor(n)
     psi = n
     for p, _ in fac:
@@ -347,6 +341,8 @@ def dim_cusp(k: int, n: int) -> int:
 
 
 def dim_new(k: int, n: int) -> int:
+    """dim S_k^new(Gamma_0(n)) for even k >= 2."""
+    check_level(k, 1, 0, n)
     total = mobius_squared_transform(lambda d: dim_cusp(k, d), n)
     assert total >= 0, (k, n, total)
     return total
@@ -359,8 +355,8 @@ class EigenspaceDims:
 
 
 def eigenspace_dims(k: int, q: int, r: int, m: int) -> EigenspaceDims:
+    diff = delta(k, q, r, m)  # first, so its check of (k, q, r, M) reports a bad argument
     total = dim_new(k, q**r * m)
-    diff = delta(k, q, r, m)
     assert (total + diff) % 2 == 0 and abs(diff) <= total, (k, q, r, m, total, diff)
     return EigenspaceDims((total + diff) // 2, (total - diff) // 2)
 
@@ -377,7 +373,7 @@ class R2Asymptotics:
 
 
 def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
-    _check_delta_args(k, q, 2, m)
+    check_level(k, q, 2, m)  # at r = 2 it already asks for a prime q
     e, mp = _split_even(m)
     c = -1 if (k // 2) % 2 else 1
     kinfty = Fraction(1 - k, 12) * kappa_infty(m)
@@ -406,23 +402,22 @@ class CorrelationResult:
 def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     """Vanishing and sign agreement of tr T_l W_q against delta(k, q, 1, M).
 
-    Needs l, q prime with 4l < q, M squarefree or twice squarefree and
-    coprime to ql, and weight at least 4 (the weight-2 statement has a
-    hypothesis inconsistency, so it is reported as out of scope).
+    Raises ValueError unless (k, q, M, l) passes arith.check_level at r = 1.
+    The hypotheses are l, q prime with 4l < q, M squarefree or twice
+    squarefree, and weight at least 4 (the weight-2 statement has a
+    hypothesis inconsistency, so it is reported as out of scope); outside
+    them the result has hypotheses_met=False and a note saying which fails.
 
     In scope the sign ratio of trace and delta is +1 whenever both are
     nonzero, so sign_ratio_observed is None or 1: over the squarefree odd
     part M' each kappa factor is 0 or -2 on both sides, and alpha_1 has one
     sign.
     """
+    check_level(k, q, 1, m, ell)
     if k == 2:
         return CorrelationResult(False, "weight 2 is outside the certified range")
-    if k < 4 or k % 2:
-        return CorrelationResult(False, "weight must be an even integer >= 4")
     if not (is_prime(q) and is_prime(ell) and 4 * ell < q):
         return CorrelationResult(False, "need primes with 4l < q")
-    if math.gcd(m, q * ell) != 1:
-        return CorrelationResult(False, "M must be coprime to ql")
     e, mp = _split_even(m)
     if e > 1 or not is_squarefree(mp):
         return CorrelationResult(False, "M must be squarefree or twice squarefree")

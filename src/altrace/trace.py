@@ -18,9 +18,10 @@ divisor sums stay the check of both.  ``t_full_fricke`` is the single-term
 shortcut for the Fricke involution when the Hecke index is small against
 the level.
 
-All four kernels check their arguments by one rule, ``_check_common``: an
-even weight k >= 2, the modulus rule above, a positive cofactor M coprime
-to q, and a positive Hecke index l coprime to the level.
+All four kernels check their arguments by ``arith.check_level``, the one
+level rule modules signs and twist and the CLI also use: an even weight
+k >= 2, the modulus rule above, a positive cofactor M coprime to q, and a
+positive Hecke index l coprime to the level.
 ``t_new_squarefree`` passes Q as q at r = 1 (r = 0 when Q = 1) and adds
 only that Q = 1 needs a prime l; ``t_full_fricke`` passes N as q at r = 1
 with M = 1 and adds only 4n < N.
@@ -35,6 +36,7 @@ from functools import cache
 
 from . import classnum
 from .arith import (
+    check_level,
     core_square_part,
     divisors,
     divisors_with_squarefree_cofactor,
@@ -63,27 +65,6 @@ def pk_from_s2(k: int, s2: int, ell: int) -> int:
     for _ in range(m - 1):
         w_prev, w = w, (s2 - 2 * ell) * w - ell * ell * w_prev
     return w
-
-
-def _check_common(k: int, q: int, r: int, m: int, ell: int) -> None:
-    # q = 1 at r = 1 is refused: that branch has no hyperbolic term, so it
-    # would return a wrong plain trace; at r = 0, q is not read
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if r < 0:
-        raise ValueError("r must be >= 0, got %r" % (r,))
-    if q < 1:
-        raise ValueError("q must be positive, got %r" % (q,))
-    if r == 1 and (q == 1 or not is_squarefree(q)):
-        raise ValueError("q must be squarefree and >= 2 at r = 1, got %r" % (q,))
-    if r >= 2 and not is_prime(q):
-        raise ValueError("q must be prime at r >= 2, got %r" % (q,))
-    if m < 1 or ell < 1:
-        raise ValueError("level cofactor and Hecke index must be positive")
-    if math.gcd(m, q) != 1:
-        raise ValueError("cofactor M must be coprime to q")
-    if math.gcd(ell, q * m) != 1:
-        raise ValueError("Hecke index must be coprime to the level")
 
 
 @cache
@@ -137,7 +118,7 @@ def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
 
 def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on S_k(q^r * m), for (l, q * m) = 1 and (m, q) = 1."""
-    _check_common(k, q, r, m, ell)
+    check_level(k, q, r, m, ell)
     w = _level_weights(m, False)
     val24 = _a1_24(k, q**r, q**r, w, ell) + 12 * _a2_2(k, q, r, w, ell)
     if r >= 2:
@@ -151,7 +132,7 @@ def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
 
 def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on the newspace S_k^new(q^r * m), for (l, q * m) = 1."""
-    _check_common(k, q, r, m, ell)
+    check_level(k, q, r, m, ell)
     w = _level_weights(m, True)
     a1 = lambda rr, eps: _a1_24(k, q**rr, q ** (rr + eps), w, ell)
     a2 = lambda rr: 12 * _a2_2(k, q, rr, w, ell)
@@ -226,7 +207,7 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
     for the plain newspace Hecke trace and is only valid for prime l; any
     Q >= 2 works for every l coprime to the level (including l = 1).
     """
-    _check_common(k, big_q, 1 if big_q > 1 else 0, m, ell)
+    check_level(k, big_q, 1 if big_q > 1 else 0, m, ell)
     if big_q == 1 and not is_prime(ell):
         raise ValueError("Q = 1 requires a prime Hecke index")
     # sum_t c_t H_t(D) = H(D*) * prod_p L_p(e, v, chi) with D* = D / p^(2v)
@@ -273,7 +254,7 @@ def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
 
     In this range the elliptic sum collapses to its s = 0 term.
     """
-    _check_common(k, n_level, 1, 1, n_hecke)
+    check_level(k, n_level, 1, 1, n_hecke)
     if 4 * n_hecke >= n_level:
         raise ValueError("needs 4n < N")
     val24 = -pk_from_s2(k, 0, n_hecke) * classnum.hurwitz12_ext(-4 * n_hecke * n_level)

@@ -7,12 +7,13 @@ kappa(q, r, chi) records whether chi preserves or swaps the two W_q
 eigenspaces.  ``quadtwist_characters`` lists the characters of conductor
 dividing M that force a self-pairing of eigenspaces (hence a vanishing
 eigenspace-dimension difference and vanishing twisted Hecke averages).
+Its level is checked by ``arith.check_level``; it adds a prime q, odd r.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import factor, is_prime, kronecker
+from .arith import check_level, factor, is_prime, kronecker
 
 UTS = "unramified-twist-of-steinberg"
 RPS = "ramified-principal-series"
@@ -135,21 +136,12 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
     chi-positively-supported Hecke trace vanishes.  They are listed in a
     fixed priority: odd primes ascending, then chi_-1, then chi_2, chi_-2.
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if not is_prime(q) or r < 1 or r % 2 == 0:
-        raise ValueError("need q prime and odd r")
-    if m < 1 or m % q == 0:
-        raise ValueError("M must be a positive integer coprime to q")
-    out: list[TwistCharacter] = []
-    v2 = 0
-    mm = m
-    while mm % 2 == 0:
-        mm //= 2
-        v2 += 1
-    for p, e in factor(mm):
-        if e >= 3 and kronecker(q, p) == -1:
-            out.append(chi_odd(p))
+    check_level(k, q, r, m)
+    if r % 2 == 0 or not is_prime(q):
+        raise ValueError("need q prime and odd r, got q = %r, r = %r" % (q, r))
+    fac = dict(factor(m))
+    out = [chi_odd(p) for p, e in fac.items() if p > 2 and e >= 3 and kronecker(q, p) == -1]
+    v2 = fac.get(2, 0)
     if v2 >= 5 and q % 4 == 3:
         out.append(chi_minus1())
     if v2 >= 7 and q % 8 == 5:

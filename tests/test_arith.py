@@ -1,9 +1,10 @@
 import math
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from altrace import arith
+from altrace import arith, signs, trace, twist
 
 
 def test_factor_roundtrip_small():
@@ -148,3 +149,38 @@ def test_prime_powers_up_to_matches_brute_force():
         ]
         assert arith.prime_powers_up_to(bound) == expect, bound
     assert arith.prime_powers_up_to(1) == []
+
+
+# Every function that takes a level, as (k, M) -> its value at q = 13 (r = 1
+# unless the function fixes r), and the bad inputs they all share.
+LEVEL_FUNCTIONS = {
+    "t_full": lambda k, m: trace.t_full(k, 13, 1, m, 2),
+    "t_new": lambda k, m: trace.t_new(k, 13, 3, m, 2),
+    "t_new_squarefree": lambda k, m: trace.t_new_squarefree(k, 13, m, 2),
+    "t_full_fricke": lambda k, m: trace.t_full_fricke(k, 13, 2),
+    "delta": lambda k, m: signs.delta(k, 13, 1, m),
+    "delta_r2_asymptotics": lambda k, m: signs.delta_r2_asymptotics(k, 13, m),
+    "eigenspace_dims": lambda k, m: signs.eigenspace_dims(k, 13, 1, m),
+    "quadtwist_characters": lambda k, m: twist.quadtwist_characters(k, 13, 1, m),
+    "correlation_checks": lambda k, m: signs.correlation_checks(k, 13, m, 2),
+    "dim_new": lambda k, m: signs.dim_new(k, m),
+}
+SHARED_BAD_INPUTS = {
+    "odd-weight": (3, 1, "weight must be an even integer >= 2"),
+    "weight-0": (0, 1, "weight must be an even integer >= 2"),
+    "M-0": (4, 0, "level cofactor and Hecke index must be positive"),
+    "M-shares-q": (4, 13, "cofactor M must be coprime to q"),
+}
+# t_full_fricke has no cofactor, and dim_new no modulus for M to share a prime with
+NOT_APPLICABLE = {("t_full_fricke", "M-0"), ("t_full_fricke", "M-shares-q"), ("dim_new", "M-shares-q")}
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [(name, case) for name in LEVEL_FUNCTIONS for case in SHARED_BAD_INPUTS if (name, case) not in NOT_APPLICABLE],
+)
+def test_every_level_function_checks_one_rule(name, case):
+    k, m, message = SHARED_BAD_INPUTS[case]
+    LEVEL_FUNCTIONS[name](4, 1)  # the good level the case perturbs
+    with pytest.raises(ValueError, match=message):
+        LEVEL_FUNCTIONS[name](k, m)

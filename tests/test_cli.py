@@ -133,6 +133,20 @@ def test_twist_checks_weight_and_cofactor_at_every_exponent(capsys, r):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twist", "--q", "5", "--r", "2", "--k", "3"], "weight must be an even integer >= 2"),
+        (["delta", "--k", "2", "--q", "5", "--M", "0"], "level cofactor and Hecke index must be positive"),
+    ],
+)
+def test_level_subcommands_exit_2_on_the_level_rule(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_twist_even_exponent_kappas(capsys):
     code, payload = run_json(capsys, "twist", "--q", "7", "--r", "4")
     assert code == 0

@@ -585,6 +585,12 @@ def test_cancellation_threads_match_serial():
     assert murmur.cancellation_diag(2, 30, workers=2) == murmur.cancellation_diag(2, 30)
 
 
+def test_cancellation_rejects_fewer_than_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="needs workers >= 1, got workers = %d" % workers):
+            murmur.cancellation_diag(2, 30, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # window-comparison properties (slower)
 

@@ -221,10 +221,19 @@ def test_correlation_zero_iff_instances():
 
 
 def test_correlation_out_of_scope_reports():
+    # outside the paper's hypotheses a result says so; outside the level rule
+    # there is no trace to report, so the arguments raise
     assert not signs.correlation_checks(2, 13, 1, 2).hypotheses_met
     assert not signs.correlation_checks(4, 13, 1, 5).hypotheses_met  # 4l >= q
-    assert not signs.correlation_checks(4, 13, 4, 2).hypotheses_met  # M = 0 mod 4
-    assert not signs.correlation_checks(4, 13, 13, 2).hypotheses_met  # gcd
+    assert not signs.correlation_checks(4, 13, 4, 3).hypotheses_met  # M = 0 mod 4
+    assert not signs.correlation_checks(4, 15, 1, 2).hypotheses_met  # q not prime
+    assert not signs.correlation_checks(4, 13, 1, 1).hypotheses_met  # l not prime
+    with pytest.raises(ValueError, match="cofactor M must be coprime to q"):
+        signs.correlation_checks(4, 13, 13, 2)
+    with pytest.raises(ValueError, match="Hecke index must be coprime to the level"):
+        signs.correlation_checks(4, 13, 3, 3)
+    with pytest.raises(ValueError, match="squarefree and >= 2 at r = 1, got 4"):
+        signs.correlation_checks(4, 4, 1, 1)
 
 
 @given(
