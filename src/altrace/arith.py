@@ -1,8 +1,9 @@
 """Exact elementary number theory used everywhere else in the package.
 
 Factorization (cached trial division, returned as the plain tuple of
-(prime, exponent) pairs), Kronecker symbols, the standard multiplicative
-functions, and the divisor sums that drive the trace formulas.  Everything
+(prime, exponent) pairs), Kronecker symbols, the multiplicative functions
+mobius, mu_star_mu and sigma (the newspace dimension's local weights live in
+module signs), and the divisor sums that drive the trace formulas.  Everything
 returns exact ints, in pure Python: importing this module does not import
 numpy.
 
@@ -125,13 +126,6 @@ def sigma(n: int) -> int:
     out = 1
     for p, e in factor(n):
         out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p, _ in factor(n):
-        out -= out // p
     return out
 
 

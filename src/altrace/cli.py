@@ -170,8 +170,8 @@ def cmd_murmur(args) -> tuple[dict, int]:
 
 def cmd_twist(args) -> tuple[dict, int]:
     k, q, r, m = args.k, args.q, args.r, args.M
-    types = twist.classify_local_types(q, r)
     check_level(k, q, r, m)  # quadtwist_characters runs only at odd r
+    types = twist.classify_local_types(q, r)
     payload = {
         "k": k,
         "q": q,

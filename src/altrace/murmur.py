@@ -36,8 +36,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import classnum, signs, trace
-from .arith import factor, is_prime, is_squarefree, primes_up_to
+from . import classnum, signs, trace, window
+from .arith import check_level, factor, is_prime, is_squarefree, primes_up_to
 
 FAMILY_KINDS = ("I", "II", "III")
 # the per-level kernel window.TraceWindow reproduces
@@ -71,8 +71,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError("family kind must be one of %s" % (FAMILY_KINDS,))
-        if self.k < 2 or self.k % 2:
-            raise ValueError("weight must be an even integer >= 2")
+        check_level(self.k, 1, 0, 1)
         if self.beta <= 1:
             raise ValueError("beta must be > 1")
         if self.kind == "I":
@@ -175,24 +174,29 @@ class MurmurationPoint:
 
 
 def _primes_in(ell_range) -> list[int]:
-    """The primes of a (lo, hi) range or an explicit list of primes; raises
-    if there are none."""
+    """The primes of a (lo, hi) range or an explicit list of distinct primes,
+    in increasing order; raises if there are none."""
     if isinstance(ell_range, tuple) and len(ell_range) == 2:
         lo, hi = ell_range
         out = [p for p in primes_up_to(hi) if p >= lo]
         if not out:
             raise ValueError("no primes in [%d, %d]" % (lo, hi))
         return out
-    out = [int(p) for p in ell_range]
+    out = sorted(int(p) for p in ell_range)
     if not out:
         raise ValueError("no primes in []")
     if not all(is_prime(p) for p in out):
         raise ValueError("ell_range must contain primes only")
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError("ell_range lists the prime %d twice" % a)
     return out
 
 
 def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
-    """All (Q, M) with X <= QM <= beta*X in the family, any ell."""
+    """All (Q, M) with X <= QM <= beta*X in the family, any ell; X >= 1."""
+    if X < 1:
+        raise ValueError("a level window needs X >= 1, got X = %d" % X)
     lo, hi = X, math.floor(spec.beta * X)
     out = []
     if spec.kind == "I":
@@ -239,8 +243,6 @@ def _trace_window(k: int, levels, ell_max: int):
     profiler's), otherwise a window.LevelWindow calling the installed kernel
     level by level, so a kernel replaced on the trace module is still the
     one the scan reads."""
-    from . import window
-
     kernel = trace.t_new_squarefree
     if inspect.unwrap(kernel) is _BATCHED_KERNEL:
         return window.TraceWindow(k, levels, ell_max)
@@ -260,9 +262,6 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     and divides by their counts.  A prime whose kept levels carry no form
     gives no point; no_forms is raised if no level of the window carries one.
     """
-    # imported here, not with murmur: without cached bytecode it costs a few ms
-    from . import window
-
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     ells = _primes_in(ell_range)
@@ -454,8 +453,6 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     The option stays because the perfbench scan workload times the
     2-thread run.
     """
-    from . import window
-
     if workers < 1:
         raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))
     ells = _primes_in((X // 2, 2 * X))

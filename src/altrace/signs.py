@@ -11,26 +11,31 @@ from congruence data alone, tagging which case fired.  ``dim_new`` and
 ``eigenspace_dims`` supply the dimension bookkeeping, and
 ``correlation_checks`` packages the small-Hecke sign-correlation facts.
 
+``dim_new`` is the genus formula for Gamma_0(N) projected to the newspace,
+a product of local weights (G. Martin, J. Number Theory 112 (2005)):
+
+    12 dim S_k^new(N) = (k-1) kappa_infty(N) - 6 alpha2(N) + 3c kappa_-4(N)
+                        - 4 p_k(1,1) kappa_-3(N) + 12 [k = 2] mu(N),
+
+c = +1 if 4 | k and -1 otherwise.  All but the last term is ``_dim12_new``,
+which ``delta`` also reads at odd q and r = 2.
+
 Levels are checked by the one rule ``arith.check_level``, as in modules
 trace and twist; ``delta`` adds only a prime q and r >= 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classnum
 from .arith import (
     check_level,
-    divisors,
-    euler_phi,
     factor,
     is_prime,
     is_squarefree,
     kronecker,
     mobius,
-    mobius_squared_transform,
     omega1,
     omega2,
 )
@@ -127,9 +132,7 @@ def delta(k: int, q: int, r: int, m: int) -> int:
         if q == 2:
             val24 = 6 * c * kappa_minus(-1, m) + 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
-            val24 = c * (a12(-q * q) - a12(-1)) * kappa_minus(-1, mp)
-            val24 -= 2 * (3 * c * kappa_minus(-4, m) - 4 * pk_one(k) * kappa_minus(-3, m) + (k - 1) * kappa_infty(m))
-            val24 += 12 * classnum.alpha2(m)
+            val24 = c * (a12(-q * q) - a12(-1)) * kappa_minus(-1, mp) - 2 * _dim12_new(k, m)
     elif r % 2:
         qr = q**r
         if qr == 8:
@@ -312,40 +315,23 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
 # dimensions
 
 
-def dim_cusp(k: int, n: int) -> int:
-    """dim S_k(Gamma_0(n)) for even k >= 2."""
-    check_level(k, 1, 0, n)
-    fac = factor(n)
-    psi = n
-    for p, _ in fac:
-        psi += psi // p
-    nu2 = 0
-    if n % 4:
-        nu2 = 1
-        for p, _ in fac:
-            nu2 *= 1 + kronecker(-4, p)
-    nu3 = 0
-    if n % 9:
-        nu3 = 1
-        for p, _ in fac:
-            nu3 *= 1 + kronecker(-3, p)
-    nuinf = sum(euler_phi(math.gcd(d, n // d)) for d in divisors(n))
-    # 12 * dim = (k-1) psi - 6 nu_inf +- 3 nu_2 + {4, 0, -4} nu_3 (+12 at k = 2)
-    d12 = (k - 1) * psi - 6 * nuinf
-    d12 += 3 * nu2 if k % 4 == 0 else -3 * nu2
-    d12 += (4, 0, -4)[k % 3] * nu3
-    if k == 2:
-        d12 += 12
-    assert d12 % 12 == 0 and d12 >= 0, (k, n, d12)
-    return d12 // 12
+def _dim12_new(k: int, n: int) -> int:
+    """12 * dim S_k^new(Gamma_0(n)) less the weight-2 term 12 mu(n): the
+    genus formula's psi, nu_inf, nu_2 and nu_3 projected to the newspace
+    are kappa_infty, alpha2, kappa_minus(-4, .) and kappa_minus(-3, .)."""
+    c = -1 if (k // 2) % 2 else 1
+    d12 = (k - 1) * kappa_infty(n) - 6 * classnum.alpha2(n)
+    return d12 + 3 * c * kappa_minus(-4, n) - 4 * pk_one(k) * kappa_minus(-3, n)
 
 
 def dim_new(k: int, n: int) -> int:
     """dim S_k^new(Gamma_0(n)) for even k >= 2."""
     check_level(k, 1, 0, n)
-    total = mobius_squared_transform(lambda d: dim_cusp(k, d), n)
-    assert total >= 0, (k, n, total)
-    return total
+    d12 = _dim12_new(k, n)
+    if k == 2:
+        d12 += 12 * mobius(n)
+    assert d12 % 12 == 0 and d12 >= 0, (k, n, d12)
+    return d12 // 12
 
 
 @dataclass(frozen=True)

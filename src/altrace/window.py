@@ -6,9 +6,8 @@ equals it level by level; ``prime_batches`` cuts a scan's primes into such
 batches.  ``LevelWindow`` serves the same batches from any per-level kernel,
 one call per level and prime.  The murmuration scans read their traces from
 here and keep the per-level kernel for their counts at l = 1.  numpy is
-imported only when a window is built, and ``murmur`` imports this module
-only when a scan runs, so neither a plain query nor ``import
-altrace.murmur`` pays for it.
+imported only when a window is built, so importing this module (or
+``murmur``, which imports it) does not import numpy.
 """
 from __future__ import annotations
 

