@@ -455,9 +455,9 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     """
     if workers < 1:
         raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))
-    ells = _primes_in((X // 2, 2 * X))
     if X < 2:
         raise ValueError("cancellation_diag needs X >= 2, got X = %d" % X)
+    ells = _primes_in((X // 2, 2 * X))
     # [X, 2X] holds a prime (Bertrand), so there is a level
     levels = [q for q, _ in _window_levels(FamilySpec("I", k=k), X)]
     classnum.get_table(4 * max(ells) * levels[-1])

@@ -18,7 +18,8 @@ a product of local weights (G. Martin, J. Number Theory 112 (2005)):
                         - 4 p_k(1,1) kappa_-3(N) + 12 [k = 2] mu(N),
 
 c = +1 if 4 | k and -1 otherwise.  All but the last term is ``_dim12_new``,
-which ``delta`` also reads at odd q and r = 2.
+which ``delta`` also reads at odd q and r = 2.  Tower rule: past r = 2 and
+q^r = 8, 16, 27, ``delta`` is the bracket at q^r less that at q^(r-2).
 
 Levels are checked by the one rule ``arith.check_level``, as in modules
 trace and twist; ``delta`` adds only a prime q and r >= 1.
@@ -117,6 +118,7 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     e, mp = _split_even(m)
     c = -1 if (k // 2) % 2 else 1
     a12 = lambda d: classnum.alpha1_12(d, e)
+    qr = q**r
     # every case is accumulated in 24ths: alpha_1 comes in 12ths and the
     # closed forms halve it
     if r == 1:
@@ -133,24 +135,16 @@ def delta(k: int, q: int, r: int, m: int) -> int:
             val24 = 6 * c * kappa_minus(-1, m) + 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
             val24 = c * (a12(-q * q) - a12(-1)) * kappa_minus(-1, mp) - 2 * _dim12_new(k, m)
-    elif r % 2:
-        qr = q**r
-        if qr == 8:
-            val24 = 12 * (c * kappa_minus(-2, m) + pk_sqrt2(k) * kappa_minus(-1, m))
-        elif qr == 27:
-            val24 = (c * (a12(-27) - 2 * a12(-3)) + 8 * pk_sqrt3(k) * kappa_minus(-3, 2**e)) * kappa_minus(-3, mp)
-        else:
-            bracket = a12(-(q**r)) - 2 * a12(-(q ** (r - 2)))
-            if r >= 5:
-                bracket += a12(-(q ** (r - 4)))
-            val24 = c * kappa_minus(-(q**r), mp) * bracket
+    elif qr == 8:
+        val24 = 12 * (c * kappa_minus(-2, m) + pk_sqrt2(k) * kappa_minus(-1, m))
+    elif qr == 27:
+        val24 = (c * (a12(-27) - 2 * a12(-3)) + 8 * pk_sqrt3(k) * kappa_minus(-3, 2**e)) * kappa_minus(-3, mp)
+    elif qr == 16:
+        val24 = 12 * (c * kappa_minus(-1, m) + classnum.alpha2(m))
     else:
-        qr = q**r
-        if qr == 16:
-            val24 = 12 * (c * kappa_minus(-1, m) + classnum.alpha2(m))
-        else:
-            aleph = a12(-(q**r)) - 2 * a12(-(q ** (r - 2))) + a12(-(q ** (r - 4)))
-            val24 = c * kappa_minus(-1, mp) * aleph
+        # (-q^r|p) = (-q|p) at odd r
+        tower = a12(-qr) - 2 * a12(-(qr // q**2)) + (a12(-(qr // q**4)) if r >= 4 else 0)
+        val24 = c * kappa_minus(-(q ** (r % 2)), mp) * tower
     assert val24 % 24 == 0, (k, q, r, m, val24)
     return val24 // 24
 

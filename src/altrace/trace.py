@@ -16,7 +16,8 @@ and a batch of primes in one numpy pass; the murmuration scans read their
 traces from it, ``t_new_squarefree`` stays its per-level reference, and the
 divisor sums stay the check of both.  ``t_full_fricke`` is the single-term
 shortcut for the Fricke involution when the Hecke index is small against
-the level.
+the level.  ``t_new`` follows the tower rule: the full-space sum
+``_tower24`` at q^r less the one at q^(r-2), over the newspace weights.
 
 All four kernels check their arguments by ``arith.check_level``, the one
 level rule modules signs and twist and the CLI also use: an even weight
@@ -116,13 +117,18 @@ def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
     return -phi * total
 
 
+def _tower24(k: int, q: int, r: int, weights, ell: int) -> int:
+    """24 (A_1 + A_2) at q^r less 24 A_1 at q^(r-2) over s = 0 mod q^(r-1), over the weights given."""
+    val24 = _a1_24(k, q**r, q**r, weights, ell) + 12 * _a2_2(k, q, r, weights, ell)
+    if r >= 2:
+        val24 -= _a1_24(k, q ** (r - 2), q ** (r - 1), weights, ell)
+    return val24
+
+
 def t_full(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on S_k(q^r * m), for (l, q * m) = 1 and (m, q) = 1."""
     check_level(k, q, r, m, ell)
-    w = _level_weights(m, False)
-    val24 = _a1_24(k, q**r, q**r, w, ell) + 12 * _a2_2(k, q, r, w, ell)
-    if r >= 2:
-        val24 -= _a1_24(k, q ** (r - 2), q ** (r - 1), w, ell)
+    val24 = _tower24(k, q, r, _level_weights(m, False), ell)
     assert val24 % 24 == 0, (k, q, r, m, ell, val24)
     val = val24 // 24
     if k == 2:
@@ -134,14 +140,9 @@ def t_new(k: int, q: int, r: int, m: int, ell: int = 1) -> int:
     """tr T_l W_{q^r} on the newspace S_k^new(q^r * m), for (l, q * m) = 1."""
     check_level(k, q, r, m, ell)
     w = _level_weights(m, True)
-    a1 = lambda rr, eps: _a1_24(k, q**rr, q ** (rr + eps), w, ell)
-    a2 = lambda rr: 12 * _a2_2(k, q, rr, w, ell)
-    if r <= 1:
-        val24 = a1(r, 0) + a2(r)
-    else:
-        val24 = a1(r, 0) - a1(r - 2, 0) - a1(r - 2, 1) + a2(r) - a2(r - 2)
-        if r >= 4:
-            val24 += a1(r - 4, 1)
+    val24 = _tower24(k, q, r, w, ell)
+    if r >= 2:
+        val24 -= _tower24(k, q, r - 2, w, ell)
     assert val24 % 24 == 0, (k, q, r, m, ell, val24)
     val = val24 // 24
     if k == 2 and r <= 1:

@@ -469,12 +469,21 @@ def test_scan_script_runs_from_a_checkout(tmp_path):
 def test_scan_script_quick_run_writes_every_job(tmp_path):
     out = _run_scan_script(tmp_path, "--quick", "--output-dir", str(tmp_path))
     printed = {}  # (family, k) -> the point count the summary line prints
+    fitted = set()  # the (family, k) whose line ends in the sqrt(x) fit
+    line_re = re.compile(
+        r"(\S+)\s+k=(\d+) X=\d+\s+(\d+) pts +\d+\.\ds"
+        r"(  c=[+-]\d+\.\d{3} d=[+-]\d+\.\d{3} rms/range=\d\.\d{3})?$"
+    )
     for line in out.splitlines():
-        m = re.match(r"(\S+)\s+k=(\d+) X=\d+\s+(\d+) pts", line)
+        m = line_re.match(line)
         if m:
             printed[m[1], int(m[2])] = int(m[3])
+            if m[4]:
+                fitted.add((m[1], int(m[2])))
     csvs = sorted(tmp_path.glob("*.csv"))
     assert len(csvs) == len(printed) == 5
+    # the three kind I jobs fit; the II and III jobs print no fit
+    assert fitted == {("I:M=1", 2), ("I:M=1", 4), ("I:M=5", 2)}
     for path in csvs:
         assert path.with_suffix(".svg").read_text().lstrip().startswith("<svg")
         with open(path, newline="") as fh:

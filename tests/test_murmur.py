@@ -347,16 +347,16 @@ def test_empty_prime_range_raises():
             murmur.scan_WQ(FamilySpec("I"), ell_range, 100)
         with pytest.raises(ValueError, match=msg):
             murmur.scan_eigenspace(spec, (1, -1), ell_range, 30)
-    with pytest.raises(ValueError, match=r"no primes in \[0, 0\]"):
-        murmur.cancellation_diag(2, 0)
 
 
 def test_cancellation_rejects_a_window_at_level_one():
     # X = 1 has the prime 2, but its window [1, 2] holds level 1, where the
-    # Fricke trace would be the Q = 1 kernel at ell = 1
+    # Fricke trace would be the Q = 1 kernel at ell = 1; X <= 0 has no primes,
+    # and the X rule is checked before the prime range is read
     for k in (2, 4):
-        with pytest.raises(ValueError, match="needs X >= 2, got X = 1"):
-            murmur.cancellation_diag(k, 1)
+        for X in (1, 0, -5):
+            with pytest.raises(ValueError, match="needs X >= 2, got X = %d$" % X):
+                murmur.cancellation_diag(k, X)
 
 
 def test_scans_install_the_table_their_window_reads(monkeypatch):
