@@ -18,7 +18,7 @@ a product of local weights (G. Martin, J. Number Theory 112 (2005)):
                         - 4 p_k(1,1) kappa_-3(N) + 12 [k = 2] mu(N),
 
 c = +1 if 4 | k and -1 otherwise.  All but the last term is ``_dim12_new``,
-which ``delta`` also reads at odd q and r = 2.  Tower rule: past r = 2 and
+which ``delta`` also reads at odd q and r = 2.  Tower rule: at r >= 3, bar
 q^r = 8, 16, 27, ``delta`` is the bracket at q^r less that at q^(r-2).
 
 Levels are checked by the one rule ``arith.check_level``, as in modules
