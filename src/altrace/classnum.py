@@ -19,12 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .arith import factor, kronecker
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # ---------------------------------------------------------------------------
 # primitive forms and the fundamental decomposition
@@ -174,9 +170,9 @@ def hurwitz12_oracle(disc: int) -> int:
 
 
 class HurwitzTable:
-    """h12[n] = 12 * H(-n) for 0 <= n <= bound (index 0 unused, stores 0)."""
+    """h12[n] = 12 * H(-n) for 0 <= n <= bound: a numpy uint32 array, index 0 unused (0)."""
 
-    def __init__(self, bound: int, h12: np.ndarray):
+    def __init__(self, bound: int, h12):
         self.bound = bound
         self.h12 = h12
 

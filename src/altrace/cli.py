@@ -3,6 +3,10 @@
 Every subcommand builds one payload dict; text mode and --json render the
 same dict, so the two outputs can never disagree on a value.  Fractions
 are serialized as "a/b" strings.
+
+Each ``cmd_*`` imports the modules it reads at its own top, and this module
+imports none of them: a single query runs in a fresh process, so it pays
+only for ``arith``, ``classnum`` and the module its command reads.
 """
 from __future__ import annotations
 
@@ -10,11 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
-
-from . import classnum, signs, trace, twist
-from .arith import check_level, divisors
 
 
 def _jsonable(obj):
@@ -49,6 +49,8 @@ def _add_common(sub):
 
 
 def cmd_classnum(args) -> tuple[dict, int]:
+    from . import classnum
+
     disc = args.disc
     h12 = classnum.hurwitz12(disc)
     oracle = classnum.hurwitz12_oracle(disc)
@@ -63,6 +65,9 @@ def cmd_classnum(args) -> tuple[dict, int]:
 
 
 def cmd_trace(args) -> tuple[dict, int]:
+    from . import trace
+    from .arith import divisors
+
     k, q, r, m, ell = args.k, args.q, args.r, args.M, args.ell
     payload = {
         "k": k,
@@ -97,6 +102,8 @@ def cmd_trace(args) -> tuple[dict, int]:
 
 
 def cmd_delta(args) -> tuple[dict, int]:
+    from . import signs
+
     k, q, r, m = args.k, args.q, args.r, args.M
     res = signs.equidistribution_predicate(k, q, r, m)
     dims = signs.eigenspace_dims(k, q, r, m)
@@ -157,18 +164,21 @@ def cmd_murmur(args) -> tuple[dict, int]:
         "X": args.X,
         "points": {label: len(p) for label, p in series.items()},
     }
+    os.makedirs(args.output_dir, exist_ok=True)
+    stem = os.path.join(args.output_dir, args.out or "scan")
+    murmur.emit(series, stem, spec)  # before the fit, so a failed fit keeps the files
     if args.fit:
         fit = murmur.sqrt_fit(pts, spec.k)
         payload["fit"] = {"c": fit.c, "d": fit.d, "rms_residual": fit.rms_residual}
-    os.makedirs(args.output_dir, exist_ok=True)
-    stem = os.path.join(args.output_dir, args.out or "scan")
-    murmur.emit(series, stem, spec)
     payload["csv"] = stem + ".csv"
     payload["svg"] = stem + ".svg"
     return payload, 0
 
 
 def cmd_twist(args) -> tuple[dict, int]:
+    from . import signs, twist
+    from .arith import check_level
+
     k, q, r, m = args.k, args.q, args.r, args.M
     check_level(k, q, r, m)  # quadtwist_characters runs only at odd r
     types = twist.classify_local_types(q, r)
@@ -191,6 +201,8 @@ def cmd_twist(args) -> tuple[dict, int]:
 
 
 def cmd_selftest(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
     from . import selftest
 
     results = selftest.run_all()

@@ -26,7 +26,7 @@ trace and twist; ``delta`` adds only a prime q and r >= 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import classnum
@@ -153,13 +153,8 @@ def delta(k: int, q: int, r: int, m: int) -> int:
 # predicates
 
 
-@dataclass(frozen=True)
-class DeltaResult:
-    value: int
-    covered: bool
-    case_tag: str
-    zero_reason: str
-    predicted_sign: int | None  # 0 = predicted zero; None = no sign claim
+# predicted_sign: 0 = predicted zero; None = no sign claim
+DeltaResult = namedtuple("DeltaResult", "value covered case_tag zero_reason predicted_sign")
 
 
 def _sign(x) -> int:
@@ -328,10 +323,7 @@ def dim_new(k: int, n: int) -> int:
     return d12 // 12
 
 
-@dataclass(frozen=True)
-class EigenspaceDims:
-    plus: int
-    minus: int
+EigenspaceDims = namedtuple("EigenspaceDims", "plus minus")
 
 
 def eigenspace_dims(k: int, q: int, r: int, m: int) -> EigenspaceDims:
@@ -345,11 +337,9 @@ def eigenspace_dims(k: int, q: int, r: int, m: int) -> EigenspaceDims:
 # asymptotic diagnostics for r = 2
 
 
-@dataclass(frozen=True)
-class R2Asymptotics:
-    kinfty_leading: Fraction  # leading term as k -> infinity, q fixed
-    qinfty_coefficient: Fraction  # coefficient of q as q -> infinity, k fixed
-    qinfty_hypotheses_met: bool
+# kinfty_leading: leading term as k -> infinity, q fixed;
+# qinfty_coefficient: coefficient of q as q -> infinity, k fixed
+R2Asymptotics = namedtuple("R2Asymptotics", "kinfty_leading qinfty_coefficient qinfty_hypotheses_met")
 
 
 def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
@@ -369,14 +359,12 @@ def delta_r2_asymptotics(k: int, q: int, m: int) -> R2Asymptotics:
 # sign correlation of tr T_l W_q with delta for small Hecke index
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    hypotheses_met: bool
-    note: str
-    trace_value: int | None = None  # tr T_l W_q on S_k^new(qM), closed form
-    zero_expected: bool | None = None
-    zero_observed: bool | None = None
-    sign_ratio_observed: int | None = None
+# trace_value: tr T_l W_q on S_k^new(qM), closed form
+CorrelationResult = namedtuple(
+    "CorrelationResult",
+    "hypotheses_met note trace_value zero_expected zero_observed sign_ratio_observed",
+    defaults=(None,) * 4,
+)
 
 
 def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:

@@ -8,10 +8,12 @@ eigenspaces.  ``quadtwist_characters`` lists the characters of conductor
 dividing M that force a self-pairing of eigenspaces (hence a vanishing
 eigenspace-dimension difference and vanishing twisted Hecke averages).
 Its level is checked by ``arith.check_level``; it adds a prime q, odd r.
+A ``TwistCharacter`` is the namedtuple (label, conductor, top), evaluated as
+the Kronecker symbol (top / n); ``top`` replaces the former private ``_top``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import check_level, factor, is_prime, kronecker
 
@@ -44,16 +46,13 @@ def classify_local_types(q: int, r: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TwistCharacter:
+class TwistCharacter(namedtuple("TwistCharacter", "label conductor top")):
     """A real quadratic Dirichlet character, evaluated by Kronecker symbol."""
 
-    label: str
-    conductor: int
-    _top: int = field(repr=False)
+    __slots__ = ()
 
     def __call__(self, n: int) -> int:
-        return kronecker(self._top, n)
+        return kronecker(self.top, n)
 
 
 def chi_odd(p: int) -> TwistCharacter:

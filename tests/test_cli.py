@@ -3,8 +3,8 @@ subprocess run of the murmuration scan script."""
 
 from __future__ import annotations
 
+import ast
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -196,7 +196,7 @@ def test_equidist_sweep_flags_a_zero_reason_without_a_zero_claim(capsys, monkeyp
     def predicate(k, q, r, m):
         res = real(k, q, r, m)
         if (k, q, r, m) == target:
-            return dataclasses.replace(res, predicted_sign=None, zero_reason=signs.ZERO_SPLIT_PRIME)
+            return res._replace(predicted_sign=None, zero_reason=signs.ZERO_SPLIT_PRIME)
         return res
 
     monkeypatch.setattr(signs, "equidistribution_predicate", predicate)
@@ -223,6 +223,16 @@ def test_murmur_writes_csv_and_svg(capsys, tmp_path):
     assert [int(row["ell"]) for row in rows if row["family"] == "I:M=1#raw"] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     svg = open(payload["svg"]).read()
     assert svg.lstrip().startswith("<svg")
+
+
+def test_murmur_fit_with_too_few_points_keeps_the_csv_and_svg(capsys, tmp_path):
+    # the scan is written before the fit, so a failed fit loses no output
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--output-dir", str(out), "murmur", "--family", "I:M=1", "--X", "20", "--ell-max", "11", "--fit"])
+    assert exc.value.code == 2
+    assert "need at least 8 points, got 5" in capsys.readouterr().err
+    assert (out / "scan.csv").is_file() and (out / "scan.svg").is_file()
 
 
 def test_murmur_eigenspace_scan(capsys, tmp_path):
@@ -394,24 +404,44 @@ SINGLE_QUERIES = (
 HEAVY_MODULES = ("numpy", "altrace.murmur", "altrace.selftest", "concurrent.futures")
 
 
-def test_single_queries_import_no_numpy_scans_or_selftest():
-    # each query runs in a fresh interpreter, so its imports are its start-up cost
+def _query_modules(argv, *flags):
+    """The modules loaded by one query run in a fresh interpreter."""
     probe = (
         "import sys\n"
         "from altrace import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in %r if m in sys.modules), file=sys.stderr)\n"
-        "sys.exit(code)\n" % (HEAVY_MODULES,)
+        "print(sorted(sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", probe, *argv, "--json"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, (argv, done.stderr)
+    json.loads(done.stdout)
+    return set(ast.literal_eval(done.stderr.splitlines()[-1]))
+
+
+def test_single_queries_import_no_numpy_scans_or_selftest():
+    # each query runs in a fresh interpreter, so its imports are its start-up cost
     for argv in SINGLE_QUERIES:
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv, "--json"], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, (argv, done.stderr)
-        json.loads(done.stdout)
-        assert done.stderr.splitlines()[-1] == "[]", (argv, done.stderr)
+        assert not _query_modules(argv) & set(HEAVY_MODULES), argv
+
+
+def test_each_single_query_imports_only_the_modules_its_command_reads():
+    # -S: no site .pth file preloads a module, so what is loaded the query loaded
+    base = {"altrace.arith", "altrace.classnum", "altrace.cli"}
+    own = {
+        "classnum": set(),
+        "trace": {"altrace.trace"},
+        "delta": {"altrace.signs"},
+        "twist": {"altrace.signs", "altrace.twist"},
+    }
+    for argv in SINGLE_QUERIES:
+        loaded = _query_modules(argv, "-S")
+        assert {m for m in loaded if m.startswith("altrace.")} == base | own[argv[0]], argv
+        assert not loaded & {"dataclasses", "inspect", "typing"}, argv
 
 
 def test_package_root_imports_no_submodule():

@@ -246,6 +246,23 @@ def test_correlation_out_of_scope_reports():
         signs.correlation_checks(4, 4, 1, 1)
 
 
+def test_result_types_are_immutable_records():
+    results = {
+        ("value", "covered", "case_tag", "zero_reason", "predicted_sign"): signs.equidistribution_predicate(4, 5, 1, 2),
+        ("plus", "minus"): signs.eigenspace_dims(4, 13, 1, 5),
+        ("kinfty_leading", "qinfty_coefficient", "qinfty_hypotheses_met"): signs.delta_r2_asymptotics(4, 5, 3),
+        ("hypotheses_met", "note", "trace_value", "zero_expected", "zero_observed", "sign_ratio_observed"):
+            signs.correlation_checks(4, 13, 1, 3),
+    }
+    for fields, res in results.items():
+        assert res._fields == fields
+        with pytest.raises(AttributeError):
+            setattr(res, fields[0], None)
+        twin = type(res)(*res)
+        assert twin == res and hash(twin) == hash(res)
+    assert signs.CorrelationResult(False, "note") == (False, "note", None, None, None, None)
+
+
 @given(
     st.sampled_from([2, 4, 6, 8, 10]),
     st.sampled_from([2, 3, 5, 7, 11, 13]),

@@ -43,6 +43,18 @@ def test_characters_evaluate_by_kronecker():
         twist.chi_odd(9)
 
 
+def test_twist_character_is_an_immutable_record():
+    chi = twist.chi_odd(7)
+    assert twist.TwistCharacter._fields == ("label", "conductor", "top")
+    twin = twist.TwistCharacter("chi_7", 7, -7)
+    assert chi == twin and hash(chi) == hash(twin)
+    with pytest.raises(AttributeError):
+        chi.top = 7
+    with pytest.raises(AttributeError):
+        chi.extra = 1
+    assert [chi(n) for n in range(1, 50)] == [kronecker(-7, n) for n in range(1, 50)]
+
+
 def test_kappa_at_q_table():
     # even exponent: principal series and supercuspidal split by (-1|q)
     assert twist.kappa_at_q(5, 4, twist.RPS) == 1
