@@ -7,8 +7,9 @@ Three independent routes to H(disc) live here:
 * ``hurwitz12_oracle`` -- a from-scratch enumeration of all reduced forms with
   automorphism weights, kept deliberately naive;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
-  bound.  numpy is imported only where such a table is built, so the other
-  routes run without it.
+  bound, one strided pass per b over a running count of the a*c products.
+  numpy is imported only where such a table is built, so the other routes
+  run without it.
 
 On top of those sit the weighted counts H_t, and the alpha/beta-style
 combinations the sign formulas consume.  Internally everything is an integer
@@ -178,30 +179,33 @@ class HurwitzTable:
 
 
 def build_table(bound: int) -> HurwitzTable:
-    """Sieve 12*H(-n) for all n <= bound by streaming over reduced forms.
+    """Sieve 12*H(-n) for all n <= bound, one pass per b over reduced forms.
 
-    Walks (a, b) with 0 <= b <= a and adds each form's automorphism weight to
-    every n = 4ac - b^2 <= bound (c >= a) in one strided numpy update.
+    A form (a, b, c), 0 <= b <= a <= c, has n = 4m - b^2 with m = a*c.  The
+    walk runs b from A = isqrt(bound // 3) down to 0 over a uint32 array cnt:
+    before step b, cnt[m] sums over a > b with a | m and a^2 <= m the weight
+    24 (forms +b and -b), or 12 when a^2 = m.  Step b adds the a = b forms
+    (12, and 4 at c = a), adds cnt to h12 at every n = 4m - b^2 in one
+    strided update, then makes those entries 24 and 12; b = 0 halves cnt.
+    cnt has (bound + A^2) // 4 + 1 entries, about a third of the table
+    (0.27 MB at bound 204,800, 5.3 MB at 4*10^6), freed on return.
     """
     import numpy as np
 
     if bound < 4:
         raise ValueError("bound must be at least 4")
     h12 = np.zeros(bound + 1, dtype=np.uint32)
-    for a in range(1, math.isqrt(bound // 3) + 1):
-        step = 4 * a
-        for b in range(a + 1):
-            start = 4 * a * a - b * b  # the form (a, b, c=a)
-            if start > bound:
-                continue
-            if b == 0:
-                w, w_eq = 12, 6
-            elif b < a:
-                w, w_eq = 24, 12
-            else:
-                w, w_eq = 12, 4
-            h12[start::step] += w
-            h12[start] -= w - w_eq
+    top = math.isqrt(bound // 3)
+    cnt = np.zeros((bound + top * top) // 4 + 1, dtype=np.uint32)
+    for b in range(top, 0, -1):
+        bb = b * b
+        cnt[bb::b] += 12
+        cnt[bb] -= 8
+        h12[3 * bb : bound + 1 : 4] += cnt[bb : (bound + bb) // 4 + 1]
+        cnt[bb::b] += 12
+        cnt[bb] -= 4
+    cnt >>= 1
+    h12[0::4] += cnt[: bound // 4 + 1]
     h12[0] = 0
     return HurwitzTable(bound, h12)
 
@@ -245,7 +249,8 @@ def ht12(t: int, disc: int) -> int:
     if dp % b:
         return 0
     dpb = dp // b
-    return g * kronecker(dpb, t // g) * hurwitz12_ext(dpb)
+    h = hurwitz12_ext(dpb)  # 0 at dpb = 2, 3 mod 4: no symbol needed
+    return g * kronecker(dpb, t // g) * h if h else 0
 
 
 def alpha1_12(d: int, e: int) -> int:

@@ -166,6 +166,38 @@ def test_ht12_same_with_and_without_table(n, odd):
     assert on == off, disc
 
 
+def _reference_table(bound):
+    """The (a, b) walk build_table replaced: one strided add per reduced-form
+    pair, from c = a at stride 4a, and a scalar fix for the form with c = a."""
+    import numpy as np
+
+    h12 = np.zeros(bound + 1, dtype=np.uint32)
+    for a in range(1, math.isqrt(bound // 3) + 1):
+        for b in range(a + 1):
+            start = 4 * a * a - b * b
+            if start > bound:
+                continue
+            w, w_eq = (12, 6) if b == 0 else (24, 12) if b < a else (12, 4)
+            h12[start :: 4 * a] += w
+            h12[start] -= w - w_eq
+    h12[0] = 0
+    return h12
+
+
+def test_table_equals_the_reference_walk():
+    import numpy as np
+
+    # every small bound, each residue mod 4 near the scan bound, and
+    # 204,363 = 3 * 261^2, where the last b's first form lands on the bound
+    for bound in [*range(4, 1001), *range(200_000, 200_004), 204_363]:
+        table = classnum.build_table(bound)
+        assert table.bound == bound
+        assert np.array_equal(table.h12, _reference_table(bound)), bound
+    for bound in range(4):
+        with pytest.raises(ValueError):
+            classnum.build_table(bound)
+
+
 def _class_number_relation_failures(h12) -> list[int]:
     """Indices at which a table h12[n] = 12 H(-n) breaks a class number relation.
 
