@@ -4,10 +4,11 @@
 the newspace of level q^r * M via elliptic/hyperbolic/parabolic divisor sums
 over weighted class numbers H_t.  The modulus q^r is any squarefree q >= 2
 at r = 1, a prime power at r >= 2, and 1 at r = 0 (the plain trace on level
-M; ``t_new_level``).  Both sum over t | M with per-level weights
-c_t (1 on the full space; the (mu*mu) newspace projection of that for
-``t_new``), cached per M, so each s is visited once per level and no
-per-discriminant sum is memoized.  ``t_new_squarefree`` is the independent
+M; ``t_new_level``).  Both sum term by term over t | M with per-level
+weights c_t (1 on the full space; the (mu*mu) newspace projection of that
+for ``t_new``), cached per M with its primes: each s reads at most one H(D)
+and one symbol (D|p) per prime p of M, and only the t with gcd(t, D) > 1 call
+the closed form ``classnum.ht12``.  ``t_new_squarefree`` is the independent
 one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
 cofactor: the divisor sum over t factors into closed local factors at the
 primes of the cofactor, so every level costs one class number per s.
@@ -69,31 +70,57 @@ def pk_from_s2(k: int, s2: int, ell: int) -> int:
 
 
 @cache
-def _level_weights(m: int, new: bool) -> tuple[tuple[int, int, int], ...]:
-    """(t, c_t, core_square_part(t)) for every t | m with c_t != 0.
+def _level_weights(m: int, new: bool):
+    """(primes of m, rows): a row (t, c_t, core_square_part(t), divides, odd) for
+    every t | m with c_t != 0; bit i of divides (odd) says primes[i] divides t (to
+    an odd power), all of t's exponents that a symbol chi^e, chi in {0, +-1}, reads.
 
     Full space: c_t = 1 when m/t is squarefree.  Newspace: the (mu*mu)
     projection of that indicator over the sub-levels m/d, so the newspace
     divisor sums run over the divisors of m once instead of once per m/d.
     """
-    if not new:
-        return tuple((t, 1, core_square_part(t)) for t in divisors_with_squarefree_cofactor(m))
-    out = []
-    for t in divisors(m):
-        c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m)
+    primes = tuple(p for p, _ in factor(m))
+    rows = []
+    for t in divisors(m) if new else divisors_with_squarefree_cofactor(m):
+        c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m) if new else 1
         if c:
-            out.append((t, c, core_square_part(t)))
-    return tuple(out)
+            divides = sum(1 << primes.index(p) for p, _ in factor(t))
+            odd = sum(1 << primes.index(p) for p, e in factor(t) if e & 1)
+            rows.append((t, c, core_square_part(t), divides, odd))
+    return primes, tuple(rows)
+
+
+def _divisor_sum12(weights, disc: int) -> int:
+    """sum_t c_t 12 H_t(disc) over the rows, term by term.  (disc|t) is
+    multiplicative in t, so one symbol per prime of m gives each row with
+    gcd(t, disc) = 1 its term c_t (disc|t) 12 H(disc), and those rows share one
+    class number; only the rows with gcd(t, disc) > 1 call ``classnum.ht12``.
+    """
+    primes, rows = weights
+    if not primes:
+        return classnum.hurwitz12_ext(disc)
+    zero = neg = 0  # bit i: primes[i] divides disc, or (disc|primes[i]) = -1
+    for i, p in enumerate(primes):
+        if disc % p == 0:
+            zero |= 1 << i
+        elif kronecker(disc, p) < 0:
+            neg |= 1 << i
+    total = coprime = 0
+    for t, c, _, divides, odd in rows:
+        if zero & divides:
+            total += c * classnum.ht12(t, disc)
+        else:
+            coprime += -c if (neg & odd).bit_count() & 1 else c
+    return total + coprime * classnum.hurwitz12_ext(disc) if coprime else total
 
 
 def _a1_24(k: int, qr: int, step: int, weights, ell: int) -> int:
-    """24 * A_1 at q^r = qr, over s = 0 mod step: the elliptic + parabolic-boundary sum."""
+    """24 * A_1 at q^r = qr over s = 0 mod step (elliptic + parabolic boundary): <= one H(D) per s."""
     bound = 4 * qr * ell
     total = 0
     s = 0
     while s * s <= bound:
-        disc = s * s - bound
-        inner = sum(c * classnum.ht12(t, disc) for t, c, _ in weights)
+        inner = _divisor_sum12(weights, s * s - bound)
         if inner:
             pk = pk_from_s2(k, (s * s) // qr, ell)
             total += (2 * pk if s else pk) * inner
@@ -112,7 +139,7 @@ def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
         dl2 = ell // dl
         if (dl + dl2) % qh:
             continue
-        inner = sum(c * math.gcd(sq, dl - dl2) for _, c, sq in weights)
+        inner = sum(c * math.gcd(sq, dl - dl2) for _, c, sq, _, _ in weights[1])
         total += min(dl, dl2) ** (k - 1) * inner
     return -phi * total
 

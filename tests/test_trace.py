@@ -608,6 +608,9 @@ _QR_UP_TO_243 = [(q, r) for q in primes_up_to(243) for r in range(6) if q**r <= 
 @example(4, (3, 2), 128, 5)
 @example(2, (3, 5), 128, 7)
 @example(12, (2, 0), 343, 3)
+# D = 0 at s = 10 with t in {2, 3, 4, 6, 12}; three odd primes in M
+@example(4, (7, 0), 12, 25)
+@example(2, (2, 1), 105, 11)
 def test_fused_kernel_matches_projected_full_space_sums(k, qr, m, ell):
     q, r = qr
     assume(m % q and math.gcd(ell, q * m) == 1)
@@ -617,18 +620,83 @@ def test_fused_kernel_matches_projected_full_space_sums(k, qr, m, ell):
 
 def test_level_weights_per_prime():
     # newspace c_t at t = p^j for j = 0..e: (-1, 1), (-1, -1, 1), then
-    # (1, -1, -1, 1) on p^(e-3..e)
+    # (1, -1, -1, 1) on p^(e-3..e); each row also carries whether p | t and
+    # whether j is odd
     local = {1: (-1, 1), 2: (-1, -1, 1), 3: (1, -1, -1, 1), 4: (0, 1, -1, -1, 1)}
     for p in (2, 3, 5):
         for e, cs in local.items():
-            expect = tuple((p**j, c, p ** (j // 2)) for j, c in enumerate(cs) if c)
-            assert trace._level_weights(p**e, True) == expect, (p, e)
-            full = tuple((p**j, 1, p ** (j // 2)) for j in (e - 1, e))
-            assert trace._level_weights(p**e, False) == full, (p, e)
+            expect = tuple((p**j, c, p ** (j // 2), int(j > 0), j & 1) for j, c in enumerate(cs) if c)
+            assert trace._level_weights(p**e, True) == ((p,), expect), (p, e)
+            full = tuple((p**j, 1, p ** (j // 2), int(j > 0), j & 1) for j in (e - 1, e))
+            assert trace._level_weights(p**e, False) == ((p,), full), (p, e)
+    # the primes of m, and each row's exponents at them as bit masks over
+    # (2, 3, 5): the primes dividing t, and those to an odd power
+    primes, rows = trace._level_weights(360, False)
+    assert primes == (2, 3, 5)
+    assert {t: (divides, odd) for t, _, _, divides, odd in rows} == {
+        12: (0b011, 0b010),
+        60: (0b111, 0b110),
+        36: (0b011, 0b000),
+        180: (0b111, 0b100),
+        24: (0b011, 0b011),
+        120: (0b111, 0b111),
+        72: (0b011, 0b001),
+        360: (0b111, 0b101),
+    }
+    primes, rows = trace._level_weights(360, True)
+    assert primes == (2, 3, 5)
+    for t, _, _, divides, odd in rows:
+        exps = [dict(factor(t)).get(p, 0) for p in primes]
+        assert divides == sum(1 << i for i, e in enumerate(exps) if e), t
+        assert odd == sum(1 << i for i, e in enumerate(exps) if e & 1), t
     # the weights are multiplicative over the primes of m
     for m in (12, 360, 2**5 * 27 * 7):
         prod = {1: 1}
         for p, e in factor(m):
-            cs = dict((t, c) for t, c, _ in trace._level_weights(p**e, True))
+            cs = dict((t, c) for t, c, *_ in trace._level_weights(p**e, True)[1])
             prod = {a * t: ca * c for a, ca in prod.items() for t, c in cs.items()}
-        assert {t: c for t, c, _ in trace._level_weights(m, True)} == prod, m
+        assert {t: c for t, c, *_ in trace._level_weights(m, True)[1]} == prod, m
+
+
+_DIVISOR_SUM_LEVELS = (1, 2, 4, 8, 32, 128, 9, 27, 12, 360, 210, 2**5 * 3**3 * 7, 2 * 3 * 7**3)
+
+
+def _check_divisor_sum12(low):
+    for m in _DIVISOR_SUM_LEVELS:
+        kinds = (trace._level_weights(m, False), trace._level_weights(m, True))
+        ts = {t for _, rows in kinds for t, *_ in rows}
+        for disc in range(low, 1):
+            if disc % 4 in (0, 1):
+                ht = {t: classnum.ht12(t, disc) for t in ts}
+                for weights in kinds:
+                    plain = sum(c * ht[t] for t, c, *_ in weights[1])
+                    assert trace._divisor_sum12(weights, disc) == plain, (m, weights[1], disc)
+
+
+def test_divisor_sum_reads_one_class_number_per_discriminant(monkeypatch):
+    # one H(D) and one symbol per prime of m give the same sum as ht12 at
+    # every row: D = 0 (every t > 1 takes the closed form), even D at p = 2,
+    # with the table and on the per-discriminant path
+    _check_divisor_sum12(-2000)
+    monkeypatch.setattr(classnum, "_active_table", None)
+    _check_divisor_sum12(-400)
+
+
+def test_divisor_sums_call_ht12_only_where_gcd_exceeds_one(monkeypatch):
+    calls = []
+    real = classnum.ht12
+
+    def recorder(t, disc):
+        calls.append((t, disc))
+        return real(t, disc)
+
+    monkeypatch.setattr(classnum, "ht12", recorder)
+    for k in (2, 4):
+        for q, r in ((5, 1), (7, 1), (3, 2), (5, 2), (2, 3), (6, 1), (15, 1)):
+            for m in range(1, 61):
+                for ell in range(1, 14):
+                    if math.gcd(ell * q, m) == 1 and math.gcd(ell, q) == 1:
+                        trace.t_full(k, q, r, m, ell)
+                        trace.t_new(k, q, r, m, ell)
+    assert calls
+    assert all(math.gcd(t, disc) > 1 for t, disc in calls)
