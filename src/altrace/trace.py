@@ -115,7 +115,7 @@ def _divisor_sum12(weights, disc: int) -> int:
 
 
 def _a1_24(k: int, qr: int, step: int, weights, ell: int) -> int:
-    """24 * A_1 at q^r = qr over s = 0 mod step (elliptic + parabolic boundary): <= one H(D) per s."""
+    """24 * A_1 at q^r = qr over s = 0 mod step (elliptic + parabolic boundary), at most one H(D) per s."""
     bound = 4 * qr * ell
     total = 0
     s = 0

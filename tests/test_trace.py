@@ -673,7 +673,7 @@ def _check_divisor_sum12(low):
                     assert trace._divisor_sum12(weights, disc) == plain, (m, weights[1], disc)
 
 
-def test_divisor_sum_reads_one_class_number_per_discriminant(monkeypatch):
+def test_divisor_sum_helper_equals_plain_ht12_sum(monkeypatch):
     # one H(D) and one symbol per prime of m give the same sum as ht12 at
     # every row: D = 0 (every t > 1 takes the closed form), even D at p = 2,
     # with the table and on the per-discriminant path
