@@ -2,10 +2,10 @@
 
 Factorization (cached trial division, returned as the plain tuple of
 (prime, exponent) pairs), Kronecker symbols, the multiplicative functions
-mobius, mu_star_mu and sigma (the newspace dimension's local weights live in
-module signs), and the divisor sums that drive the trace formulas.  Everything
-returns exact ints, in pure Python: importing this module does not import
-numpy.
+mobius and sigma, and divisors and primes.  The newspace weights live
+where they are read: the dimension's in module signs, the traces' in
+module trace.  Everything returns exact ints, in pure Python: importing
+this module does not import numpy.
 
 ``check_level`` is the one argument rule for a level: the trace kernels,
 the closed forms, the dimension formulas, the twist pairing and the CLI's
@@ -111,17 +111,6 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def mu_star_mu(n: int) -> int:
-    """(mu * mu)(n): the Dirichlet inverse of the divisor-count function."""
-    out = 1
-    for _, e in factor(n):
-        if e == 1:
-            out = -2 * out
-        elif e > 2:
-            return 0
-    return out
-
-
 def sigma(n: int) -> int:
     out = 1
     for p, e in factor(n):
@@ -139,43 +128,12 @@ def omega2(n: int, m: int) -> int:
     return sum(1 for p, e in factor(m) if e == 2 and kronecker(n, p) == 1)
 
 
-def core_square_part(n: int) -> int:
-    """The largest q with q^2 | n (for n >= 1)."""
-    out = 1
-    for p, e in factor(n):
-        out *= p ** (e // 2)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factor(n):
         out = [d * p**j for d in out for j in range(e + 1)]
     out.sort()
     return out
-
-
-def divisors_with_squarefree_cofactor(m: int) -> list[int]:
-    """All t | m such that m/t is squarefree (there are 2^omega(m) of them)."""
-    out = [1]
-    for p, e in factor(m):
-        out = [d * p**j for d in out for j in (e - 1, e)]
-    out.sort()
-    return out
-
-
-def mobius_squared_transform(f, m: int):
-    """sum_{d | m} (mu*mu)(d) f(m/d); inverts g(m) = sum_{d|m} sigma0(d) f(m/d).
-
-    This is the newspace projection: a full-space dimension or trace, as a
-    function of the level, becomes the newspace one.
-    """
-    total = 0
-    for d in divisors(m):
-        c = mu_star_mu(d)
-        if c:
-            total += c * f(m // d)
-    return total
 
 
 def primes_up_to(n: int) -> list[int]:

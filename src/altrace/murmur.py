@@ -51,7 +51,8 @@ class FamilySpec:
     kind I   : M fixed, Q ranges over squarefree integers coprime to M
                (optionally with omega(Q) = omega_q prime factors).
     kind II  : Q fixed squarefree, M ranges over m_set ("all", "sqf", or
-               "sqf<r>" for squarefree with exactly r prime factors).
+               "sqf<r>", r >= 1 without leading zeros, for squarefree with
+               exactly r prime factors).
     kind III : N squarefree with exactly r prime factors, the smallest
                len(fixed) of which are the fixed primes; Q is the product
                of the primes at the 1-based sorted positions in idx.
@@ -82,10 +83,11 @@ class FamilySpec:
         elif self.kind == "II":
             if self.q < 1 or not is_squarefree(self.q):
                 raise ValueError("kind II needs squarefree Q >= 1")
-            if self.m_set != "all" and not (
-                self.m_set == "sqf" or (self.m_set.startswith("sqf") and self.m_set[3:].isdigit())
+            digits = self.m_set[3:]  # sqf<r>: r >= 1 written canonically, so each family has one name
+            if self.m_set not in ("all", "sqf") and not (
+                self.m_set.startswith("sqf") and digits.isascii() and digits.isdigit() and digits[0] != "0"
             ):
-                raise ValueError("M set must be 'all', 'sqf', or 'sqf<r>'")
+                raise ValueError("M set must be 'all', 'sqf', or 'sqf<r>' with r >= 1")
         else:
             if self.r < 1:
                 raise ValueError("kind III needs r >= 1")

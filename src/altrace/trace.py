@@ -5,10 +5,14 @@ the newspace of level q^r * M via elliptic/hyperbolic/parabolic divisor sums
 over weighted class numbers H_t.  The modulus q^r is any squarefree q >= 2
 at r = 1, a prime power at r >= 2, and 1 at r = 0 (the plain trace on level
 M; ``t_new_level``).  Both sum term by term over t | M with per-level
-weights c_t (1 on the full space; the (mu*mu) newspace projection of that
-for ``t_new``), cached per M with its primes: each s reads at most one H(D)
-and one symbol (D|p) per prime p of M, and only the t with gcd(t, D) > 1 call
-the closed form ``classnum.ht12``.  ``t_new_squarefree`` is the independent
+weights c_t (1 on the full space where M/t is squarefree; the newspace
+weights for ``t_new``), cached per M with its primes: each s reads at most
+one H(D) and one symbol (D|p) per prime p of M, and only the t with
+gcd(t, D) > 1 call the closed form ``classnum.ht12``.  The weights are
+multiplicative, so each level's are one product of local rows over its
+p^e || M; the newspace's local values are ``_NEW_WEIGHTS``, which the
+squarefree route reads too, and the tests keep the (mu*mu) projection of
+the full-space weights as their twin.  ``t_new_squarefree`` is the independent
 one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
 cofactor: the divisor sum over t factors into closed local factors at the
 primes of the cofactor, so every level costs one class number per s.
@@ -37,19 +41,7 @@ import math
 from functools import cache
 
 from . import classnum
-from .arith import (
-    check_level,
-    core_square_part,
-    divisors,
-    divisors_with_squarefree_cofactor,
-    factor,
-    is_prime,
-    is_squarefree,
-    kronecker,
-    mobius,
-    mobius_squared_transform,
-    sigma,
-)
+from .arith import check_level, divisors, factor, is_prime, kronecker, mobius, sigma
 
 
 def pk_from_s2(k: int, s2: int, ell: int) -> int:
@@ -69,25 +61,35 @@ def pk_from_s2(k: int, s2: int, ell: int) -> int:
     return w
 
 
+# c_{p^(e-j)}, j = 0..3, of the newspace weights at p^e || m: the (mu*mu)
+# projection of the full-space indicator a in {e-1, e}, i.e. (1 - x)^2 (1 + x).
+# The divisor sums and the squarefree route both read this one table.
+_NEW_WEIGHTS = (1, -1, -1, 1)
+
+
 @cache
 def _level_weights(m: int, new: bool):
-    """(primes of m, rows): a row (t, c_t, core_square_part(t), divides, odd) for
-    every t | m with c_t != 0; bit i of divides (odd) says primes[i] divides t (to
-    an odd power), all of t's exponents that a symbol chi^e, chi in {0, +-1}, reads.
+    """(primes of m, rows): a row (t, c_t, core square part of t, divides, odd)
+    for every t | m with c_t != 0, in increasing t; bit i of divides (odd) says
+    primes[i] divides t (to an odd power), all of t's exponents that a symbol
+    chi^e, chi in {0, +-1}, reads.
 
-    Full space: c_t = 1 when m/t is squarefree.  Newspace: the (mu*mu)
-    projection of that indicator over the sub-levels m/d, so the newspace
-    divisor sums run over the divisors of m once instead of once per m/d.
+    c_t is multiplicative, so the rows are one product of local rows over the
+    p^e || m: t takes p^a with weight 1 at a in {e-1, e} on the full space
+    (m/t squarefree), and weight _NEW_WEIGHTS[j] at a = e-j on the newspace.
+    The tests keep the (mu*mu) projection of the full-space indicator over
+    the sub-levels m/d as this product's twin.
     """
-    primes = tuple(p for p, _ in factor(m))
-    rows = []
-    for t in divisors(m) if new else divisors_with_squarefree_cofactor(m):
-        c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m) if new else 1
-        if c:
-            divides = sum(1 << primes.index(p) for p, _ in factor(t))
-            odd = sum(1 << primes.index(p) for p, e in factor(t) if e & 1)
-            rows.append((t, c, core_square_part(t), divides, odd))
-    return primes, tuple(rows)
+    fac = factor(m)
+    rows = [(1, 1, 1, 0, 0)]
+    for i, (p, e) in enumerate(fac):
+        steps = [(e - j, c) for j, c in enumerate(_NEW_WEIGHTS[: e + 1])] if new else [(e - 1, 1), (e, 1)]
+        rows = [
+            (t * p**a, c * ca, sq * p ** (a // 2), divides | (a > 0) << i, odd | (a & 1) << i)
+            for t, c, sq, divides, odd in rows
+            for a, ca in steps
+        ]
+    return tuple(p for p, _ in fac), tuple(sorted(rows))
 
 
 def _divisor_sum12(weights, disc: int) -> int:
@@ -186,11 +188,6 @@ def t_new_level(k: int, n: int, ell: int = 1) -> int:
 # squarefree Q: one class number per s
 
 
-# c_{p^(e-i)}, i = 0..3, of the newspace weights at p^e || m: the (mu*mu)
-# projection of the full-space indicator a in {e-1, e}, i.e. (1 - x)^2 (1 + x)
-_NEW_WEIGHTS = (1, -1, -1, 1)
-
-
 @cache
 def _local_factor(p: int, e: int, v: int, chi: int) -> int:
     """L_p(e, v, chi): sum_t c_t H_t(D) over H(D*), locally at p^e || m.
@@ -212,8 +209,9 @@ def _local_factor(p: int, e: int, v: int, chi: int) -> int:
 
 
 def _hyperbolic(local, x: int) -> int:
-    """sum_t c_t gcd(core_square_part(t), x) over the newspace weights of
-    m = prod p^e, (p, e) in local, for x >= 1: a product of local sums."""
+    """sum_t c_t gcd(sq_t, x), sq_t^2 the largest square dividing t, over the
+    newspace weights of m = prod p^e, (p, e) in local, for x >= 1: a product
+    of local sums."""
     out = 1
     for p, e in local:
         if e == 1:

@@ -9,7 +9,7 @@ dividing M that force a self-pairing of eigenspaces (hence a vanishing
 eigenspace-dimension difference and vanishing twisted Hecke averages).
 Its level is checked by ``arith.check_level``; it adds a prime q, odd r.
 A ``TwistCharacter`` is the namedtuple (label, conductor, top), evaluated as
-the Kronecker symbol (top / n); ``top`` replaces the former private ``_top``.
+the Kronecker symbol (top / n).
 """
 from __future__ import annotations
 

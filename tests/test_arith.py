@@ -88,15 +88,6 @@ def test_mobius_divisor_sum(n):
     assert sum(arith.mobius(d) for d in arith.divisors(n)) == 0
 
 
-def test_mu_star_mu_prime_powers():
-    assert [arith.mu_star_mu(2**e) for e in range(5)] == [1, -2, 1, 0, 0]
-    assert arith.mu_star_mu(6) == 4
-    # Dirichlet inverse of sigma0: (mu*mu) * sigma0 = e
-    for n in range(2, 200):
-        total = sum(arith.mu_star_mu(d) * len(arith.divisors(n // d)) for d in arith.divisors(n))
-        assert total == 0, n
-
-
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
 def test_sigma_multiplicative(a, b):
     if math.gcd(a, b) == 1:
@@ -105,7 +96,6 @@ def test_sigma_multiplicative(a, b):
 
 def test_squarefree_and_core():
     assert [n for n in range(1, 31) if not arith.is_squarefree(n)] == [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
-    assert arith.core_square_part(720) == 12  # 720 = 12^2 * 5
 
 
 def test_omega_variants():
@@ -115,22 +105,6 @@ def test_omega_variants():
     # p^2 || m for p in {2, 5}; (n|p) = 1 picks out squares mod p
     assert arith.omega2(1, m) == 2
     assert arith.omega2(3, m) == 0  # 3 is a non-residue mod both 2's... (3|2)=-1, (3|5)=-1
-
-
-def test_divisors_with_squarefree_cofactor():
-    m = 360  # 2^3 3^2 5
-    ds = arith.divisors_with_squarefree_cofactor(m)
-    assert len(ds) == 2 ** len(arith.factor(m))
-    assert all(m % d == 0 and arith.is_squarefree(m // d) for d in ds)
-    # and no other divisor qualifies
-    assert set(ds) == {d for d in arith.divisors(m) if arith.is_squarefree(m // d)}
-
-
-def test_mobius_squared_transform_inverts_sigma0_convolution():
-    f = arith.sigma
-    for m in range(1, 80):
-        g = lambda t: sum(len(arith.divisors(d)) * f(t // d) for d in arith.divisors(t))
-        assert arith.mobius_squared_transform(g, m) == f(m)
 
 
 def test_prime_powers_up_to_matches_brute_force():

@@ -79,6 +79,11 @@ def test_family_validation():
         FamilySpec("I", k=3)
     with pytest.raises(ValueError, match="M set"):
         FamilySpec("II", q=3, m_set="odd")
+    # r >= 1 in its one spelling: sqf0 has no level, sqf01 would rename sqf1,
+    # and a superscript digit passes str.isdigit but not int()
+    for text in ("II:Q=1,M=sqf0", "II:Q=1,M=sqf01", "II:Q=1,M=sqf²"):
+        with pytest.raises(ValueError, match="M set must be"):
+            parse_family(text)
 
 
 # ---------------------------------------------------------------------------

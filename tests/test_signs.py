@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import divisors, factor, is_prime, kronecker, mobius_squared_transform
+from altrace.arith import divisors, factor, is_prime, kronecker
+from reference import mobius_squared_transform
 
 
 def test_kappa_minus_table():

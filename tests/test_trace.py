@@ -7,19 +7,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import (
-    core_square_part,
-    divisors,
-    divisors_with_squarefree_cofactor,
-    factor,
-    is_prime,
-    is_squarefree,
-    kronecker,
-    mobius,
-    mobius_squared_transform,
-    primes_up_to,
-    sigma,
-)
+from altrace.arith import divisors, factor, is_prime, is_squarefree, kronecker, mobius, primes_up_to, sigma
+from reference import core_square_part, divisors_with_squarefree_cofactor, mobius_squared_transform
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +645,29 @@ def test_level_weights_per_prime():
             cs = dict((t, c) for t, c, *_ in trace._level_weights(p**e, True)[1])
             prod = {a * t: ca * c for a, ca in prod.items() for t, c in cs.items()}
         assert {t: c for t, c, *_ in trace._level_weights(m, True)[1]} == prod, m
+
+
+def _reference_weights(m, new):
+    # each t | m weighted by its own (mu*mu) projection of the full-space
+    # indicator over the sub-levels m/d, with its masks read off factor(t)
+    primes = tuple(p for p, _ in factor(m))
+    rows = []
+    for t in divisors(m) if new else divisors_with_squarefree_cofactor(m):
+        c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m) if new else 1
+        if c:
+            divides = sum(1 << primes.index(p) for p, _ in factor(t))
+            odd = sum(1 << primes.index(p) for p, e in factor(t) if e & 1)
+            rows.append((t, c, core_square_part(t), divides, odd))
+    return primes, tuple(rows)
+
+
+def test_level_weights_equal_the_projection():
+    # the product of local rows against the divisor-by-divisor projection:
+    # every m <= 2000 (2^7 * 5 among them), then three primes with exponents
+    # up to 5 beyond it: 6048 = 2^5 * 3^3 * 7, 2058 = 2 * 3 * 7^3, 3^3 * 11 * 13
+    for m in [*range(1, 2001), 2**5 * 3**3 * 7, 2 * 3 * 7**3, 3**3 * 11 * 13]:
+        for new in (False, True):
+            assert trace._level_weights(m, new) == _reference_weights(m, new), (m, new)
 
 
 _DIVISOR_SUM_LEVELS = (1, 2, 4, 8, 32, 128, 9, 27, 12, 360, 210, 2**5 * 3**3 * 7, 2 * 3 * 7**3)
