@@ -144,6 +144,8 @@ def cmd_equidist_sweep(args) -> tuple[dict, int]:
 def cmd_murmur(args) -> tuple[dict, int]:
     from . import murmur
 
+    if args.smooth is not None and not 0 < args.smooth < 1:  # before the scan, not after it
+        raise ValueError("--smooth must be in (0, 1), got %s" % args.smooth)
     spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
     ell_range = (2, args.ell_max)
     series: dict[str, list[murmur.MurmurationPoint]] = {}

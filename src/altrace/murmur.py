@@ -8,19 +8,22 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
 division, so scans are reproducible across platforms.
 
-scan_WQ and scan_eigenspace walk the window in one loop, ``_scan``: one
-row per level (a group key, the signed Atkin-Lehner moduli whose traces it
-averages, and its count), then one pass over the rows per prime.  They
-differ only in the row.  The traces at the scanned primes come from
-``window.TraceWindow``, one numpy pass per batch of primes over every level
-of the window, which equals ``trace.t_new_squarefree`` level by level (one
-class number per s, non-squarefree levels included); the counts at ell = 1
-stay on the per-level kernel.  A kernel replaced on the trace module
-(anything but a functools.wraps wrapper of it) is not the one the engine
-reproduces, so the scans then call it level by level instead
-(``_trace_window``).  The signed mean over the moduli is one
-function, ``_signed_mean``, shared with ``eigenspace_trace``, which
-selftest criterion 9 also inverts.
+scan_WQ and scan_eigenspace share one function, ``_scan``: one row per
+level (a group key, the signed Atkin-Lehner moduli whose traces it
+averages, and its count), sorted by key, then exact integer array
+reductions per batch of primes.  They differ only in the row.  The traces
+at the scanned primes come from ``window.TraceWindow``, one numpy pass per
+batch of primes over every level of the window, which equals
+``trace.t_new_squarefree`` level by level (one class number per s,
+non-squarefree levels included); the counts at ell = 1 stay on the
+per-level kernel.  A kernel replaced on the trace module (anything but a
+functools.wraps wrapper of it) is not the one the engine reproduces, so the
+scans then call it level by level instead (``_trace_window``).  Per batch
+the signed mean over the moduli and the sums per key are integer array
+operations, in int64 while max|trace| * slots * levels < 2^63 and in
+Python ints otherwise, so no sum can wrap; only the final weighting by
+sqrt(key) is in floats.  ``_signed_mean`` is the same mean for one level,
+read by ``eigenspace_trace``, which selftest criterion 9 also inverts.
 
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
@@ -252,7 +255,7 @@ def _trace_window(k: int, levels, ell_max: int):
 
 
 def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> list[MurmurationPoint]:
-    """The window walk behind scan_WQ and scan_eigenspace.
+    """The scan behind scan_WQ and scan_eigenspace.
 
     levels are the window's (Q, M) pairs, Q the largest Atkin-Lehner modulus
     the level's trace reads, and row(Q, M) gives the level's group key, its
@@ -263,33 +266,56 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     levels ell does not divide, summed per key and weighted by sqrt(key),
     and divides by their counts.  A prime whose kept levels carry no form
     gives no point; no_forms is raised if no level of the window carries one.
+
+    The levels are sorted by key once.  Per batch of primes the slots'
+    traces form one exact integer array (slots x primes x levels): a
+    multiply-add with the levels' signs, one divisibility check by the slot
+    count, then np.add.reduceat over each key's run of levels.  The array is
+    int64 while max|trace| * slots * levels < 2^63, so no sum can wrap, and
+    holds Python ints otherwise.  Only the final sum over the keys present at
+    ell, in increasing key order, is in floats.
     """
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     ells = _primes_in(ell_range)
     classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
-    rows = [(q * m, *row(q, m)) for q, m in levels]
-    if not any(count for *_, count in rows):
+    import numpy as np  # loaded by the table build; importing murmur stays numpy-free
+
+    ns, keys, moduli, counts = zip(*sorted(((q * m, *row(q, m)) for q, m in levels), key=lambda r: r[1]))
+    if not any(counts):
         raise ValueError(no_forms)
+    width = len(moduli[0])
     slots = [
-        _trace_window(spec.k, [(moduli[i][0], n // moduli[i][0]) for n, _, moduli, _ in rows], max(ells))
-        for i in range(len(rows[0][2]))
+        _trace_window(spec.k, [(mods[i][0], n // mods[i][0]) for n, mods in zip(ns, moduli)], max(ells))
+        for i in range(width)
     ]
+    starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    roots = [math.sqrt(keys[i]) for i in starts]
+    level_n = np.array(ns, dtype=np.int64)
+    sign = np.array([[s for _, s in mods] for mods in moduli], dtype=np.int64).T[:, None, :]
+    counts = np.array(counts, dtype=np.int64 if max(counts) * len(ns) < 2**63 else object)
     points = []
     for batch in window.prime_batches(ells, slots):
         traces = [w.traces(batch) for w in slots]
-        for j, ell in enumerate(batch):
-            groups: dict[int, int] = {}
-            total = 0
-            for i, (n, key, moduli, count) in enumerate(rows):
-                if n % ell:
-                    tr = _signed_mean(n, ell, [(sign, t[j][i]) for (_, sign), t in zip(moduli, traces, strict=True)])
-                    groups[key] = groups.get(key, 0) + tr
-                    total += count
-            if total:
+        try:
+            t = np.array(traces, dtype=np.int64)
+            exact = int(np.abs(t).max()) * width * len(ns) < 2**63
+        except OverflowError:
+            exact = False
+        if not exact:
+            t = np.array(traces, dtype=object)
+        # traces are 0 at the levels ell divides, so they add nothing to the sums
+        total = (sign * t).sum(axis=0)
+        bad = np.argwhere(total % width)
+        assert not bad.size, (ns[bad[0, 1]], batch[bad[0, 0]], int(total[tuple(bad[0])]))
+        sums = np.add.reduceat(total // width, starts, axis=1).tolist()
+        kept = level_n % np.array(batch, dtype=np.int64)[:, None] != 0
+        present = np.logical_or.reduceat(kept, starts, axis=1).tolist()
+        for ell, count, s_ell, p_ell in zip(batch, (kept @ counts).tolist(), sums, present, strict=True):
+            if count:
                 scale = ell ** (spec.k // 2 - 1)
-                avg = sum(s / scale * math.sqrt(key) for key, s in sorted(groups.items()))
-                points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / total, total))
+                avg = sum(s / scale * root for s, root, p in zip(s_ell, roots, p_ell) if p)
+                points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / count, count))
     if not points:
         raise ValueError("every prime in the range divides every level of %s that carries a form" % (spec,))
     return points
@@ -449,9 +475,10 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     pass per batch of primes.  workers >= 1; with workers > 1 the batches
     (never single primes) are measured on that many threads.  numpy
     releases the interpreter lock only inside each array operation, so
-    threads gain little: on a 2-vCPU VM, not counting the table,
-    cancellation_diag(2, 500) takes about 0.55 s serial and 0.45 s on 2
-    threads, and (2, 100) about 15-20 ms serial and 20-30 ms on 2 threads.
+    threads gain little: on a 2-vCPU VM shared with other jobs, with the
+    table installed (medians of 5 calls in each of four processes),
+    cancellation_diag(2, 500) takes 0.27-0.35 s serial and 0.23-0.27 s on 2
+    threads, and (2, 100) 11-15 ms serial and 14-19 ms on 2 threads.
     The option stays because the perfbench scan workload times the
     2-thread run.
     """

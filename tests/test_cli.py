@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from altrace import cli, selftest, signs, trace, twist
+from altrace import cli, murmur, selftest, signs, trace, twist
 
 
 def run(capsys, *argv):
@@ -279,6 +279,7 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             "No such file or directory",
             id="out-in-missing-dir",
         ),
+        pytest.param([*MURMUR_III, "--smooth", "1.5"], "--smooth must be in (0, 1), got 1.5", id="smooth-above-1"),
         pytest.param([*MURMUR_III, "--eigenspace", "+x"], "epsilon must be a +-1 vector", id="eps-char"),
         pytest.param([*MURMUR_III, "--eigenspace="], "epsilon must be a +-1 vector", id="eps-empty"),
         pytest.param([*MURMUR_III, "--eigenspace=--"], "epsilon must be a +-1 vector", id="eps-dashes"),
@@ -304,6 +305,19 @@ def test_bad_input_and_empty_scans_exit_2_with_a_message(capsys, tmp_path, argv,
         cli.main(["--output-dir", str(tmp_path), *argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_murmur_rejects_the_smoothing_exponent_before_the_scan(capsys, tmp_path, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan ran before --smooth was checked")
+
+    monkeypatch.setattr(murmur, "scan_WQ", no_scan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--output-dir", str(tmp_path), "murmur", "--family", "I:M=1", "--X", "2000", "--ell-max", "400",
+                  "--smooth", "1"])
+    assert exc.value.code == 2
+    assert "--smooth must be in (0, 1), got 1.0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -204,11 +204,21 @@ def _per_level_walk(spec, levels, ells, X, key, trace_at, count):
 
 @pytest.mark.parametrize(
     "family, k, X",
-    [("I:M=1", 2, 80), ("III:r=2,idx=1,2", 4, 80), ("II:Q=1,M=all", 2, 40), ("III:r=2", 2, 80)],
+    [
+        ("I:M=1", 2, 80),
+        ("III:r=2,idx=1,2", 4, 80),
+        ("II:Q=1,M=all", 2, 40),
+        ("III:r=2", 2, 80),
+        # an int64 sum over these windows' traces would wrap, although each trace fits
+        ("I:M=1", 18, 320),
+        ("I:M=1", 22, 160),
+        ("III:r=2,idx=1,2", 18, 320),
+    ],
 )
 def test_scan_points_equal_the_per_level_walk(family, k, X):
-    # the benchmark's four scan families at reduced X: the batched traces
-    # must give bit-identical points, not merely close ones
+    # the benchmark's four scan families at reduced X, and three windows whose
+    # sums need Python ints: the batched traces must give bit-identical
+    # points, not merely close ones
     spec = parse_family(family, k=k)
     ells = arith.primes_up_to(X // 4)
     if family == "III:r=2":
@@ -230,6 +240,24 @@ def test_scan_points_equal_the_per_level_walk(family, k, X):
             lambda q, m: signs.dim_new(k, q * m),
         )
     assert got == expect
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: murmur.scan_WQ(parse_family("II:Q=1,M=all", k=2), (2, 20), 40),
+        lambda: murmur.scan_WQ(parse_family("I:M=1", k=22), (2, 40), 160),
+        lambda: murmur.scan_eigenspace(parse_family("III:r=2", k=2), (1, -1), (2, 20), 80),
+    ],
+    ids=["WQ", "WQ-python-ints", "eigenspace"],
+)
+def test_scan_points_hold_plain_python_numbers(scan):
+    # the CLI's --json and the benchmark serialise points with json.dumps,
+    # which rejects numpy scalars
+    for p in scan():
+        assert [type(v) for v in (p.ell, p.X, p.x.numerator, p.x.denominator, p.average, p.count)] == [
+            int, int, int, int, float, int
+        ]
 
 
 def test_cancellation_equals_the_per_level_sums():
