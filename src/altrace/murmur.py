@@ -12,18 +12,20 @@ scan_WQ and scan_eigenspace share one function, ``_scan``: one row per
 level (a group key, the signed Atkin-Lehner moduli whose traces it
 averages, and its count), sorted by key, then exact integer array
 reductions per batch of primes.  They differ only in the row.  The traces
-at the scanned primes come from ``window.TraceWindow``, one numpy pass per
-batch of primes over every level of the window, which equals
+at the scanned primes come from one ``window.TraceWindow`` per modulus
+slot, as an integer array over primes x levels that equals
 ``trace.t_new_squarefree`` level by level (one class number per s,
-non-squarefree levels included); the counts at ell = 1 stay on the
-per-level kernel.  A kernel replaced on the trace module (anything but a
-functools.wraps wrapper of it) is not the one the engine reproduces, so the
-scans then call it level by level instead (``_trace_window``).  Per batch
-the signed mean over the moduli and the sums per key are integer array
-operations, in int64 while max|trace| * slots * levels < 2^63 and in
-Python ints otherwise, so no sum can wrap; only the final weighting by
-sqrt(key) is in floats.  ``_signed_mean`` is the same mean for one level,
-read by ``eigenspace_trace``, which selftest criterion 9 also inverts.
+non-squarefree levels included); each window cuts its own numpy passes by
+its rows per prime, so a slot of large Q takes all its primes at once.  The
+counts at ell = 1 stay on the per-level kernel.  A kernel replaced on the
+trace module (anything but a functools.wraps wrapper of it) is not the one
+the engine reproduces, so the scans then call it level by level instead
+(``_trace_window``).  Per batch the signed mean over the moduli and the sums
+per key are integer array operations, in int64 while max|trace| * slots *
+levels < 2^63 and in Python ints otherwise, so no sum can wrap; only the
+final weighting by sqrt(key) is in floats.  ``_signed_mean`` is the same
+mean for one level, read by ``eigenspace_trace``, which selftest criterion 9
+also inverts.
 
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
@@ -267,13 +269,16 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     and divides by their counts.  A prime whose kept levels carry no form
     gives no point; no_forms is raised if no level of the window carries one.
 
-    The levels are sorted by key once.  Per batch of primes the slots'
-    traces form one exact integer array (slots x primes x levels): a
-    multiply-add with the levels' signs, one divisibility check by the slot
-    count, then np.add.reduceat over each key's run of levels.  The array is
-    int64 while max|trace| * slots * levels < 2^63, so no sum can wrap, and
-    holds Python ints otherwise.  Only the final sum over the keys present at
-    ell, in increasing key order, is in floats.
+    The levels are sorted by key once.  The primes go in batches whose
+    primes x levels stay within window._BATCH_ENTRIES (one prime at least);
+    each slot's window cuts its own passes inside a batch.  Per batch each
+    slot's exact trace array (primes x levels) is multiplied by the levels'
+    signs and added to a running total, slot by slot; then one divisibility
+    check by the slot count, and np.add.reduceat over each key's run of
+    levels.  A slot's array is int64 while max|trace| * slots * levels <
+    2^63, so no sum can wrap, and holds Python ints otherwise.  Only the
+    final sum over the keys present at ell, in increasing key order, is in
+    floats.
     """
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
@@ -292,29 +297,32 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     roots = [math.sqrt(keys[i]) for i in starts]
     level_n = np.array(ns, dtype=np.int64)
-    sign = np.array([[s for _, s in mods] for mods in moduli], dtype=np.int64).T[:, None, :]
+    sign = np.array([[s for _, s in mods] for mods in moduli], dtype=np.int64).T
     counts = np.array(counts, dtype=np.int64 if max(counts) * len(ns) < 2**63 else object)
     points = []
-    for batch in window.prime_batches(ells, slots):
-        traces = [w.traces(batch) for w in slots]
-        try:
-            t = np.array(traces, dtype=np.int64)
-            exact = int(np.abs(t).max()) * width * len(ns) < 2**63
-        except OverflowError:
-            exact = False
-        if not exact:
-            t = np.array(traces, dtype=object)
-        # traces are 0 at the levels ell divides, so they add nothing to the sums
-        total = (sign * t).sum(axis=0)
+    step = max(1, window._BATCH_ENTRIES // len(ns))
+    for batch in (ells[i : i + step] for i in range(0, len(ells), step)):
+        # slot by slot, so no slots x primes x levels array is held; traces
+        # are 0 at the levels ell divides, so they add nothing to the sums
+        total = 0
+        for w, w_sign in zip(slots, sign):
+            t = w.traces(batch)
+            try:
+                t = t.astype(np.int64, copy=False)
+                exact = int(np.abs(t).max()) * width * len(ns) < 2**63
+            except OverflowError:
+                exact = False
+            total = total + (t if exact else t.astype(object)) * w_sign
         bad = np.argwhere(total % width)
         assert not bad.size, (ns[bad[0, 1]], batch[bad[0, 0]], int(total[tuple(bad[0])]))
-        sums = np.add.reduceat(total // width, starts, axis=1).tolist()
+        sums = np.add.reduceat(total // width, starts, axis=1)
         kept = level_n % np.array(batch, dtype=np.int64)[:, None] != 0
-        present = np.logical_or.reduceat(kept, starts, axis=1).tolist()
+        present = np.logical_or.reduceat(kept, starts, axis=1)
         for ell, count, s_ell, p_ell in zip(batch, (kept @ counts).tolist(), sums, present, strict=True):
             if count:
+                # one prime's row at a time as Python ints
                 scale = ell ** (spec.k // 2 - 1)
-                avg = sum(s / scale * root for s, root, p in zip(s_ell, roots, p_ell) if p)
+                avg = sum(s / scale * root for s, root, p in zip(s_ell.tolist(), roots, p_ell.tolist()) if p)
                 points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / count, count))
     if not points:
         raise ValueError("every prime in the range divides every level of %s that carries a form" % (spec,))
@@ -471,14 +479,16 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
     A prime whose kept levels (those it does not divide) leave an
     eigenspace empty is dropped; raises if no prime is left.
-    The Q = 1 and Q = N traces come from two _trace_window windows, one numpy
-    pass per batch of primes.  workers >= 1; with workers > 1 the batches
+    The Q = 1 and Q = N traces come from two _trace_window windows, one
+    traces call of each per batch of prime_batches over both (so a batch is
+    one pass of the Q = 1 window), each prime's traces summed over the
+    levels as exact integers.  workers >= 1; with workers > 1 the batches
     (never single primes) are measured on that many threads.  numpy
     releases the interpreter lock only inside each array operation, so
     threads gain little: on a 2-vCPU VM shared with other jobs, with the
     table installed (medians of 5 calls in each of four processes),
-    cancellation_diag(2, 500) takes 0.27-0.35 s serial and 0.23-0.27 s on 2
-    threads, and (2, 100) 11-15 ms serial and 14-19 ms on 2 threads.
+    cancellation_diag(2, 500) takes 0.21-0.29 s serial and 0.20-0.24 s on 2
+    threads, and (2, 100) 9-14 ms serial and 15-19 ms on 2 threads.
     The option stays because the perfbench scan workload times the
     2-thread run.
     """
@@ -490,17 +500,23 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     # [X, 2X] holds a prime (Bertrand), so there is a level
     levels = [q for q, _ in _window_levels(FamilySpec("I", k=k), X)]
     classnum.get_table(4 * max(ells) * levels[-1])
+    import numpy as np  # loaded by the table build
 
     # dim S^new(n) and tr W_n on it do not depend on ell
     per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]
     plain = _trace_window(k, [(1, n) for n in levels], max(ells))
     fricke = _trace_window(k, [(n, 1) for n in levels], max(ells))
 
+    def row_sums(t) -> list[int]:
+        # each prime's sum over the levels, exact
+        if t.dtype != object and int(np.abs(t).max()) * t.shape[1] >= 2**63:
+            t = t.astype(object)
+        return t.sum(axis=1).tolist()
+
     def measure(batch: list[int]) -> list[tuple[float, float, int]]:
         out = []
         # the windows' traces are 0 at the levels ell divides
-        for ell, t1, tn in zip(batch, plain.traces(batch), fricke.traces(batch)):
-            s1, sn = sum(t1), sum(tn)
+        for ell, s1, sn in zip(batch, row_sums(plain.traces(batch)), row_sums(fricke.traces(batch))):
             d1 = dn = 0
             for n, dim, tr_w in per_level:
                 if n % ell:

@@ -17,7 +17,7 @@ one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
 cofactor: the divisor sum over t factors into closed local factors at the
 primes of the cofactor, so every level costs one class number per s.
 ``window.TraceWindow`` evaluates that kernel for a whole window of levels
-and a batch of primes in one numpy pass; the murmuration scans read their
+and a run of primes in a few numpy passes; the murmuration scans read their
 traces from it, ``t_new_squarefree`` stays its per-level reference, and the
 divisor sums stay the check of both.  ``t_full_fricke`` is the single-term
 shortcut for the Fricke involution when the Hecke index is small against

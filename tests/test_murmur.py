@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altrace import arith, classnum, murmur, selftest, signs, trace
+from altrace import arith, classnum, murmur, selftest, signs, trace, window
 from altrace.murmur import FamilySpec, MurmurationPoint, parse_family
 
 
@@ -202,30 +202,39 @@ def _per_level_walk(spec, levels, ells, X, key, trace_at, count):
     return points
 
 
-@pytest.mark.parametrize(
-    "family, k, X",
-    [
-        ("I:M=1", 2, 80),
-        ("III:r=2,idx=1,2", 4, 80),
-        ("II:Q=1,M=all", 2, 40),
-        ("III:r=2", 2, 80),
-        # an int64 sum over these windows' traces would wrap, although each trace fits
-        ("I:M=1", 18, 320),
-        ("I:M=1", 22, 160),
-        ("III:r=2,idx=1,2", 18, 320),
-    ],
-)
+_WALK_SCANS = [
+    ("I:M=1", 2, 80),
+    ("III:r=2,idx=1,2", 4, 80),
+    ("II:Q=1,M=all", 2, 40),
+    ("III:r=2", 2, 80),
+    # an int64 sum over these windows' traces would wrap, although each trace fits
+    ("I:M=1", 18, 320),
+    ("I:M=1", 22, 160),
+    ("III:r=2,idx=1,2", 18, 320),
+    # the Q = 1 window's passes at l <= 23 are int64, those at 29, 31 and 37 Python ints
+    ("II:Q=1,M=all", 20, 160),
+]
+
+
+def _scan_at(family, k, X):
+    spec = parse_family(family, k=k)
+    if family == "III:r=2":
+        return murmur.scan_eigenspace(spec, (1, -1), (2, X // 4), X)
+    return murmur.scan_WQ(spec, (2, X // 4), X)
+
+
+@pytest.mark.parametrize("family, k, X", _WALK_SCANS)
 def test_scan_points_equal_the_per_level_walk(family, k, X):
-    # the benchmark's four scan families at reduced X, and three windows whose
-    # sums need Python ints: the batched traces must give bit-identical
-    # points, not merely close ones
+    # the benchmark's four scan families at reduced X, three windows whose
+    # sums need Python ints and one whose passes change dtype: the batched
+    # traces must give bit-identical points, not merely close ones
     spec = parse_family(family, k=k)
     ells = arith.primes_up_to(X // 4)
+    got = _scan_at(family, k, X)
     if family == "III:r=2":
         eps = (1, -1)
         moduli = {n: murmur.signed_moduli(n, eps) for n in (q * m for q, m in murmur._window_levels(spec, X))}
         levels = [(1, n) for n in moduli]
-        got = murmur.scan_eigenspace(spec, eps, (2, X // 4), X)
         expect = _per_level_walk(
             spec, levels, ells, X, lambda q, m: 1,
             lambda q, m, ell: murmur.eigenspace_trace(k, m, moduli[m], ell),
@@ -233,13 +242,40 @@ def test_scan_points_equal_the_per_level_walk(family, k, X):
         )
     else:
         levels = murmur._window_levels(spec, X)
-        got = murmur.scan_WQ(spec, (2, X // 4), X)
         expect = _per_level_walk(
             spec, levels, ells, X, lambda q, m: m,
             lambda q, m, ell: trace.t_new_squarefree(k, q, m, ell),
             lambda q, m: signs.dim_new(k, q * m),
         )
     assert got == expect
+
+
+def test_scan_points_do_not_depend_on_where_passes_split(monkeypatch):
+    # one prime per pass and per batch, or every prime in one pass, must give
+    # the same points and reports as the default cut, also where a window
+    # joins int64 passes to Python-int ones
+    def run():
+        return [_scan_at(*case) for case in _WALK_SCANS] + [
+            murmur.cancellation_diag(2, 100),
+            murmur.cancellation_diag(2, 100, workers=2),
+        ]
+
+    real_pass, passes = window.TraceWindow._pass, []
+
+    def spy(self, ells):
+        out = real_pass(self, ells)
+        passes.append((self, out.dtype))
+        return out
+
+    monkeypatch.setattr(window.TraceWindow, "_pass", spy)
+    want = run()
+    dtypes = {}
+    for win, dtype in passes:
+        dtypes.setdefault(id(win), set()).add(dtype)
+    assert {np.dtype(np.int64), np.dtype(object)} in dtypes.values()
+    for entries in (1, 10**9):
+        monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
+        assert run() == want, entries
 
 
 @pytest.mark.parametrize(

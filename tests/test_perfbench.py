@@ -1,0 +1,36 @@
+"""The benchmark's own tools, run from the checkout as the benchmark runs
+them: one traced scan round and the checker self-test."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _run(script: str, *argv: str) -> str:
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / script), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_traced_scan_round_reads_its_class_numbers_from_the_table(monkeypatch):
+    # run.table_check fails a traced round that made no class-number lookup
+    # at all (need_h = 0), as well as one that fell back past the table: the
+    # scans must keep reading their counts at l = 1 through the kernel the
+    # tracer wraps
+    result = json.loads(_run("worker.py", "--workload", "scan", "--seed", "1", "--trace", "1"))
+    assert result["errors"] == []
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert importlib.import_module("run").table_check(result["trace"]) == []
+
+
+def test_benchmark_checks_flag_injected_mismatches():
+    assert _run("selftest.py").rstrip().endswith("all checks flag injected mismatches")

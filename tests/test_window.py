@@ -1,6 +1,7 @@
 """The batched trace engine against its per-level reference,
 trace.t_new_squarefree, over drawn and fixed windows."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -10,17 +11,16 @@ from altrace.arith import factor, primes_up_to
 
 
 def _window_traces(k: int, levels, ells):
-    """TraceWindow's traces over every batch prime_batches cuts ells into,
-    checked level by level against t_new_squarefree; returns the window and
-    its batches."""
+    """TraceWindow's traces at ells, checked level by level against
+    t_new_squarefree; returns the window and the passes it cut (the runs of
+    prime_batches(ells, [window]))."""
     classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
     win = window.TraceWindow(k, levels, max(ells))
-    batches = window.prime_batches(ells, [win])
-    got = [row for batch in batches for row in win.traces(batch)]
-    for ell, row in zip(ells, got, strict=True):
-        want = [trace.t_new_squarefree(k, q, m, ell) if (q * m) % ell else 0 for q, m in levels]
-        assert row == want, (k, ell, levels)
-    return win, batches
+    got = win.traces(ells)
+    assert got.shape == (len(ells), len(levels)) and got.dtype in (np.int64, object)
+    want = [[trace.t_new_squarefree(k, q, m, ell) if (q * m) % ell else 0 for q, m in levels] for ell in ells]
+    assert got.tolist() == want, (k, levels)
+    return win, window.prime_batches(ells, [win])
 
 
 _WINDOW_FAMILIES = (
@@ -96,3 +96,33 @@ def test_trace_window_needs_a_table_covering_its_discriminants(monkeypatch):
     monkeypatch.setattr(classnum, "_active_table", None)
     with pytest.raises(ValueError, match="no class-number table covers"):
         window.TraceWindow(2, [(1, 11)], 13)
+
+
+def test_trace_window_takes_only_primes_up_to_its_ell_max():
+    # outside that contract the pass formula gives wrong numbers, not an
+    # error: at l = 997 the first window would read [0, 40, -2, 0, 0] where
+    # the kernel gives 0s; on the second, l = 15 would read [7, 8, 8, 14]
+    # against t_new_level's [-1, 0, 0, 6], and l = 1 0s against [1, 0, 1, 2]
+    small = window.TraceWindow(2, [(1, 4), (1, 9), (1, 12), (1, 25), (3, 4)], 3)
+    with pytest.raises(ValueError, match=r"takes primes <= 3, got \[997\]"):
+        small.traces([997])
+    levels = [(1, 11), (1, 13), (1, 17), (1, 37)]
+    win = window.TraceWindow(2, levels, 15)
+    assert [trace.t_new_level(2, m, 15) for _, m in levels] == [-1, 0, 0, 6]
+    assert [trace.t_new_level(2, m, 1) for _, m in levels] == [1, 0, 1, 2]
+    for ell in (15, 1):
+        with pytest.raises(ValueError, match=r"takes primes <= 15, got \[%d\]" % ell):
+            win.traces([2, ell])
+    assert win.traces([13]).tolist() == [[trace.t_new_squarefree(2, 1, m, 13) if m % 13 else 0 for _, m in levels]]
+
+
+def test_trace_window_joins_int64_and_python_int_passes(monkeypatch):
+    # at k = 40 p_40 stays within int64 at l = 2 but not at l = 13: one prime
+    # per pass, the early passes are int64 and the later ones Python ints
+    levels = [(1, n) for n in range(30, 40)]
+    ells = primes_up_to(13)
+    monkeypatch.setattr(window, "_BATCH_ENTRIES", 1)
+    win = window.TraceWindow(40, levels, 13)
+    assert win.traces([2]).dtype == np.int64 and win.traces([13]).dtype == object
+    _, passes = _window_traces(40, levels, ells)
+    assert len(passes) == len(ells)
