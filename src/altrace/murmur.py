@@ -8,12 +8,14 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
 division, so scans are reproducible across platforms.
 
-scan_WQ and scan_eigenspace share one function, ``_scan``: one row per
-level (a group key, the signed Atkin-Lehner moduli whose traces it
-averages, and its count), sorted by key, then exact integer array
-reductions per batch of primes.  They differ only in the row.  The traces
-at the scanned primes come from one ``window.TraceWindow`` per modulus
-slot, as an integer array over primes x levels that equals
+scan_WQ, scan_eigenspace and cancellation_diag share one function,
+``_scan``: one row per level (a group key, and per series the signed
+Atkin-Lehner moduli whose traces it averages and its count), sorted by key,
+then exact integer array reductions per batch of primes, on a thread pool
+if asked.  They differ only in the row; cancellation_diag's has two series,
+the two Fricke eigenspaces, and the others one.  The traces at the
+scanned primes come from one ``window.TraceWindow`` per modulus slot,
+shared by the series, as an integer array over primes x levels that equals
 ``trace.t_new_squarefree`` level by level (one class number per s,
 non-squarefree levels included); each window cuts its own numpy passes by
 its rows per prime, so a slot of large Q takes all its primes at once.  The
@@ -23,9 +25,9 @@ the engine reproduces, so the scans then call it level by level instead
 (``_trace_window``).  Per batch the signed mean over the moduli and the sums
 per key are integer array operations, in int64 while max|trace| * slots *
 levels < 2^63 and in Python ints otherwise, so no sum can wrap; only the
-final weighting by sqrt(key) is in floats.  ``_signed_mean`` is the same
-mean for one level, read by ``eigenspace_trace``, which selftest criterion 9
-also inverts.
+final weighting by sqrt(key) is in floats.  ``eigenspace_trace`` takes the
+same signed mean for one level through the per-level kernel; selftest
+criterion 9 inverts it.
 
 Each scan installs the class-number table its window reads before it
 loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
@@ -256,29 +258,34 @@ def _trace_window(k: int, levels, ell_max: int):
     return window.LevelWindow(kernel, k, levels)
 
 
-def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> list[MurmurationPoint]:
-    """The scan behind scan_WQ and scan_eigenspace.
+def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, workers: int = 1):
+    """The scan behind scan_WQ, scan_eigenspace and cancellation_diag: one
+    list of points per series.
 
     levels are the window's (Q, M) pairs, Q the largest Atkin-Lehner modulus
-    the level's trace reads, and row(Q, M) gives the level's group key, its
-    signed moduli [(Q', sign)] (the same number at every level) and its count
-    (the trace at ell = 1).  The level's trace at ell is the signed mean of
-    tr T_ell W_Q' over its moduli, read from one _trace_window per modulus
-    slot.  The point at ell averages ell^(1-k/2) * trace over the
-    levels ell does not divide, summed per key and weighted by sqrt(key),
-    and divides by their counts.  A prime whose kept levels carry no form
-    gives no point; no_forms is raised if no level of the window carries one.
+    the level's trace reads, and row(Q, M) gives the level's group key, a
+    tuple of one list of signed moduli [(Q', sign)] per series and a tuple
+    of one count per series (the series' trace at ell = 1).  Every series
+    lists the same Q' in the same order, at every level, so the traces come
+    from one _trace_window per modulus slot, shared by the series.  A
+    series' trace at ell is the signed mean of tr T_ell W_Q' over its
+    moduli.  Its point at ell averages ell^(1-k/2) * trace over the levels
+    ell does not divide, summed per key and weighted by sqrt(key), and
+    divides by their counts.  A prime whose kept levels carry none of a
+    series' forms gives that series no point; no_forms is raised if no
+    level of the window carries a form of some series.
 
     The levels are sorted by key once.  The primes go in batches whose
     primes x levels stay within window._BATCH_ENTRIES (one prime at least);
     each slot's window cuts its own passes inside a batch.  Per batch each
-    slot's exact trace array (primes x levels) is multiplied by the levels'
-    signs and added to a running total, slot by slot; then one divisibility
-    check by the slot count, and np.add.reduceat over each key's run of
-    levels.  A slot's array is int64 while max|trace| * slots * levels <
-    2^63, so no sum can wrap, and holds Python ints otherwise.  Only the
-    final sum over the keys present at ell, in increasing key order, is in
-    floats.
+    slot's exact trace array (primes x levels) is multiplied by each
+    series' signs and added to that series' running total, slot by slot;
+    then one divisibility check by the slot count, and np.add.reduceat over
+    each key's run of levels.  A slot's array is int64 while max|trace| *
+    slots * levels < 2^63, so no sum can wrap, and holds Python ints
+    otherwise.  Only the final sum over the keys present at ell, in
+    increasing key order, is in floats.  With workers > 1 the batches are
+    measured on that many threads.
     """
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
@@ -287,46 +294,65 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str) -> li
     import numpy as np  # loaded by the table build; importing murmur stays numpy-free
 
     ns, keys, moduli, counts = zip(*sorted(((q * m, *row(q, m)) for q, m in levels), key=lambda r: r[1]))
-    if not any(counts):
+    # per series, then per level
+    moduli, counts = list(zip(*moduli)), list(zip(*counts))
+    if not all(map(any, counts)):
         raise ValueError(no_forms)
-    width = len(moduli[0])
+    width = len(moduli[0][0])
     slots = [
-        _trace_window(spec.k, [(mods[i][0], n // mods[i][0]) for n, mods in zip(ns, moduli)], max(ells))
+        _trace_window(spec.k, [(mods[i][0], n // mods[i][0]) for n, mods in zip(ns, moduli[0])], max(ells))
         for i in range(width)
     ]
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     roots = [math.sqrt(keys[i]) for i in starts]
     level_n = np.array(ns, dtype=np.int64)
-    sign = np.array([[s for _, s in mods] for mods in moduli], dtype=np.int64).T
-    counts = np.array(counts, dtype=np.int64 if max(counts) * len(ns) < 2**63 else object)
-    points = []
-    step = max(1, window._BATCH_ENTRIES // len(ns))
-    for batch in (ells[i : i + step] for i in range(0, len(ells), step)):
+    # per series: its signs as slots x levels, and its counts; the signs go
+    # through one flat list, which numpy converts far faster than nested ones
+    sign = [np.array([s for mods in lists for _, s in mods], dtype=np.int64).reshape(-1, width).T for lists in moduli]
+    counts = [np.array(c, dtype=np.int64 if max(c) * len(ns) < 2**63 else object) for c in counts]
+
+    def measure(batch: list[int]) -> list[list[MurmurationPoint]]:
         # slot by slot, so no slots x primes x levels array is held; traces
         # are 0 at the levels ell divides, so they add nothing to the sums
-        total = 0
-        for w, w_sign in zip(slots, sign):
+        totals = [0] * len(sign)
+        for i, w in enumerate(slots):
             t = w.traces(batch)
             try:
                 t = t.astype(np.int64, copy=False)
                 exact = int(np.abs(t).max()) * width * len(ns) < 2**63
             except OverflowError:
                 exact = False
-            total = total + (t if exact else t.astype(object)) * w_sign
-        bad = np.argwhere(total % width)
-        assert not bad.size, (ns[bad[0, 1]], batch[bad[0, 0]], int(total[tuple(bad[0])]))
-        sums = np.add.reduceat(total // width, starts, axis=1)
+            if not exact:
+                t = t.astype(object)
+            totals = [total + t * s[i] for total, s in zip(totals, sign)]
         kept = level_n % np.array(batch, dtype=np.int64)[:, None] != 0
         present = np.logical_or.reduceat(kept, starts, axis=1)
-        for ell, count, s_ell, p_ell in zip(batch, (kept @ counts).tolist(), sums, present, strict=True):
-            if count:
-                # one prime's row at a time as Python ints
-                scale = ell ** (spec.k // 2 - 1)
-                avg = sum(s / scale * root for s, root, p in zip(s_ell.tolist(), roots, p_ell.tolist()) if p)
-                points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / count, count))
-    if not points:
+        out = []
+        for total, count in zip(totals, counts):
+            bad = np.argwhere(total % width)
+            assert not bad.size, (ns[bad[0, 1]], batch[bad[0, 0]], int(total[tuple(bad[0])]))
+            sums = np.add.reduceat(total // width, starts, axis=1)
+            points = []
+            for ell, c, s_ell, p_ell in zip(batch, (kept @ count).tolist(), sums, present, strict=True):
+                if c:
+                    # one prime's row at a time as Python ints
+                    scale = ell ** (spec.k // 2 - 1)
+                    avg = sum(s / scale * root for s, root, p in zip(s_ell.tolist(), roots, p_ell.tolist()) if p)
+                    points.append(MurmurationPoint(ell, X, Fraction(ell, X), avg / c, c))
+            out.append(points)
+        return out
+
+    step = max(1, window._BATCH_ENTRIES // len(ns))
+    batches = [ells[i : i + step] for i in range(0, len(ells), step)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(measure, batches))
+    else:
+        parts = list(map(measure, batches))
+    series = [[p for part in parts for p in part[i]] for i in range(len(sign))]
+    if not all(series):
         raise ValueError("every prime in the range divides every level of %s that carries a form" % (spec,))
-    return points
+    return series
 
 
 def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
@@ -339,10 +365,10 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     k = spec.k
 
     def row(q: int, m: int):
-        return m, [(q, 1)], signs.dim_new(k, q * m)
+        return m, ([(q, 1)],), (signs.dim_new(k, q * m),)
 
     no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k)
-    return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)
+    return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)[0]
 
 
 def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -360,19 +386,12 @@ def eigenspace_trace(k: int, n: int, moduli: list[tuple[int, int]], ell: int) ->
     moduli = signed_moduli(n, epsilon): the signed sum of the tr T_ell W_Q,
     divided by their number 2^r.  At ell = 1 it is the eigenspace's
     dimension."""
-    terms = [
-        (sign, signs.dim_new(k, n) if q == 1 and ell == 1 else trace.t_new_squarefree(k, q, n // q, ell))
+    total = sum(
+        sign * (signs.dim_new(k, n) if q == 1 and ell == 1 else trace.t_new_squarefree(k, q, n // q, ell))
         for q, sign in moduli
-    ]
-    return _signed_mean(n, ell, terms)
-
-
-def _signed_mean(n: int, ell: int, terms: list[tuple[int, int]]) -> int:
-    """The sum of sign * trace over the (sign, trace) terms of level n at
-    ell, divided by their number, which must divide it exactly."""
-    total = sum(sign * tr for sign, tr in terms)
-    assert total % len(terms) == 0, (n, ell, total)
-    return total // len(terms)
+    )
+    assert total % len(moduli) == 0, (n, ell, total)
+    return total // len(moduli)
 
 
 def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: int) -> list[MurmurationPoint]:
@@ -395,12 +414,12 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         moduli = signed_moduli(n, epsilon)
         dim = eigenspace_trace(k, n, moduli, 1)
         assert dim >= 0, (n, dim)
-        return 1, moduli, dim
+        return 1, (moduli,), (dim,)
 
     # every subset of a level's primes is a Q, so Q = N is the widest
     levels = _window_levels(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
     no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, k)
-    return _scan(spec, levels, ell_range, X, row, no_forms)
+    return _scan(spec, levels, ell_range, X, row, no_forms)[0]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -475,70 +494,40 @@ class CancellationReport:
 def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     """Compare |A+ + A-| against |A+ - A-| for the squarefree levels in [X, 2X], X >= 2.
 
-    A^+- are the unweighted averages over the two Fricke eigenspaces,
-    reconstructed from the Q=1 and Q=N traces at the primes in [X/2, 2X].
-    A prime whose kept levels (those it does not divide) leave an
-    eigenspace empty is dropped; raises if no prime is left.
-    The Q = 1 and Q = N traces come from two _trace_window windows, one
-    traces call of each per batch of prime_batches over both (so a batch is
-    one pass of the Q = 1 window), each prime's traces summed over the
-    levels as exact integers.  workers >= 1; with workers > 1 the batches
-    (never single primes) are measured on that many threads.  numpy
-    releases the interpreter lock only inside each array operation, so
-    threads gain little: on a 2-vCPU VM shared with other jobs, with the
-    table installed (medians of 5 calls in each of four processes),
-    cancellation_diag(2, 500) takes 0.21-0.29 s serial and 0.20-0.24 s on 2
-    threads, and (2, 100) 9-14 ms serial and 15-19 ms on 2 threads.
-    The option stays because the perfbench scan workload times the
-    2-thread run.
+    A^+- are the unweighted averages over the two Fricke eigenspaces at the
+    primes in [X/2, 2X]: a _scan of the kind I window M = 1 with two series,
+    the signed means (tr T_ell +- tr T_ell W_N) / 2 of the Q = 1 and Q = N
+    slots, counted by (dim +- tr W_N) / 2.  A prime whose kept levels (those
+    it does not divide) leave an eigenspace empty gives that series no
+    point and is dropped; raises if no prime is left.  workers >= 1; with
+    workers > 1 _scan's batches of primes are measured on that many
+    threads.  numpy releases the interpreter lock only inside each array
+    operation, so threads gain little, and (2, 100), which the perfbench
+    scan workload times on 2 threads, is a single batch.  On a 2-vCPU VM
+    shared with other jobs, with the table installed (medians of 5 calls in
+    each of four processes), cancellation_diag(2, 500) takes 0.21-0.27 s
+    serial and 0.19-0.21 s on 2 threads, and (2, 100) 8-11 ms serial and
+    10-13 ms on 2 threads.  The option stays because the perfbench scan
+    workload passes it.
     """
     if workers < 1:
         raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))
     if X < 2:
         raise ValueError("cancellation_diag needs X >= 2, got X = %d" % X)
-    ells = _primes_in((X // 2, 2 * X))
+    spec = FamilySpec("I", k=k)
+
+    def row(n: int, _m: int):
+        # dim S^new(n) and tr W_n on it do not depend on ell
+        dim, tr_w = signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)
+        return 1, ([(1, 1), (n, 1)], [(1, 1), (n, -1)]), ((dim + tr_w) // 2, (dim - tr_w) // 2)
+
     # [X, 2X] holds a prime (Bertrand), so there is a level
-    levels = [q for q, _ in _window_levels(FamilySpec("I", k=k), X)]
-    classnum.get_table(4 * max(ells) * levels[-1])
-    import numpy as np  # loaded by the table build
-
-    # dim S^new(n) and tr W_n on it do not depend on ell
-    per_level = [(n, signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)) for n in levels]
-    plain = _trace_window(k, [(1, n) for n in levels], max(ells))
-    fricke = _trace_window(k, [(n, 1) for n in levels], max(ells))
-
-    def row_sums(t) -> list[int]:
-        # each prime's sum over the levels, exact
-        if t.dtype != object and int(np.abs(t).max()) * t.shape[1] >= 2**63:
-            t = t.astype(object)
-        return t.sum(axis=1).tolist()
-
-    def measure(batch: list[int]) -> list[tuple[float, float, int]]:
-        out = []
-        # the windows' traces are 0 at the levels ell divides
-        for ell, s1, sn in zip(batch, row_sums(plain.traces(batch)), row_sums(fricke.traces(batch))):
-            d1 = dn = 0
-            for n, dim, tr_w in per_level:
-                if n % ell:
-                    d1 += dim
-                    dn += tr_w
-            if d1 + dn == 0 or d1 - dn == 0:
-                continue  # the levels ell divides held every form of one eigenspace
-            scale = 2 * ell ** (k // 2 - 1)
-            plus = (s1 + sn) / scale / ((d1 + dn) // 2)
-            minus = (s1 - sn) / scale / ((d1 - dn) // 2)
-            out.append((abs(plus + minus), abs(plus - minus), ell))
-        return out
-
-    batches = window.prime_batches(ells, (plain, fricke))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(measure, batches))
-    else:
-        parts = [measure(batch) for batch in batches]
-    rows = [r for part in parts for r in part]
+    no_forms = "an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X)
+    plus, minus = _scan(spec, _window_levels(spec, X), (X // 2, 2 * X), X, row, no_forms, workers)
+    at = {p.ell: p.average for p in minus}
+    rows = [(abs(p.average + at[p.ell]), abs(p.average - at[p.ell]), p.ell) for p in plus if p.ell in at]
     if not rows:
-        raise ValueError("an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X))
+        raise ValueError(no_forms)
     best = max(rows, key=lambda r: r[0])
     return CancellationReport(k, X, best[0], max(r[1] for r in rows), best[2])
 

@@ -2,15 +2,15 @@
 
 ``TraceWindow.traces`` evaluates ``trace.t_new_squarefree(k, Q, m, l)`` at
 every (Q, m) of a window and every prime l of a list, and equals it level by
-level.  The window cuts the list into its own numpy passes with
-``prime_batches``: each pass holds at most _BATCH_ENTRIES rows (l, s) times
-levels, so a window of few rows per prime (large Q) takes all its primes in
-one pass and one of many rows (Q = 1) takes several.  It returns one exact
-integer array, primes x levels.  ``LevelWindow`` serves the same arrays from
-any per-level kernel, one call per level and prime.  The murmuration scans
-read their traces from here and keep the per-level kernel for their counts
-at l = 1.  numpy is imported only when a window is built, so importing this
-module (or ``murmur``, which imports it) does not import numpy.
+level.  The window cuts the list into its own numpy passes: each pass
+holds at most _BATCH_ENTRIES rows (l, s) times levels, so a window of few
+rows per prime (large Q) takes all its primes in one pass and one of many
+rows (Q = 1) takes several.  It returns one exact integer array, primes x
+levels.  ``LevelWindow`` serves the same arrays from any per-level kernel,
+one call per level and prime.  The murmuration scans read their traces
+from here and keep the per-level kernel for their counts at l = 1.  numpy
+is imported only when a window is built, so importing this module (or
+``murmur``, which imports it) does not import numpy.
 """
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ class TraceWindow:
         """tr T_l W_Q on S_k^new(Q m), one row per prime l of ells and one
         column per level: exact, int64, or object (Python ints) when a pass
         needed them; 0 at the levels l divides, which have no trace.  One
-        pass per run of prime_batches(ells, [self]).  Raises ValueError
+        pass per run of _runs(ells).  Raises ValueError
         unless every l is a prime <= ell_max: the strip counts and the k = 2
         term hold only there."""
         import numpy as np
@@ -131,7 +131,22 @@ class TraceWindow:
             bad = sorted(set(ells) - self._primes)
             raise ValueError("a trace window takes primes <= %d, got %r" % (self.ell_max, bad))
         # an int64 pass joined to an object one becomes Python ints
-        return np.concatenate([self._pass(run) for run in prime_batches(ells, [self])])
+        return np.concatenate([self._pass(run) for run in self._runs(ells)])
+
+    def _runs(self, ells) -> list[list[int]]:
+        """ells cut into runs of consecutive primes whose rows (l, s) times
+        levels stay within _BATCH_ENTRIES, one prime at least: the passes."""
+        out, run, used = [], [], 0
+        for ell in ells:
+            cost = self.rows(ell) * self.size
+            if run and used + cost > _BATCH_ENTRIES:
+                out.append(run)
+                run, used = [], 0
+            run.append(ell)
+            used += cost
+        if run:
+            out.append(run)
+        return out
 
     def _pass(self, ells):
         """traces at one run of primes, every row (l, s) and level at once."""
@@ -200,10 +215,6 @@ class LevelWindow:
         self._kernel = kernel
         self.k = k
         self._levels = levels
-        self.size = len(levels)
-
-    def rows(self, ell: int) -> int:
-        return 1
 
     def traces(self, ells):
         import numpy as np
@@ -213,20 +224,3 @@ class LevelWindow:
             return np.array(rows, dtype=np.int64)
         except OverflowError:
             return np.array(rows, dtype=object)
-
-
-def prime_batches(ells, windows) -> list[list[int]]:
-    """ells cut into runs of consecutive primes whose rows (l, s) times
-    levels stay within _BATCH_ENTRIES in each window, one prime at least:
-    a TraceWindow's passes, and cancellation_diag's units of work."""
-    out, run, used = [], [], 0
-    for ell in ells:
-        cost = max(w.rows(ell) * w.size for w in windows)
-        if run and used + cost > _BATCH_ENTRIES:
-            out.append(run)
-            run, used = [], 0
-        run.append(ell)
-        used += cost
-    if run:
-        out.append(run)
-    return out

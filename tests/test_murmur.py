@@ -656,8 +656,50 @@ def test_cancellation_report_at_100_is_pinned():
     # prime keeps both spaces exactly as they were
     rep = murmur.cancellation_diag(2, 100)
     assert rep.argmax_ell == 179
-    assert rep.max_abs_sum == pytest.approx(2.3100526677352873, rel=1e-12)
-    assert rep.max_abs_diff == pytest.approx(2.695784077832409, rel=1e-12)
+    assert rep.max_abs_sum == 2.3100526677352873
+    assert rep.max_abs_diff == 2.695784077832409
+
+
+def test_each_series_of_a_scan_equals_that_series_scanned_alone(monkeypatch):
+    # cancellation_diag's two Fricke series share their slot windows and
+    # batches; each must give the points it gives scanned on its own, also
+    # with two primes per batch on two threads
+    real_scan, calls = murmur._scan, []
+
+    def spy(*args):
+        calls.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(murmur, "_scan", spy)
+    for workers, entries in ((1, window._BATCH_ENTRIES), (2, window._BATCH_ENTRIES), (2, 80)):
+        monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
+        calls.clear()
+        murmur.cancellation_diag(2, 60, workers=workers)
+        (spec, levels, ell_range, X, row, no_forms, got_workers), = calls
+        assert got_workers == workers
+        both = real_scan(*calls[0])
+        assert len(both) == 2 and all(both)
+        for i, points in enumerate(both):
+
+            def alone(q, m, i=i):
+                key, moduli, counts = row(q, m)
+                return key, (moduli[i],), (counts[i],)
+
+            assert real_scan(spec, levels, ell_range, X, alone, no_forms, workers) == [points], (workers, i)
+
+
+def test_cancellation_reads_the_fricke_window_once_per_batch(monkeypatch):
+    # (2, 100) is one batch of primes, so the Q = N window, which takes all
+    # of its primes in one pass, is read once (not once per Q = 1 pass)
+    real_traces, calls = window.TraceWindow.traces, {}
+
+    def spy(self, ells):
+        calls[self.q_min > 1] = calls.get(self.q_min > 1, 0) + 1
+        return real_traces(self, ells)
+
+    monkeypatch.setattr(window.TraceWindow, "traces", spy)
+    murmur.cancellation_diag(2, 100)
+    assert calls == {False: 1, True: 1}
 
 
 def test_cancellation_threads_match_serial():

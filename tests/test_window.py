@@ -13,14 +13,14 @@ from altrace.arith import factor, primes_up_to
 def _window_traces(k: int, levels, ells):
     """TraceWindow's traces at ells, checked level by level against
     t_new_squarefree; returns the window and the passes it cut (the runs of
-    prime_batches(ells, [window]))."""
+    its _runs(ells))."""
     classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
     win = window.TraceWindow(k, levels, max(ells))
     got = win.traces(ells)
     assert got.shape == (len(ells), len(levels)) and got.dtype in (np.int64, object)
     want = [[trace.t_new_squarefree(k, q, m, ell) if (q * m) % ell else 0 for q, m in levels] for ell in ells]
     assert got.tolist() == want, (k, levels)
-    return win, window.prime_batches(ells, [win])
+    return win, win._runs(ells)
 
 
 _WINDOW_FAMILIES = (
