@@ -9,7 +9,9 @@ Three independent routes to H(disc) live here:
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
   bound, one strided pass per b over a running count of the a*c products.
   numpy is imported only where such a table is built, so the other routes
-  run without it.
+  run without it.  This module is the table's one owner: ``get_table``
+  installs it, ``hurwitz12_ext`` reads one disc (with a fallback) and
+  ``hurwitz12_gather`` an array (the batched traces and criterion 1).
 
 On top of those sit the weighted counts H_t, and the alpha/beta-style
 combinations the sign formulas consume.  Internally everything is an integer
@@ -136,6 +138,11 @@ def hurwitz12_ext(disc: int) -> int:
     return _hurwitz12_pure(disc)
 
 
+def hurwitz12_gather(discs):
+    """12 * H(D) at every D < 0 of a numpy array, from the installed table, which must cover them."""
+    return _active_table.h12[-discs]
+
+
 # ---------------------------------------------------------------------------
 # the independent oracle: enumerate every reduced form, weight by automorphisms
 
@@ -215,8 +222,8 @@ _active_table: HurwitzTable | None = None
 
 def get_table(bound: int) -> HurwitzTable:
     """Build a table covering |disc| <= bound and install it as the
-    process-wide fast path for hurwitz12_ext; an installed table that
-    already covers the bound is returned as it is."""
+    process-wide table hurwitz12_ext and hurwitz12_gather read; an
+    installed table that already covers the bound is returned as it is."""
     global _active_table
     if _active_table is None or _active_table.bound < bound:
         _active_table = build_table(bound)

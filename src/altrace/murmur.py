@@ -12,27 +12,27 @@ scan_WQ, scan_eigenspace and cancellation_diag share one function,
 ``_scan``: one row per level (a group key, and per series the signed
 Atkin-Lehner moduli whose traces it averages and its count), sorted by key,
 then exact integer array reductions per batch of primes, on a thread pool
-if asked.  They differ only in the row; cancellation_diag's has two series,
-the two Fricke eigenspaces, and the others one.  The traces at the
-scanned primes come from one ``window.TraceWindow`` per modulus slot,
-shared by the series, as an integer array over primes x levels that equals
-``trace.t_new_squarefree`` level by level (one class number per s,
-non-squarefree levels included); each window cuts its own numpy passes by
-its rows per prime, so a slot of large Q takes all its primes at once.  The
-counts at ell = 1 stay on the per-level kernel.  A kernel replaced on the
-trace module (anything but a functools.wraps wrapper of it) is not the one
-the engine reproduces, so the scans then call it level by level instead
-(``_trace_window``).  Per batch the signed mean over the moduli and the sums
-per key are integer array operations, in int64 while max|trace| * slots *
-levels < 2^63 and in Python ints otherwise, so no sum can wrap; only the
-final weighting by sqrt(key) is in floats.  ``eigenspace_trace`` takes the
-same signed mean for one level through the per-level kernel; selftest
-criterion 9 inverts it.
+when asked and there is more than one batch.  They differ only in the row;
+cancellation_diag's has two series, the two Fricke eigenspaces, and the
+others one.  The traces at the scanned primes come from one
+``window.TraceWindow`` per modulus slot, shared by the series, as an integer
+array over primes x levels that equals ``trace.t_new_squarefree`` level by
+level (one class number per s, non-squarefree levels included); each window
+cuts its own numpy passes by its rows per prime, so a slot of large Q takes
+all its primes at once.  The counts at ell = 1 stay on the per-level kernel.
+A kernel replaced on the trace module (anything but a functools.wraps
+wrapper of it) is not the one the engine reproduces, so the scans then call
+it level by level instead (``_trace_window``).  Per batch the signed mean
+over the moduli and the sums per key are integer array operations, in int64
+while max|trace| * slots * levels < 2^63 and in Python ints otherwise, so no
+sum can wrap; only the final weighting by sqrt(key) is in floats.
+``eigenspace_trace`` takes the same signed mean for one level through the
+per-level kernel; selftest criterion 9 inverts it.
 
-Each scan installs the class-number table its window reads before it
-loops.  For Q > 1 every discriminant a trace kernel reads is Q(s^2 Q - 4l)
-or a square-divisor of it, and for Q = 1 it is at most 4l in size, so
-4 * max(l) * max(Q) bounds them all.
+Each scan installs the class-number table its windows read before it
+builds them.  For Q > 1 every discriminant a trace kernel reads is
+Q(s^2 Q - 4l) or a square-divisor of it, and for Q = 1 it is at most 4l in
+size, so 4 * max(l) * max(Q) bounds them all.
 """
 from __future__ import annotations
 
@@ -284,8 +284,9 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, worke
     each key's run of levels.  A slot's array is int64 while max|trace| *
     slots * levels < 2^63, so no sum can wrap, and holds Python ints
     otherwise.  Only the final sum over the keys present at ell, in
-    increasing key order, is in floats.  With workers > 1 the batches are
-    measured on that many threads.
+    increasing key order, is in floats.  With workers > 1 and more than one
+    batch, the batches are measured on that many threads.  The widest table
+    is installed first, so no slot window builds a smaller one before it.
     """
     if not levels:
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
@@ -344,7 +345,7 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, worke
 
     step = max(1, window._BATCH_ENTRIES // len(ns))
     batches = [ells[i : i + step] for i in range(0, len(ells), step)]
-    if workers > 1:
+    if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(measure, batches))
     else:
@@ -500,15 +501,15 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     slots, counted by (dim +- tr W_N) / 2.  A prime whose kept levels (those
     it does not divide) leave an eigenspace empty gives that series no
     point and is dropped; raises if no prime is left.  workers >= 1; with
-    workers > 1 _scan's batches of primes are measured on that many
-    threads.  numpy releases the interpreter lock only inside each array
-    operation, so threads gain little, and (2, 100), which the perfbench
-    scan workload times on 2 threads, is a single batch.  On a 2-vCPU VM
-    shared with other jobs, with the table installed (medians of 5 calls in
-    each of four processes), cancellation_diag(2, 500) takes 0.21-0.27 s
-    serial and 0.19-0.21 s on 2 threads, and (2, 100) 8-11 ms serial and
-    10-13 ms on 2 threads.  The option stays because the perfbench scan
-    workload passes it.
+    workers > 1 _scan measures its batches of primes on that many threads
+    when there is more than one.  numpy releases the interpreter lock only
+    inside each array operation, so threads gain little, and (2, 100),
+    which the perfbench scan workload runs with workers=2, is a single
+    batch, measured on the calling thread.  On a 2-vCPU VM shared with
+    other jobs, with the table installed (medians of 5 calls in each of
+    four processes), cancellation_diag(2, 500) takes 0.18-0.24 s serial and
+    0.19-0.21 s on 2 threads, and (2, 100) 8-13 ms either way.  The option
+    stays because the perfbench scan workload passes it.
     """
     if workers < 1:
         raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))

@@ -6,11 +6,12 @@ level.  The window cuts the list into its own numpy passes: each pass
 holds at most _BATCH_ENTRIES rows (l, s) times levels, so a window of few
 rows per prime (large Q) takes all its primes in one pass and one of many
 rows (Q = 1) takes several.  It returns one exact integer array, primes x
-levels.  ``LevelWindow`` serves the same arrays from any per-level kernel,
-one call per level and prime.  The murmuration scans read their traces
-from here and keep the per-level kernel for their counts at l = 1.  numpy
-is imported only when a window is built, so importing this module (or
-``murmur``, which imports it) does not import numpy.
+levels, from class numbers gathered through ``classnum`` from the table it
+installs.  ``LevelWindow`` serves the same arrays from any per-level
+kernel, one call per level and prime.  The murmuration scans read their
+traces from here and keep the per-level kernel for their counts at l = 1.
+numpy is imported only when a window is built, so importing this module
+(or ``murmur``, which imports it) does not import numpy.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ class TraceWindow:
     L_p(e, v, chi) of every (p, e >= 2) present, for every strip count v that
     |D| <= 4 * ell_max * max(Q) allows.  Each pass of ``traces`` then
     evaluates every row (l, s) and level of a run of primes at once, with the
-    class numbers gathered from the installed table, which must cover that
-    bound: there is no per-discriminant fallback here.
+    class numbers gathered by classnum.hurwitz12_gather from the table the
+    window installs for that bound (classnum.get_table).
     """
 
     def __init__(self, k: int, levels, ell_max: int):
@@ -49,10 +50,7 @@ class TraceWindow:
         self.size = len(levels)
         self.q_min = min(q for q, _ in levels)
         bound = 4 * ell_max * max(q for q, _ in levels)
-        table = classnum._active_table
-        if table is None or table.bound < bound:
-            raise ValueError("no class-number table covers |disc| <= %d; install one with classnum.get_table" % bound)
-        self._h12 = table.h12
+        classnum.get_table(bound)
         locs = [factor(m) for _, m in levels]
         self._q = np.array([q for q, _ in levels], dtype=np.int64)
         self._n = self._q * np.array([m for _, m in levels], dtype=np.int64)
@@ -191,7 +189,7 @@ class TraceWindow:
                 flat[at] = d
                 idx.flat[at] = lf_off[lv] + v * lf_step[lv] + self._leg[leg_off[lv] + d % leg_mod[lv]]
             weight *= np.take(self._lf, idx, out=r)
-        weight *= self._h12[-disc]
+        weight *= classnum.hurwitz12_gather(disc)  # looked up per pass, so a wrapper sees every read
         # |p_k(s, l)| <= (k - 1) l^(k/2 - 1) for s^2 <= 4l (Chebyshev U), and
         # the recurrence's products stay within twice that
         pk_max = (self.k - 1) * int(ell_b.max()) ** (self.k // 2 - 1)

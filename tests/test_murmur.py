@@ -702,9 +702,27 @@ def test_cancellation_reads_the_fricke_window_once_per_batch(monkeypatch):
     assert calls == {False: 1, True: 1}
 
 
-def test_cancellation_threads_match_serial():
-    # the 2-thread run is the one perfbench times; it must report the same
-    assert murmur.cancellation_diag(2, 30, workers=2) == murmur.cancellation_diag(2, 30)
+def test_cancellation_threads_match_serial(monkeypatch):
+    # perfbench times the workers=2 run; it must report the same as the
+    # serial one, also cut into one batch per prime, which a pool measures
+    for entries in (window._BATCH_ENTRIES, 20):
+        monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
+        assert murmur.cancellation_diag(2, 30, workers=2) == murmur.cancellation_diag(2, 30), entries
+
+
+def test_cancellation_starts_a_pool_only_for_two_batches_or_more(monkeypatch):
+    # the benchmark's (2, 100) is one batch, which runs on the calling thread
+    pools, real = [], murmur.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(murmur, "ThreadPoolExecutor", spy)
+    want = murmur.cancellation_diag(2, 100)
+    assert murmur.cancellation_diag(2, 100, workers=2) == want and pools == []
+    monkeypatch.setattr(window, "_BATCH_ENTRIES", 80)
+    assert murmur.cancellation_diag(2, 100, workers=2) == want and pools == [{"max_workers": 2}]
 
 
 def test_cancellation_rejects_fewer_than_one_worker():

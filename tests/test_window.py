@@ -91,11 +91,21 @@ def test_trace_window_takes_python_ints_past_int64():
     assert not win._int64_weights
 
 
-def test_trace_window_needs_a_table_covering_its_discriminants(monkeypatch):
-    # no per-discriminant fallback: the installed table must cover 4 * l * Q
+def test_trace_window_installs_the_table_it_reads(monkeypatch):
+    # with no table installed and the per-discriminant path disabled, the
+    # window installs one covering 4 * l_max * max(Q) and reads every class
+    # number from it, square-stripped discriminants included
+    def no_fallback(disc):
+        raise AssertionError("per-discriminant fallback at disc %d" % disc)
+
     monkeypatch.setattr(classnum, "_active_table", None)
-    with pytest.raises(ValueError, match="no class-number table covers"):
-        window.TraceWindow(2, [(1, 11)], 13)
+    monkeypatch.setattr(classnum, "_hurwitz12_pure", no_fallback)
+    levels = murmur._window_levels(murmur.parse_family("II:Q=3,M=all"), 40)
+    ells = primes_up_to(23)
+    win = window.TraceWindow(2, levels, 23)
+    assert classnum._active_table.bound >= 4 * 23 * max(q for q, _ in levels)
+    want = [[trace.t_new_squarefree(2, q, m, ell) if (q * m) % ell else 0 for q, m in levels] for ell in ells]
+    assert win.traces(ells).tolist() == want
 
 
 def test_trace_window_takes_only_primes_up_to_its_ell_max():
