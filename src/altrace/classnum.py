@@ -7,9 +7,11 @@ Three independent routes to H(disc) live here:
 * ``hurwitz12_oracle`` -- a from-scratch enumeration of all reduced forms with
   automorphism weights, kept deliberately naive;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
-  bound, one strided pass per b over a running count of the a*c products.
-  numpy is imported only where such a table is built, so the other routes
-  run without it.  This module is the table's one owner: ``get_table``
+  bound, one contiguous pass per b over a running count of the a*c
+  products.  It stores only the discriminants: -n at n = 0, 3 (mod 4), the
+  entry of D at index -D >> 1.  numpy is imported only where such a table
+  is built, so the other routes run without it.  This module is the
+  table's one owner, and the only code that knows its layout: ``get_table``
   installs it, ``hurwitz12_ext`` reads one disc (with a fallback) and
   ``hurwitz12_gather`` an array (the batched traces and criterion 1).
 
@@ -134,13 +136,21 @@ def hurwitz12_ext(disc: int) -> int:
         return -1
     t = _active_table
     if t is not None and -disc <= t.bound:
-        return int(t.h12[-disc])
+        return int(t.h12[-disc >> 1])
     return _hurwitz12_pure(disc)
 
 
 def hurwitz12_gather(discs):
-    """12 * H(D) at every D < 0 of a numpy array, from the installed table, which must cover them."""
-    return _active_table.h12[-discs]
+    """12 * H(D) at every D of a numpy integer array, from the installed table.
+
+    Every D must be a negative discriminant (D = 0 or 1 mod 4) with
+    |D| <= the table's bound, and nothing checks the residue: a D = 2 or
+    3 mod 4 silently reads its neighbour's entry (-D >> 1 is also the index
+    of -4j or -(4j + 3)).  A discriminant past the bound raises IndexError,
+    its index being past the array's end; only ``hurwitz12_ext`` falls
+    back to the per-discriminant path.
+    """
+    return _active_table.h12[-discs >> 1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +188,15 @@ def hurwitz12_oracle(disc: int) -> int:
 
 
 class HurwitzTable:
-    """h12[n] = 12 * H(-n) for 0 <= n <= bound: a numpy uint32 array, index 0 unused (0)."""
+    """12 * H(D) for every discriminant D with |D| <= bound, at index -D >> 1.
+
+    h12 is a numpy uint32 array over the n <= bound with n = 0, 3 (mod 4),
+    the only n for which -n is a discriminant: h12[2j] = 12 H(-4j) and
+    h12[2j + 1] = 12 H(-(4j + 3)), since (4j) >> 1 = 2j and (4j + 3) >> 1 =
+    2j + 1.  Index 0 (n = 0) is unused and 0.  That is bound // 4 +
+    (bound + 1) // 4 + 1 entries, half of one per n: 0.41 MB at bound
+    204,800 and 8.0 MB at 4*10^6.
+    """
 
     def __init__(self, bound: int, h12):
         self.bound = bound
@@ -192,28 +210,42 @@ def build_table(bound: int) -> HurwitzTable:
     walk runs b from A = isqrt(bound // 3) down to 0 over a uint32 array cnt:
     before step b, cnt[m] sums over a > b with a | m and a^2 <= m the weight
     24 (forms +b and -b), or 12 when a^2 = m.  Step b adds the a = b forms
-    (12, and 4 at c = a), adds cnt to h12 at every n = 4m - b^2 in one
-    strided update, then makes those entries 24 and 12; b = 0 halves cnt.
-    cnt has (bound + A^2) // 4 + 1 entries, about a third of the table
-    (0.27 MB at bound 204,800, 5.3 MB at 4*10^6), freed on return.
+    (12, and 4 at c = a), adds cnt at every n = 4m - b^2 in one contiguous
+    update, then makes those entries 24 and 12; b = 0 adds cnt / 2.  The
+    updates land in two arrays, even[j] at n = 4j (even b) and odd[j] at
+    n = 4j + 3 (odd b), so each is a run of m: n = 4m - b^2 <= bound from
+    m = b^2.  They are interleaved into h12 once, at the end.  cnt has
+    (bound + A^2) // 4 + 1 entries, about two thirds of the table (0.27 MB
+    at bound 204,800, 5.3 MB at 4*10^6); it is freed before even and odd
+    are interleaved, and they on return.  On a 2-vCPU machine the build
+    takes about 6 ms at 204,800, 0.06 s at 10^6 and 0.45 s at 4*10^6.
     """
     import numpy as np
 
     if bound < 4:
         raise ValueError("bound must be at least 4")
-    h12 = np.zeros(bound + 1, dtype=np.uint32)
     top = math.isqrt(bound // 3)
     cnt = np.zeros((bound + top * top) // 4 + 1, dtype=np.uint32)
+    even = np.zeros(bound // 4 + 1, dtype=np.uint32)
+    odd = np.zeros((bound + 1) // 4, dtype=np.uint32)
     for b in range(top, 0, -1):
         bb = b * b
         cnt[bb::b] += 12
         cnt[bb] -= 8
-        h12[3 * bb : bound + 1 : 4] += cnt[bb : (bound + bb) // 4 + 1]
+        if b & 1:  # n = 4j + 3 at j = m - (b^2 + 3) / 4
+            lo, hi, off, out = (3 * bb - 3) // 4, (bound - 3) // 4, (bb + 3) // 4, odd
+        else:  # n = 4j at j = m - b^2 / 4
+            lo, hi, off, out = 3 * bb // 4, bound // 4, bb // 4, even
+        out[lo : hi + 1] += cnt[lo + off : hi + off + 1]
         cnt[bb::b] += 12
         cnt[bb] -= 4
-    cnt >>= 1
-    h12[0::4] += cnt[: bound // 4 + 1]
-    h12[0] = 0
+    cnt = cnt[: len(even)]
+    cnt >>= 1  # b = 0: the forms (a, 0, c), 12 and 6 at c = a
+    even += cnt  # cnt[0] is never written, so index 0 stays 0
+    del cnt
+    h12 = np.empty(len(even) + len(odd), dtype=np.uint32)
+    h12[0::2] = even
+    h12[1::2] = odd
     return HurwitzTable(bound, h12)
 
 

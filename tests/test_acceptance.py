@@ -57,11 +57,11 @@ def test_criterion_01_class_number_oracle():
 
 def test_criterion_01_names_a_wrong_table_entry(monkeypatch):
     # criterion 1 reads the table as the scans do: +12 at one entry, at
-    # D = 1 mod 4 and then at D = 0 mod 4, fails it and is named
+    # D = 1 mod 4 and then at D = 0 mod 4 (index n >> 1), fails it and is named
     table = classnum.get_table(selftest._TABLE_BOUND)
     for n in (19_999, 19_996):
         h12 = table.h12.copy()
-        h12[n] += 12
+        h12[n >> 1] += 12
         monkeypatch.setattr(classnum, "_active_table", classnum.HurwitzTable(table.bound, h12))
         result = selftest.criterion_1()
         assert not result.passed and "1 mismatches; first: [%d]" % -n in result.detail, result.detail

@@ -145,7 +145,7 @@ def test_table_matches_pure_path():
     table = classnum.get_table(40000)
     for n in range(3, 2000):
         if -n % 4 in (0, 1):
-            assert int(table.h12[n]) == classnum.hurwitz12(-n), -n
+            assert int(table.h12[n >> 1]) == classnum.hurwitz12(-n), -n
     # beyond-bound lookups fall back to the pure path; a small table is
     # installed, since an earlier test may have left a much larger one
     with mock.patch.object(classnum, "_active_table", classnum.build_table(2000)):
@@ -184,6 +184,17 @@ def _reference_table(bound):
     return h12
 
 
+def _expanded(table):
+    """table.h12 spread back out to one entry per n <= bound: 12 H(-n) at
+    n = 0, 3 mod 4 (from index n >> 1) and 0 at n = 1, 2 mod 4."""
+    import numpy as np
+
+    full = np.zeros(table.bound + 1, dtype=table.h12.dtype)
+    full[0::4] = table.h12[0::2]
+    full[3::4] = table.h12[1::2]
+    return full
+
+
 def test_table_equals_the_reference_walk():
     import numpy as np
 
@@ -192,10 +203,35 @@ def test_table_equals_the_reference_walk():
     for bound in [*range(4, 1001), *range(200_000, 200_004), 204_363]:
         table = classnum.build_table(bound)
         assert table.bound == bound
-        assert np.array_equal(table.h12, _reference_table(bound)), bound
+        assert table.h12.dtype == np.uint32 and len(table.h12) == bound // 4 + (bound + 1) // 4 + 1, bound
+        assert np.array_equal(_expanded(table), _reference_table(bound)), bound
     for bound in range(4):
         with pytest.raises(ValueError):
             classnum.build_table(bound)
+
+
+def test_table_reads_every_discriminant_at_its_index():
+    # each residue of the bound mod 4: one entry per n <= bound at n = 0, 3
+    # mod 4, every discriminant read from the table, and the first one past
+    # the bound falls back (hurwitz12_ext) or raises (hurwitz12_gather)
+    # instead of reading a neighbouring entry
+    import numpy as np
+
+    pure = {n: classnum._hurwitz12_pure(-n) for n in range(3, 1004) if n % 4 in (0, 3)}
+    for bound in range(4, 1001):
+        table = classnum.build_table(bound)
+        assert len(table.h12) == sum(1 for n in range(bound + 1) if n % 4 in (0, 3)), bound
+        discs = [-n for n in pure if n <= bound]
+        want = [pure[-d] for d in discs]
+        past = min(n for n in pure if n > bound)
+        spy = mock.Mock(wraps=classnum._hurwitz12_pure)
+        with mock.patch.object(classnum, "_active_table", table), mock.patch.object(classnum, "_hurwitz12_pure", spy):
+            assert [classnum.hurwitz12_ext(d) for d in discs] == want, bound
+            assert classnum.hurwitz12_gather(np.array(discs)).tolist() == want, bound
+            assert classnum.hurwitz12_ext(-past) == pure[past], bound
+            with pytest.raises(IndexError):
+                classnum.hurwitz12_gather(np.array([-past]))
+        spy.assert_called_once_with(-past)
 
 
 def _class_number_relation_failures(h12) -> list[int]:
@@ -234,12 +270,12 @@ def _class_number_relation_failures(h12) -> list[int]:
 
 
 def test_table_satisfies_kronecker_hurwitz_relation():
-    table = classnum.build_table(200_000)
-    assert _class_number_relation_failures(table.h12) == []
+    h12 = _expanded(classnum.build_table(200_000))
+    assert _class_number_relation_failures(h12) == []
     # one wrong entry, in either discriminant class or off them, is reported
     # first at its own index (at 3 mod 4, by Eichler's relation)
     for n in (4 * 12_345, 7, 199_999, 77_777):
-        bad = table.h12.copy()
+        bad = h12.copy()
         bad[n] += 12
         assert _class_number_relation_failures(bad)[0] == n, n
 

@@ -108,6 +108,26 @@ def test_trace_window_installs_the_table_it_reads(monkeypatch):
     assert win.traces(ells).tolist() == want
 
 
+def test_trace_window_gathers_only_discriminants_its_table_covers(monkeypatch):
+    # hurwitz12_gather checks no residue: a D = 2, 3 mod 4 would read a
+    # neighbour's entry.  Every D a pass hands it, square-stripped ones and
+    # the pads' -3 included, is a negative discriminant the table covers
+    seen = []
+    gather = classnum.hurwitz12_gather
+
+    def spy(discs):
+        seen.append(discs.copy())
+        return gather(discs)
+
+    monkeypatch.setattr(classnum, "hurwitz12_gather", spy)
+    for family in ("I:M=1", "III:r=2", "II:Q=1,M=all"):
+        seen.clear()
+        _window_traces(2, murmur._window_levels(murmur.parse_family(family), 60), primes_up_to(59))
+        discs = np.concatenate([d.ravel() for d in seen])
+        assert (discs < 0).all() and np.isin(discs % 4, (0, 1)).all(), family
+        assert -discs.min() <= classnum._active_table.bound and -3 in discs, family
+
+
 def test_trace_window_takes_only_primes_up_to_its_ell_max():
     # outside that contract the pass formula gives wrong numbers, not an
     # error: at l = 997 the first window would read [0, 40, -2, 0, 0] where
