@@ -15,9 +15,11 @@ Three independent routes to H(disc) live here:
   installs it, ``hurwitz12_ext`` reads one disc (with a fallback) and
   ``hurwitz12_gather`` an array (the batched traces and criterion 1).
 
-On top of those sit the weighted counts H_t, and the alpha/beta-style
-combinations the sign formulas consume.  Internally everything is an integer
-in units of 1/12 (``*12`` names); the Fraction wrappers divide at the end.
+On top of those sit the weighted counts H_t and the two weights the sign
+formulas consume: alpha_1, a 2-power-weighted combination of H(d) and
+H(4d), and alpha_2, a multiplicative square detector.  Internally
+everything is an integer in units of 1/12 (``*12`` names); the Fraction
+wrappers divide at the end.
 """
 from __future__ import annotations
 

@@ -360,8 +360,10 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     """Average of sqrt(N/Q) ell^(1-k/2) tr T_ell W_Q over X <= N <= beta X.
 
     Each level's trace is grouped by M = N/Q and counted by dim S_k^new(N).
-    Primes dividing every level that carries a form (e.g. the fixed part)
-    give no point.  Raises if the window is empty or carries no newform.
+    ell_range is either a 2-tuple (lo, hi), every prime in [lo, hi], or
+    any other collection, such as a list, of the primes themselves: (2, 11)
+    scans five primes, [2, 11] two.  Primes dividing every level that
+    carries a form (e.g. the fixed part) give no point.  Raises if the window is empty or carries no newform.
     """
     k = spec.k
 
@@ -401,12 +403,17 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
     epsilon assigns +-1 to each of the r level primes in increasing order;
     each level's eigenspace trace is the signed mean eigenspace_trace takes,
     over W_Q traces read from one _trace_window per Q-slot, counted by
-    the eigenspace's dimension.  Primes dividing every level whose eigenspace
-    is nonzero give no point.  Raises if the window is empty or the
-    eigenspace is zero at every level.
+    the eigenspace's dimension.  The family takes no idx, since every Q
+    dividing the level enters.  ell_range is read as in scan_WQ: a 2-tuple
+    (lo, hi) is a range, a list (or other collection) the primes
+    themselves.  Primes dividing every level whose eigenspace is nonzero
+    give no point.  Raises if the window is empty or the eigenspace is zero
+    at every level.
     """
     if spec.kind != "III":
         raise ValueError("eigenspace scans need a kind III family")
+    if spec.idx:
+        raise ValueError("eigenspace scans take no idx: every subset of the level primes is a Q, got %s" % (spec,))
     if len(epsilon) != spec.r or any(e not in (-1, 1) for e in epsilon):
         raise ValueError("epsilon must be a +-1 vector of length r")
     k = spec.k

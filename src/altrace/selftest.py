@@ -438,11 +438,12 @@ ALL_CRITERIA = (
 def run_all() -> list[CheckResult]:
     results = []
     for fn in ALL_CRITERIA:
+        t0 = time.perf_counter()
         try:
             results.append(fn())
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
             number = int(fn.__name__.split("_")[1])
-            results.append(CheckResult(number, fn.__name__, False, "raised %r" % (exc,), 0.0))
+            results.append(_result(number, fn.__name__, t0, False, "raised %r" % (exc,)))
     return results
 
 

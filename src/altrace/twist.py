@@ -2,14 +2,17 @@
 
 For a newform of level q^r M the local component at q falls into a short
 list of types depending only on r (and, for q = 2, two exceptional
-exponents).  Quadratic characters chi act on these by twisting; the sign
-kappa(q, r, chi) records whether chi preserves or swaps the two W_q
-eigenspaces.  ``quadtwist_characters`` lists the characters of conductor
+exponents).  A quadratic character ramified at an odd q twists each type at
+r >= 3 into itself; the sign kappa records whether it keeps (+1) or swaps
+(-1) the two W_q eigenspaces, and ``kappas_at_q`` states kappa as one
+table.  ``quadtwist_characters`` lists the characters of conductor
 dividing M that force a self-pairing of eigenspaces (hence a vanishing
 eigenspace-dimension difference and vanishing twisted Hecke averages).
 Its level is checked by ``arith.check_level``; it adds a prime q, odd r.
 A ``TwistCharacter`` is the namedtuple (label, conductor, top), evaluated as
-the Kronecker symbol (top / n).
+the Kronecker symbol (top / n): ``chi_odd(p)`` builds the one of odd prime
+conductor p, and the 2-adic ones are the constants ``CHI_MINUS1``,
+``CHI_TWO`` and ``CHI_MINUS2``.
 """
 from __future__ import annotations
 
@@ -23,8 +26,6 @@ RTS = "ramified-twist-of-steinberg"
 USC = "unramified-supercuspidal"
 RSC = "ramified-supercuspidal"
 EXC = "exceptional-supercuspidal"
-
-LOCAL_TYPES = (UTS, RPS, RTS, USC, RSC, EXC)
 
 
 def classify_local_types(q: int, r: int) -> tuple[str, ...]:
@@ -63,58 +64,28 @@ def chi_odd(p: int) -> TwistCharacter:
     return TwistCharacter("chi_%d" % p, p, top)
 
 
-def chi_minus1() -> TwistCharacter:
-    return TwistCharacter("chi_-1", 4, -4)
-
-
-def chi_two() -> TwistCharacter:
-    return TwistCharacter("chi_2", 8, 8)
-
-
-def chi_minus2() -> TwistCharacter:
-    return TwistCharacter("chi_-2", 8, -8)
-
-
-def kappa_at_q(q: int, r: int, local_type: str, branch: str = "q*") -> int:
-    """Sign change under the ramified-at-q quadratic character, odd q.
-
-    For ramified supercuspidals (odd r >= 3) the level q^r admits two
-    quadratic ramified characters locally; branch "q*" is the one cutting
-    out Q(sqrt(q*)) with q* = (-1|q) q, branch "other" the companion.
-    """
-    if q == 2 or not is_prime(q):
-        raise ValueError("only odd q has a unique quadratic ramified character")
-    if local_type not in LOCAL_TYPES:
-        raise ValueError("unknown local type %r" % (local_type,))
-    if r >= 4 and r % 2 == 0:
-        if local_type == RPS:
-            return kronecker(-1, q)
-        if local_type == USC:
-            return -kronecker(-1, q)
-    if r >= 3 and r % 2:
-        if local_type == RSC:
-            if branch == "q*":
-                return 1
-            if branch == "other":
-                return -1
-            raise ValueError("branch must be 'q*' or 'other'")
-    raise ValueError("no ramified twist sign for type %s at level exponent %d" % (local_type, r))
+CHI_MINUS1 = TwistCharacter("chi_-1", 4, -4)
+CHI_TWO = TwistCharacter("chi_2", 8, 8)
+CHI_MINUS2 = TwistCharacter("chi_-2", 8, -8)
 
 
 def kappas_at_q(q: int, r: int) -> dict[str, int | dict[str, int]]:
-    """kappa_at_q of every local type at exponent r, odd q, keyed by type.
+    """kappa of every local type at exponent r, odd q, keyed by type.
 
-    Empty at r = 1, 2, where the ramified twist changes the level; at odd
-    r >= 3 each value maps the branches "q*" and "other" to their signs.
+    Empty at r = 1, 2, where the ramified twist changes the level.  At odd
+    r >= 3 the level admits two ramified quadratic characters locally:
+    "q*", the one cutting out Q(sqrt(q*)) with q* = (-1|q) q, keeps the
+    eigenspaces and its companion "other" swaps them.  At even r >= 4 the
+    principal series takes (-1|q) and the supercuspidal its negative.
     """
     if q == 2 or not is_prime(q) or r < 1:
         raise ValueError("need odd q prime and r >= 1")
     if r < 3:
         return {}
-    types = classify_local_types(q, r)
     if r % 2:
-        return {t: {b: kappa_at_q(q, r, t, b) for b in ("q*", "other")} for t in types}
-    return {t: kappa_at_q(q, r, t) for t in types}
+        return {RSC: {"q*": 1, "other": -1}}
+    eps = kronecker(-1, q)
+    return {RPS: eps, USC: -eps}
 
 
 def chi_q_flips_every_type(q: int, r: int) -> bool:
@@ -142,8 +113,7 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
     out = [chi_odd(p) for p, e in fac.items() if p > 2 and e >= 3 and kronecker(q, p) == -1]
     v2 = fac.get(2, 0)
     if v2 >= 5 and q % 4 == 3:
-        out.append(chi_minus1())
+        out.append(CHI_MINUS1)
     if v2 >= 7 and q % 8 == 5:
-        out.append(chi_two())
-        out.append(chi_minus2())
+        out += [CHI_TWO, CHI_MINUS2]
     return out

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -152,7 +153,7 @@ def test_twist_even_exponent_kappas(capsys):
     code, payload = run_json(capsys, "twist", "--q", "7", "--r", "4")
     assert code == 0
     assert set(payload["local_types"]) == {twist.RPS, twist.USC}
-    assert payload["kappa_at_q"][twist.RPS] == twist.kappa_at_q(7, 4, twist.RPS)
+    assert payload["kappa_at_q"] == {twist.RPS: -1, twist.USC: 1}  # (-1|7) = -1
     assert "pairing_characters" not in payload
 
 
@@ -283,6 +284,11 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
         pytest.param([*MURMUR_III, "--eigenspace", "+x"], "epsilon must be a +-1 vector", id="eps-char"),
         pytest.param([*MURMUR_III, "--eigenspace="], "epsilon must be a +-1 vector", id="eps-empty"),
         pytest.param([*MURMUR_III, "--eigenspace=--"], "epsilon must be a +-1 vector", id="eps-dashes"),
+        pytest.param(
+            ["murmur", "--family", "III:r=2,idx=1", "--X", "30", "--ell-max", "7", "--eigenspace", "+-"],
+            "eigenspace scans take no idx",
+            id="eps-idx",
+        ),
         # no level of [6, 12] carries a weight-2 form, so no eigenspace does
         pytest.param(
             ["murmur", "--family", "III:r=2", "--X", "6", "--ell-max", "5", "--eigenspace", "++"],
@@ -325,16 +331,24 @@ def test_selftest_reports_each_criterion_and_a_crash(capsys, monkeypatch):
     def criterion_99():
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(selftest, "ALL_CRITERIA", (selftest.criterion_7, selftest.criterion_10, criterion_99))
+    def criterion_98():
+        time.sleep(0.02)
+        raise RuntimeError("late")
+
+    monkeypatch.setattr(
+        selftest, "ALL_CRITERIA", (selftest.criterion_7, selftest.criterion_10, criterion_99, criterion_98)
+    )
     code = cli.main(["selftest", "--json"])
     out, err = capsys.readouterr()
     payload = json.loads(out)
     assert code == 1
-    assert (payload["total"], payload["passed"]) == (3, 2)
-    assert [r["number"] for r in payload["results"]] == [7, 10, 99]
+    assert (payload["total"], payload["passed"]) == (4, 2)
+    assert [r["number"] for r in payload["results"]] == [7, 10, 99, 98]
+    # a crash reports how long the criterion ran before it raised
+    assert payload["results"][3]["seconds"] >= 0.02
     fails = [line for line in err.splitlines() if line.startswith("[FAIL]")]
-    assert len(fails) == 1 and "raised" in fails[0] and "boom" in fails[0]
-    assert err.rstrip().endswith("2/3 acceptance checks passed")
+    assert len(fails) == 2 and "raised" in fails[0] and "boom" in fails[0] and "late" in fails[1]
+    assert err.rstrip().endswith("2/4 acceptance checks passed")
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def test_scans_call_a_replaced_kernel_level_by_level(monkeypatch):
     # wrapper (a profiler's) the scans keep it, and any other kernel installed
     # on the trace module is called level by level, errors included
     real = trace.t_new_squarefree
-    spec = parse_family("III:r=2,idx=1,2", k=4)
+    spec = parse_family("III:r=2", k=4)
     scans = (
         lambda: murmur.scan_WQ(parse_family("I:M=1", k=2), (2, 20), 40),
         lambda: murmur.scan_eigenspace(spec, (1, -1), (2, 20), 60),
@@ -507,6 +507,9 @@ def test_eigenspace_errors():
         murmur.scan_eigenspace(spec, (1,), [3], 30)
     with pytest.raises(ValueError, match="length"):
         murmur.scan_eigenspace(spec, (1, 2), [3], 30)
+    # idx would pick a Q, but every Q dividing the level enters the eigenspace
+    with pytest.raises(ValueError, match="no idx"):
+        murmur.scan_eigenspace(FamilySpec("III", r=2, idx=(1,)), (1, -1), [3], 30)
 
 
 # ---------------------------------------------------------------------------

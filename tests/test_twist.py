@@ -3,7 +3,7 @@ import math
 import pytest
 
 from altrace import signs, trace, twist
-from altrace.arith import kronecker
+from altrace.arith import is_prime, kronecker
 
 
 def test_local_type_classification():
@@ -30,12 +30,12 @@ def test_characters_evaluate_by_kronecker():
     chi7 = twist.chi_odd(7)
     assert chi7.conductor == 7
     assert chi7(3) == kronecker(-7, 3)
-    chim1 = twist.chi_minus1()
+    chim1 = twist.CHI_MINUS1
     assert chim1.conductor == 4
     assert [chim1(n) for n in (1, 3, 5, 7)] == [1, -1, 1, -1]
-    chi2 = twist.chi_two()
+    chi2 = twist.CHI_TWO
     assert [chi2(n) for n in (1, 3, 5, 7)] == [1, -1, -1, 1]
-    chim2 = twist.chi_minus2()
+    chim2 = twist.CHI_MINUS2
     assert [chim2(n) for n in (1, 3, 5, 7)] == [1, 1, -1, -1]
     with pytest.raises(ValueError):
         twist.chi_odd(2)
@@ -55,21 +55,36 @@ def test_twist_character_is_an_immutable_record():
     assert [chi(n) for n in range(1, 50)] == [kronecker(-7, n) for n in range(1, 50)]
 
 
-def test_kappa_at_q_table():
+def test_kappas_at_q_table():
     # even exponent: principal series and supercuspidal split by (-1|q)
-    assert twist.kappa_at_q(5, 4, twist.RPS) == 1
-    assert twist.kappa_at_q(5, 4, twist.USC) == -1
-    assert twist.kappa_at_q(7, 4, twist.RPS) == -1
-    assert twist.kappa_at_q(7, 4, twist.USC) == 1
+    assert twist.kappas_at_q(5, 4) == {twist.RPS: 1, twist.USC: -1}
+    assert twist.kappas_at_q(7, 4) == {twist.RPS: -1, twist.USC: 1}
     # odd exponent >= 3: the two ramified branches differ by a sign
-    assert twist.kappa_at_q(5, 3, twist.RSC, "q*") == 1
-    assert twist.kappa_at_q(5, 3, twist.RSC, "other") == -1
+    assert twist.kappas_at_q(5, 3) == {twist.RSC: {"q*": 1, "other": -1}}
     with pytest.raises(ValueError):
-        twist.kappa_at_q(2, 3, twist.RSC)
+        twist.kappas_at_q(2, 3)
     with pytest.raises(ValueError):
-        twist.kappa_at_q(5, 1, twist.UTS)
+        twist.kappas_at_q(9, 3)
     with pytest.raises(ValueError):
-        twist.kappa_at_q(5, 3, twist.RSC, "nope")
+        twist.kappas_at_q(5, 0)
+
+
+def test_kappas_at_q_covers_the_local_types_with_both_signs():
+    for q in filter(is_prime, range(3, 50, 2)):
+        for r in range(1, 10):
+            table = twist.kappas_at_q(q, r)
+            if r <= 2:
+                assert table == {}, (q, r)
+                continue
+            assert set(table) == set(twist.classify_local_types(q, r)), (q, r)
+            signs_seen = []
+            for v in table.values():
+                if r % 2:
+                    assert set(v) == {"q*", "other"}, (q, r)
+                    signs_seen += v.values()
+                else:
+                    signs_seen.append(v)
+            assert set(signs_seen) == {1, -1}, (q, r)
 
 
 def test_ramified_character_never_flips_all_types():
