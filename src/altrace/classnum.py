@@ -15,11 +15,11 @@ Three independent routes to H(disc) live here:
   installs it, ``hurwitz12_ext`` reads one disc (with a fallback) and
   ``hurwitz12_gather`` an array (the batched traces and criterion 1).
 
-On top of those sit the weighted counts H_t and the two weights the sign
-formulas consume: alpha_1, a 2-power-weighted combination of H(d) and
-H(4d), and alpha_2, a multiplicative square detector.  Internally
-everything is an integer in units of 1/12 (``*12`` names); the Fraction
-wrappers divide at the end.
+On top of those sit the weighted counts H_t and the weight alpha_1 the
+sign formulas consume, a 2-power-weighted combination of H(d) and H(4d);
+module signs owns alpha_2, a local value of the dimension formula.
+Internally everything is an integer in units of 1/12 (``*12`` names); the
+Fraction wrappers divide at the end.
 """
 from __future__ import annotations
 
@@ -309,16 +309,3 @@ def alpha1_12(d: int, e: int) -> int:
         return (2 - 4 * kronecker(d, 2)) * hurwitz12_ext(d)
     return 0
 
-
-def alpha2(m: int) -> int:
-    """Multiplicative square-detector weight: vanishes unless m is a perfect
-    square; alpha2(p^2) = p - 2, alpha2(p^(2j)) = p^(j-2) (p-1)^2 for j >= 2."""
-    out = 1
-    for p, e in factor(m):
-        if e & 1:
-            return 0
-        if e == 2:
-            out *= p - 2
-        else:
-            out *= p ** ((e - 4) // 2) * (p - 1) ** 2
-    return out

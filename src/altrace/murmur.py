@@ -8,18 +8,22 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 (beta and the x = ell/X of each point), and floats only in the final
 division, so scans are reproducible across platforms.
 
+Each scan factors its window once, as arrays (``_window`` on
+``window.Factors``): the family's levels and their newform counts
+dim S_k^new(N) come from it, not from a walk level by level.
 scan_WQ, scan_eigenspace and cancellation_diag share one function,
-``_scan``: one row per level (a group key, and per series the signed
-Atkin-Lehner moduli whose traces it averages and its count), sorted by key,
-then exact integer array reductions per batch of primes, on a thread pool
-when asked and there is more than one batch.  They differ only in the row;
-cancellation_diag's has two series, the two Fricke eigenspaces, and the
+``_scan``: the levels with a group key each, one Atkin-Lehner modulus
+array per slot, and per series a sign per slot and a count per level;
+sorted by key once, then exact integer array reductions per batch of
+primes, on a thread pool when asked and there is more than one batch.
+cancellation_diag has two series, the two Fricke eigenspaces, and the
 others one.  The traces at the scanned primes come from one
-``window.TraceWindow`` per modulus slot, shared by the series, as an integer
+``window.TraceWindow`` per slot, shared by the series, as an integer
 array over primes x levels that equals ``trace.t_new_squarefree`` level by
 level (one class number per s, non-squarefree levels included); each window
 cuts its own numpy passes by its rows per prime, so a slot of large Q takes
-all its primes at once.  The counts at ell = 1 stay on the per-level kernel.
+all its primes at once.  The counts of the Q >= 2 slots (eigenspace
+dimensions, tr W_N) stay on the per-level kernel at ell = 1.
 A kernel replaced on the trace module (anything but a functools.wraps
 wrapper of it) is not the one the engine reproduces, so the scans then call
 it level by level instead (``_trace_window``).  Per batch the signed mean
@@ -202,47 +206,44 @@ def _primes_in(ell_range) -> list[int]:
     return out
 
 
-def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
-    """All (Q, M) with X <= QM <= beta*X in the family, any ell; X >= 1."""
+def _window(spec: FamilySpec, X: int):
+    """Arrays Q and M of the family's levels X <= QM <= beta*X, any ell, and
+    their window.Factors: one factorization of the part that varies (Q in
+    kind I, M in kind II, N in kind III), whose squarefreeness, omega, gcd
+    with the fixed part and sorted primes pick the levels.  Raises unless
+    X >= 1 and beta*X < 2^63, the range of the window's int64 arrays."""
+    import numpy as np  # not at module level: importing murmur stays numpy-free
+
     if X < 1:
         raise ValueError("a level window needs X >= 1, got X = %d" % X)
     lo, hi = X, math.floor(spec.beta * X)
-    out = []
-    if spec.kind == "I":
-        m = spec.m
-        for q in range(max(1, -(-lo // m)), hi // m + 1):
-            if q * m < lo or math.gcd(q, m) != 1 or not is_squarefree(q):
-                continue
-            if spec.omega_q is not None and len(factor(q)) != spec.omega_q:
-                continue
-            out.append((q, m))
-    elif spec.kind == "II":
-        q = spec.q
-        want_omega = None
-        if spec.m_set.startswith("sqf") and spec.m_set[3:]:
-            want_omega = int(spec.m_set[3:])
-        for m in range(max(1, -(-lo // q)), hi // q + 1):
-            if q * m < lo or math.gcd(q, m) != 1:
-                continue
-            if spec.m_set != "all":
-                if not is_squarefree(m):
-                    continue
-                if want_omega is not None and len(factor(m)) != want_omega:
-                    continue
-            out.append((q, m))
-    else:
-        fixed_prod = math.prod(spec.fixed)
-        for n in range(lo, hi + 1):
-            if fixed_prod and n % fixed_prod:
-                continue
-            if not is_squarefree(n):
-                continue
-            ps = [p for p, _ in factor(n)]
-            if len(ps) != spec.r or tuple(ps[: len(spec.fixed)]) != spec.fixed:
-                continue
-            q = math.prod(ps[i - 1] for i in spec.idx)
-            out.append((q, n // q))
-    return out
+    if hi >= 2**63:
+        raise ValueError("a level window needs beta*X < 2^63, got X = %d, beta = %s" % (X, spec.beta))
+    fixed = {"I": spec.m, "II": spec.q}.get(spec.kind, 1)
+    first = -(-lo // fixed)
+    win = window.Factors.of_range(first, hi // fixed)
+    n = np.arange(first, hi // fixed + 1, dtype=np.int64)
+    keep = np.ones(len(n), dtype=bool)
+    for p, _ in factor(fixed):  # the gcd with the fixed part is 1
+        keep &= n % p != 0
+    if spec.kind != "II" or spec.m_set != "all":
+        keep &= win.squarefree
+    want = {"I": spec.omega_q, "II": spec.m_set[3:], "III": spec.r}[spec.kind]  # an omega, if any
+    if want:
+        keep &= win.omega == int(want)
+    q = n[keep] if spec.kind == "I" else np.full_like(n[keep], fixed)
+    if spec.kind == "III" and keep.any():  # so r <= slots
+        primes = win.primes()
+        for j, p in enumerate(spec.fixed):
+            keep &= primes[:, j] == p
+        q = math.prod((primes[keep, i - 1] for i in spec.idx), start=np.ones_like(n[keep]))
+    return q, n[keep] * fixed // q, win.take(keep, fixed)
+
+
+def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
+    """All (Q, M) with X <= QM <= beta*X in the family, any ell; X >= 1."""
+    q, m, _ = _window(spec, X)
+    return list(zip(q.tolist(), m.tolist()))
 
 
 def _trace_window(k: int, levels, ell_max: int):
@@ -258,59 +259,53 @@ def _trace_window(k: int, levels, ell_max: int):
     return window.LevelWindow(kernel, k, levels)
 
 
-def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, workers: int = 1):
+def _scan(spec: FamilySpec, X: int, ell_range, n, keys, moduli, sign, counts, no_forms: str, workers: int = 1):
     """The scan behind scan_WQ, scan_eigenspace and cancellation_diag: one
     list of points per series.
 
-    levels are the window's (Q, M) pairs, Q the largest Atkin-Lehner modulus
-    the level's trace reads, and row(Q, M) gives the level's group key, a
-    tuple of one list of signed moduli [(Q', sign)] per series and a tuple
-    of one count per series (the series' trace at ell = 1).  Every series
-    lists the same Q' in the same order, at every level, so the traces come
-    from one _trace_window per modulus slot, shared by the series.  A
-    series' trace at ell is the signed mean of tr T_ell W_Q' over its
-    moduli.  Its point at ell averages ell^(1-k/2) * trace over the levels
-    ell does not divide, summed per key and weighted by sqrt(key), and
-    divides by their counts.  A prime whose kept levels carry none of a
-    series' forms gives that series no point; no_forms is raised if no
+    n holds the window's levels and keys their group keys, as int64
+    arrays.  moduli holds one array per slot: the Atkin-Lehner modulus Q'
+    the slot reads at each level, so the traces come from one _trace_window
+    per slot, shared by the series.  sign holds per series one sign per
+    slot, and counts() the series' counts at every level (its trace at
+    ell = 1); it is called once the table is installed, since its kernels
+    read it.  A series' trace at ell is the signed mean of tr T_ell W_Q'
+    over the slots.  Its point at ell averages ell^(1-k/2) * trace over the
+    levels ell does not divide, summed per key and weighted by sqrt(key),
+    and divides by their counts.  A prime whose kept levels carry none of
+    a series' forms gives that series no point; no_forms is raised if no
     level of the window carries a form of some series.
 
-    The levels are sorted by key once.  The primes go in batches whose
-    primes x levels stay within window._BATCH_ENTRIES (one prime at least);
-    each slot's window cuts its own passes inside a batch.  Per batch each
-    slot's exact trace array (primes x levels) is multiplied by each
-    series' signs and added to that series' running total, slot by slot;
-    then one divisibility check by the slot count, and np.add.reduceat over
-    each key's run of levels.  A slot's array is int64 while max|trace| *
-    slots * levels < 2^63, so no sum can wrap, and holds Python ints
-    otherwise.  Only the final sum over the keys present at ell, in
-    increasing key order, is in floats.  With workers > 1 and more than one
-    batch, the batches are measured on that many threads.  The widest table
-    is installed first, so no slot window builds a smaller one before it.
+    The levels are sorted by key once (stably).  The primes go in batches
+    whose primes x levels stay within window._BATCH_ENTRIES (one prime at
+    least); each slot's window cuts its own passes inside a batch.  Per
+    batch each slot's exact trace array (primes x levels) is multiplied by
+    each series' sign and added to that series' running total, slot by
+    slot; then one divisibility check by the slot count, and
+    np.add.reduceat over each key's run of levels.  A slot's array is int64
+    while max|trace| * slots * levels < 2^63, so no sum can wrap, and holds
+    Python ints otherwise.  Only the final sum over the keys present at
+    ell, in increasing key order, is in floats.  With workers > 1 and more
+    than one batch, the batches are measured on that many threads.  The
+    widest table is installed first, so no slot window builds a smaller one
+    before it.
     """
-    if not levels:
+    if not len(n):
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     ells = _primes_in(ell_range)
-    classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
+    classnum.get_table(4 * max(ells) * max(int(q.max()) for q in moduli))
     import numpy as np  # loaded by the table build; importing murmur stays numpy-free
 
-    ns, keys, moduli, counts = zip(*sorted(((q * m, *row(q, m)) for q, m in levels), key=lambda r: r[1]))
-    # per series, then per level
-    moduli, counts = list(zip(*moduli)), list(zip(*counts))
-    if not all(map(any, counts)):
+    order = sorted(range(len(n)), key=keys.tolist().__getitem__)  # stable
+    level_n, keys, moduli = n[order], keys[order].tolist(), [q[order] for q in moduli]
+    counts = [np.asarray(c)[order] for c in counts()]
+    if not all(c.any() for c in counts):
         raise ValueError(no_forms)
-    width = len(moduli[0][0])
-    slots = [
-        _trace_window(spec.k, [(mods[i][0], n // mods[i][0]) for n, mods in zip(ns, moduli[0])], max(ells))
-        for i in range(width)
-    ]
+    counts = [c.astype(np.int64 if int(c.max()) * len(keys) < 2**63 else object) for c in counts]
+    width = len(moduli)
+    slots = [_trace_window(spec.k, list(zip(q.tolist(), (level_n // q).tolist())), max(ells)) for q in moduli]
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     roots = [math.sqrt(keys[i]) for i in starts]
-    level_n = np.array(ns, dtype=np.int64)
-    # per series: its signs as slots x levels, and its counts; the signs go
-    # through one flat list, which numpy converts far faster than nested ones
-    sign = [np.array([s for mods in lists for _, s in mods], dtype=np.int64).reshape(-1, width).T for lists in moduli]
-    counts = [np.array(c, dtype=np.int64 if max(c) * len(ns) < 2**63 else object) for c in counts]
 
     def measure(batch: list[int]) -> list[list[MurmurationPoint]]:
         # slot by slot, so no slots x primes x levels array is held; traces
@@ -320,7 +315,7 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, worke
             t = w.traces(batch)
             try:
                 t = t.astype(np.int64, copy=False)
-                exact = int(np.abs(t).max()) * width * len(ns) < 2**63
+                exact = int(np.abs(t).max()) * width * len(keys) < 2**63
             except OverflowError:
                 exact = False
             if not exact:
@@ -331,7 +326,7 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, worke
         out = []
         for total, count in zip(totals, counts):
             bad = np.argwhere(total % width)
-            assert not bad.size, (ns[bad[0, 1]], batch[bad[0, 0]], int(total[tuple(bad[0])]))
+            assert not bad.size, (int(level_n[bad[0, 1]]), batch[bad[0, 0]], int(total[tuple(bad[0])]))
             sums = np.add.reduceat(total // width, starts, axis=1)
             points = []
             for ell, c, s_ell, p_ell in zip(batch, (kept @ count).tolist(), sums, present, strict=True):
@@ -343,7 +338,7 @@ def _scan(spec: FamilySpec, levels, ell_range, X: int, row, no_forms: str, worke
             out.append(points)
         return out
 
-    step = max(1, window._BATCH_ENTRIES // len(ns))
+    step = max(1, window._BATCH_ENTRIES // len(keys))
     batches = [ells[i : i + step] for i in range(0, len(ells), step)]
     if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -365,21 +360,23 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     scans five primes, [2, 11] two.  Primes dividing every level that
     carries a form (e.g. the fixed part) give no point.  Raises if the window is empty or carries no newform.
     """
-    k = spec.k
-
-    def row(q: int, m: int):
-        return m, ([(q, 1)],), (signs.dim_new(k, q * m),)
-
-    no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, k)
-    return _scan(spec, _window_levels(spec, X), ell_range, X, row, no_forms)[0]
+    q, m, win = _window(spec, X)
+    no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, spec.k)
+    return _scan(spec, X, ell_range, q * m, m, [q], [(1,)], lambda: [win.dims(spec.k)], no_forms)[0]
 
 
 def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
     """(Q, epsilon_Q) for every Q dividing the squarefree level n, where
     epsilon assigns +-1 to the primes of n in increasing order and
     epsilon_Q is its product over the primes of Q."""
+    return _signed_products([p for p, _ in factor(n)], epsilon)
+
+
+def _signed_products(primes, epsilon) -> list[tuple[int, int]]:
+    """(Q, epsilon_Q) for every product Q of a subset of primes, ints or
+    arrays of them, in signed_moduli's order: Q = 1 first."""
     out = [(1, 1)]
-    for (p, _), e in zip(factor(n), epsilon, strict=True):
+    for p, e in zip(primes, epsilon, strict=True):
         out += [(q * p, s * e) for q, s in out]
     return out
 
@@ -416,18 +413,27 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         raise ValueError("eigenspace scans take no idx: every subset of the level primes is a Q, got %s" % (spec,))
     if len(epsilon) != spec.r or any(e not in (-1, 1) for e in epsilon):
         raise ValueError("epsilon must be a +-1 vector of length r")
+    import numpy as np
+
     k = spec.k
+    # every subset of a level's r primes is a Q, so Q = N is the widest
+    n, _, win = _window(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
+    # a level has r primes, so r slots; an empty window may have fewer
+    primes = win.primes()[:, : spec.r].T if len(n) else [n] * spec.r
+    moduli, sign = zip(*_signed_products(primes, epsilon))
+    moduli = [q * np.ones_like(n) for q in moduli]
 
-    def row(n: int, _m: int):
-        moduli = signed_moduli(n, epsilon)
-        dim = eigenspace_trace(k, n, moduli, 1)
-        assert dim >= 0, (n, dim)
-        return 1, (moduli,), (dim,)
+    def counts():
+        # the eigenspace's dimension, eigenspace_trace at ell = 1: the Q = 1
+        # term from the window, the others from the kernel
+        total, levels = win.dims(k).tolist(), n.tolist()
+        for q, e in zip(moduli[1:], sign[1:]):
+            total = [t + e * trace.t_new_squarefree(k, qq, nn // qq, 1) for t, qq, nn in zip(total, q.tolist(), levels)]
+        assert all(t % len(moduli) == 0 and t >= 0 for t in total), (epsilon, X)
+        return [[t // len(moduli) for t in total]]
 
-    # every subset of a level's primes is a Q, so Q = N is the widest
-    levels = _window_levels(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
     no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, k)
-    return _scan(spec, levels, ell_range, X, row, no_forms)[0]
+    return _scan(spec, X, ell_range, n, np.ones_like(n), moduli, [sign], counts, no_forms)[0]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -522,16 +528,20 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
         raise ValueError("cancellation_diag needs workers >= 1, got workers = %r" % (workers,))
     if X < 2:
         raise ValueError("cancellation_diag needs X >= 2, got X = %d" % X)
-    spec = FamilySpec("I", k=k)
+    import numpy as np
 
-    def row(n: int, _m: int):
+    spec = FamilySpec("I", k=k)
+    n, _, win = _window(spec, X)
+    ones = np.ones_like(n)
+
+    def counts():
         # dim S^new(n) and tr W_n on it do not depend on ell
-        dim, tr_w = signs.dim_new(k, n), trace.t_new_squarefree(k, n, 1, 1)
-        return 1, ([(1, 1), (n, 1)], [(1, 1), (n, -1)]), ((dim + tr_w) // 2, (dim - tr_w) // 2)
+        dims, tr_w = win.dims(k).tolist(), [trace.t_new_squarefree(k, q, 1, 1) for q in n.tolist()]
+        return [(d + t) // 2 for d, t in zip(dims, tr_w)], [(d - t) // 2 for d, t in zip(dims, tr_w)]
 
     # [X, 2X] holds a prime (Bertrand), so there is a level
     no_forms = "an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X)
-    plus, minus = _scan(spec, _window_levels(spec, X), (X // 2, 2 * X), X, row, no_forms, workers)
+    plus, minus = _scan(spec, X, (X // 2, 2 * X), n, ones, [ones, n], [(1, 1), (1, -1)], counts, no_forms, workers)
     at = {p.ell: p.average for p in minus}
     rows = [(abs(p.average + at[p.ell]), abs(p.average - at[p.ell]), p.ell) for p in plus if p.ell in at]
     if not rows:

@@ -17,9 +17,14 @@ a product of local weights (G. Martin, J. Number Theory 112 (2005)):
     12 dim S_k^new(N) = (k-1) kappa_infty(N) - 6 alpha2(N) + 3c kappa_-4(N)
                         - 4 p_k(1,1) kappa_-3(N) + 12 [k = 2] mu(N),
 
-c = +1 if 4 | k and -1 otherwise.  All but the last term is ``_dim12_new``,
-which ``delta`` also reads at odd q and r = 2.  Tower rule: at r >= 3, bar
-q^r = 8, 16, 27, ``delta`` is the bracket at q^r less that at q^(r-2).
+c = +1 if 4 | k and -1 otherwise.  This module owns the local values at
+p^e (``_kappa_infty_at``, ``_alpha2_at``, ``_kappa_minus_at``; all four
+are ``dim_local(p, e)``).  ``_dim12`` weighs the four products, and
+``_dim12_new``, all but the last term, takes them over factor(n);
+``delta`` also reads it at odd q and r = 2.  ``window.Factors.dims``
+multiplies ``dim_local`` over a whole window of levels, once per distinct
+p^e.  Tower rule: at r >= 3, bar q^r = 8, 16, 27, ``delta`` is the
+bracket at q^r less that at q^(r-2).
 
 Levels are checked by the one rule ``arith.check_level``, as in modules
 trace and twist; ``delta`` adds only a prime q and r >= 1.
@@ -52,34 +57,66 @@ ZERO_NONE = "none"
 # multiplicative kappa weights and the small p_k tables
 
 
+def _kappa_minus_at(delta_arg: int, p: int, e: int) -> int:
+    """kappa_Delta at p^e, e >= 1: the 4-case table."""
+    if e == 1:
+        return kronecker(delta_arg, p) - 1
+    if e == 2:
+        return -1 if delta_arg % p == 0 else -kronecker(delta_arg, p)
+    if e == 3:
+        return 1 if delta_arg % p == 0 else 0
+    return 0
+
+
 def kappa_minus(delta_arg: int, m: int) -> int:
-    """kappa_Delta(m): multiplicative; per prime power see the 4-case table."""
+    """kappa_Delta(m): multiplicative, _kappa_minus_at per prime power."""
     out = 1
     for p, e in factor(m):
-        if e == 1:
-            f = kronecker(delta_arg, p) - 1
-        elif e == 2:
-            f = -1 if delta_arg % p == 0 else -kronecker(delta_arg, p)
-        elif e == 3:
-            f = 1 if delta_arg % p == 0 else 0
-        else:
-            f = 0
+        f = _kappa_minus_at(delta_arg, p, e)
         if f == 0:
             return 0
         out *= f
     return out
 
 
+def _kappa_infty_at(p: int, e: int) -> int:
+    if e == 1:
+        return p - 1
+    if e == 2:
+        return p * p - p - 1
+    return p ** (e - 3) * (p - 1) ** 2 * (p + 1)
+
+
 def kappa_infty(m: int) -> int:
     out = 1
     for p, e in factor(m):
-        if e == 1:
-            out *= p - 1
-        elif e == 2:
-            out *= p * p - p - 1
-        else:
-            out *= p ** (e - 3) * (p - 1) ** 2 * (p + 1)
+        out *= _kappa_infty_at(p, e)
     return out
+
+
+def _alpha2_at(p: int, e: int) -> int:
+    if e & 1:
+        return 0
+    return p - 2 if e == 2 else p ** ((e - 4) // 2) * (p - 1) ** 2
+
+
+def alpha2(m: int) -> int:
+    """Multiplicative square-detector weight: vanishes unless m is a perfect
+    square; alpha2(p^2) = p - 2, alpha2(p^(2j)) = p^(j-2) (p-1)^2 for j >= 2."""
+    out = 1
+    for p, e in factor(m):
+        f = _alpha2_at(p, e)
+        if f == 0:
+            return 0
+        out *= f
+    return out
+
+
+def dim_local(p: int, e: int) -> tuple[int, int, int, int]:
+    """The local values of the dimension formula at p^e, e >= 1:
+    kappa_infty, alpha2, kappa_-4 and kappa_-3, which window.Factors.dims
+    multiplies over a window's slots."""
+    return _kappa_infty_at(p, e), _alpha2_at(p, e), _kappa_minus_at(-4, p, e), _kappa_minus_at(-3, p, e)
 
 
 def pk_one(k: int) -> int:
@@ -140,7 +177,7 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     elif qr == 27:
         val24 = (c * (a12(-27) - 2 * a12(-3)) + 8 * pk_sqrt3(k) * kappa_minus(-3, 2**e)) * kappa_minus(-3, mp)
     elif qr == 16:
-        val24 = 12 * (c * kappa_minus(-1, m) + classnum.alpha2(m))
+        val24 = 12 * (c * kappa_minus(-1, m) + alpha2(m))
     else:
         # (-q^r|p) = (-q|p) at odd r
         tower = a12(-qr) - 2 * a12(-(qr // q**2)) + (a12(-(qr // q**4)) if r >= 4 else 0)
@@ -304,13 +341,16 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
 # dimensions
 
 
-def _dim12_new(k: int, n: int) -> int:
-    """12 * dim S_k^new(Gamma_0(n)) less the weight-2 term 12 mu(n): the
-    genus formula's psi, nu_inf, nu_2 and nu_3 projected to the newspace
-    are kappa_infty, alpha2, kappa_minus(-4, .) and kappa_minus(-3, .)."""
+def _dim12(k: int, kinf, a2, km4, km3):
+    """12 * dim S_k^new less the weight-2 term 12 mu(n), from the products
+    over n of the four local values (ints, or numpy arrays alike): the
+    genus formula's psi, nu_inf, nu_2 and nu_3 projected to the newspace."""
     c = -1 if (k // 2) % 2 else 1
-    d12 = (k - 1) * kappa_infty(n) - 6 * classnum.alpha2(n)
-    return d12 + 3 * c * kappa_minus(-4, n) - 4 * pk_one(k) * kappa_minus(-3, n)
+    return (k - 1) * kinf - 6 * a2 + 3 * c * km4 - 4 * pk_one(k) * km3
+
+
+def _dim12_new(k: int, n: int) -> int:
+    return _dim12(k, kappa_infty(n), alpha2(n), kappa_minus(-4, n), kappa_minus(-3, n))
 
 
 def dim_new(k: int, n: int) -> int:

@@ -88,16 +88,6 @@ def kappas_at_q(q: int, r: int) -> dict[str, int | dict[str, int]]:
     return {RPS: eps, USC: -eps}
 
 
-def chi_q_flips_every_type(q: int, r: int) -> bool:
-    """Whether the ramified character at odd q swaps eigenspaces for every
-    local type occurring at exponent r.  Always false: either some type has
-    kappa = +1, or (r = 1, 2) the ramified twist changes the level."""
-    kappas = set()
-    for v in kappas_at_q(q, r).values():
-        kappas.update(v.values() if isinstance(v, dict) else (v,))
-    return kappas == {-1}
-
-
 def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]:
     """Characters of conductor dividing M that pair the W_q eigenspaces.
 

@@ -8,16 +8,19 @@ rows per prime (large Q) takes all its primes in one pass and one of many
 rows (Q = 1) takes several.  It returns one exact integer array, primes x
 levels, from class numbers gathered through ``classnum`` from the table it
 installs.  ``LevelWindow`` serves the same arrays from any per-level
-kernel, one call per level and prime.  The murmuration scans read their
-traces from here and keep the per-level kernel for their counts at l = 1.
-numpy is imported only when a window is built, so importing this module
-(or ``murmur``, which imports it) does not import numpy.
+kernel, one call per level and prime.  ``Factors`` factors a whole level
+window in numpy and gives each level's dim S_k^new from the local values
+of module signs.  The murmuration scans read their traces, level lists and
+Q = 1 counts from here, and keep the per-level kernel for their Q >= 2
+counts at l = 1.  numpy is imported only when a window is built, so
+importing this module (or ``murmur``, which imports it) does not import
+numpy.
 """
 from __future__ import annotations
 
 import math
 
-from . import classnum
+from . import classnum, signs
 from .arith import factor, mobius, primes_up_to
 from .trace import _hyperbolic, _local_factor, pk_from_s2
 
@@ -222,3 +225,93 @@ class LevelWindow:
             return np.array(rows, dtype=np.int64)
         except OverflowError:
             return np.array(rows, dtype=object)
+
+
+class Factors:
+    """The factorizations of a window's levels n * cofactor, as arrays.
+
+    ``of_range(lo, hi)`` factors every n in [lo, hi] by one strided numpy
+    update per prime power p^j <= hi with p <= sqrt(hi); what is left of n
+    is 1 or one prime.  Each level's primes sit in slots in increasing p,
+    as a levels x slots index ``at`` into the distinct pairs (p, e), whose
+    entry 0, (1, 0), fills the empty slots: memory is O(levels x max
+    omega).  ``take`` keeps some levels and multiplies them by a cofactor
+    prime to each (the fixed part of a family)."""
+
+    def __init__(self, pairs: list[tuple[int, int]], at, omega, squarefree, cofactor: int):
+        self.pairs, self.at, self.omega, self.squarefree, self.cofactor = pairs, at, omega, squarefree, cofactor
+
+    @classmethod
+    def of_range(cls, lo: int, hi: int) -> Factors:
+        """Every n in [lo, hi], 1 <= lo <= hi + 1 < 2^63, cofactor 1."""
+        import numpy as np
+
+        width, primorial = 0, 1  # slots: the most primes an n <= hi has
+        for p in primes_up_to(60):
+            primorial *= p
+            width += primorial <= hi
+        size, width = hi - lo + 1, max(width, 1)
+        at = np.zeros(size * width, dtype=np.int64)  # flat: level i's slots start at i * width
+        row = np.arange(0, size * width, width)
+        omega = np.zeros(size, dtype=np.int64)
+        squarefree = np.ones(size, dtype=bool)
+        pairs, powers = [(1, 0)], [1]
+        for p in primes_up_to(math.isqrt(hi)):
+            q, e = p, 1
+            # a window without a multiple of p^e has none of p^(e+1)
+            while q <= hi and -lo % q < size:
+                hit = slice(-lo % q, None, q)
+                if e == 1:
+                    slot = omega[hit]  # a view: slot += 1 counts the prime in omega
+                    at[row[hit] + slot] = len(pairs)
+                    slot += 1
+                else:
+                    at[row[hit] + omega[hit] - 1] += 1
+                    squarefree[hit] = False
+                pairs.append((p, e))
+                powers.append(q)
+                q, e = q * p, e + 1
+        at = at.reshape(size, width)
+        powers = np.array(powers, dtype=np.int64)
+        small = powers[at[:, 0]]
+        for col in at.T[1:]:
+            small *= powers[col]
+        rest = np.arange(lo, hi + 1, dtype=np.int64) // small
+        big = np.flatnonzero(rest > 1)
+        cofactors = rest[big].tolist()
+        index = {p: i for i, p in enumerate(sorted(set(cofactors)), len(pairs))}
+        at[big, omega[big]] = [index[p] for p in cofactors]
+        omega[big] += 1
+        return cls(pairs + [(p, 1) for p in index], at, omega, squarefree, 1)
+
+    def take(self, rows, cofactor: int) -> Factors:
+        """The levels at rows, each times cofactor, which is prime to them."""
+        return Factors(self.pairs, self.at[rows], self.omega[rows], self.squarefree[rows], cofactor)
+
+    def primes(self):
+        """levels x slots: each level's primes in increasing order, then 1s
+        (the cofactor's primes are not listed)."""
+        import numpy as np
+
+        return np.array([p for p, _ in self.pairs], dtype=np.int64)[self.at]
+
+    def dims(self, k: int):
+        """dim S_k^new(n * cofactor) at every level: signs._dim12 of the
+        products of signs.dim_local over the slots, evaluated once per
+        distinct (p, e); int64 while (k + 13) * max|product| < 2^63, Python
+        ints otherwise."""
+        import numpy as np
+
+        local = np.array([(1, 1, 1, 1)] + [signs.dim_local(p, e) for p, e in self.pairs[1:]], dtype=np.int64)
+        vals = np.ones((len(self.at), 4), dtype=np.int64)
+        for col in self.at.T:
+            vals *= local[col]
+        for p, e in factor(self.cofactor):
+            vals *= signs.dim_local(p, e)
+        if (k + 13) * int(np.abs(vals).max(initial=1)) >= 2**63:
+            vals = vals.astype(object)
+        d12 = signs._dim12(k, *vals.T)
+        if k == 2:
+            d12 += 12 * mobius(self.cofactor) * np.where(self.squarefree, 1 - 2 * (self.omega % 2), 0)
+        assert (d12 % 12 == 0).all() and (d12 >= 0).all(), (k, self.cofactor)
+        return d12 // 12

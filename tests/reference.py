@@ -1,5 +1,7 @@
 """Reference arithmetic that only the tests read.
 
+``window_levels`` walks a family's level window one level at a time.
+
 The newspace projection: a full-space dimension or trace, as a function of
 the level, becomes the newspace one by the Dirichlet inverse of the
 divisor-count function, summed over the sub-levels m/d.  The package reads
@@ -7,7 +9,9 @@ the local newspace weights (``trace._NEW_WEIGHTS``, ``signs``' closed form)
 instead; the tests project whole full-space quantities through these
 helpers as the independent twin of those weights.
 """
-from altrace.arith import divisors, factor
+import math
+
+from altrace.arith import divisors, factor, is_squarefree
 
 
 def mu_star_mu(n: int) -> int:
@@ -46,3 +50,47 @@ def mobius_squared_transform(f, m: int):
         if c:
             total += c * f(m // d)
     return total
+
+
+def window_levels(spec, X: int) -> list[tuple[int, int]]:
+    """All (Q, M) with X <= QM <= beta*X in the family, level by level: the
+    twin of murmur._window_levels, which reads one window factorization."""
+    if X < 1:
+        raise ValueError("a level window needs X >= 1, got X = %d" % X)
+    lo, hi = X, math.floor(spec.beta * X)
+    out = []
+    if spec.kind == "I":
+        m = spec.m
+        for q in range(max(1, -(-lo // m)), hi // m + 1):
+            if q * m < lo or math.gcd(q, m) != 1 or not is_squarefree(q):
+                continue
+            if spec.omega_q is not None and len(factor(q)) != spec.omega_q:
+                continue
+            out.append((q, m))
+    elif spec.kind == "II":
+        q = spec.q
+        want_omega = None
+        if spec.m_set.startswith("sqf") and spec.m_set[3:]:
+            want_omega = int(spec.m_set[3:])
+        for m in range(max(1, -(-lo // q)), hi // q + 1):
+            if q * m < lo or math.gcd(q, m) != 1:
+                continue
+            if spec.m_set != "all":
+                if not is_squarefree(m):
+                    continue
+                if want_omega is not None and len(factor(m)) != want_omega:
+                    continue
+            out.append((q, m))
+    else:
+        fixed_prod = math.prod(spec.fixed)
+        for n in range(lo, hi + 1):
+            if fixed_prod and n % fixed_prod:
+                continue
+            if not is_squarefree(n):
+                continue
+            ps = [p for p, _ in factor(n)]
+            if len(ps) != spec.r or tuple(ps[: len(spec.fixed)]) != spec.fixed:
+                continue
+            q = math.prod(ps[i - 1] for i in spec.idx)
+            out.append((q, n // q))
+    return out

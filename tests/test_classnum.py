@@ -302,15 +302,6 @@ def test_alpha1_case_table():
     assert classnum.alpha1_12(-4, 4) == 12
 
 
-def test_alpha2_multiplicative_and_pinned():
-    assert classnum.alpha2(1) == 1
-    vals = {m: classnum.alpha2(m) for m in range(1, 200)}
-    for a in range(2, 60):
-        for b in range(2, 200 // a):
-            if math.gcd(a, b) == 1 and a * b < 200:
-                assert vals[a * b] == vals[a] * vals[b], (a, b)
-
-
 @given(st.integers(min_value=1, max_value=3000))
 def test_hurwitz_nonnegative_and_denominator(n):
     if -n % 4 in (0, 1):

@@ -275,6 +275,13 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             "Fraction(1, 0)",
             id="beta-zero-denominator",
         ),
+        # the level window's arrays are int64: a window past 2^63 is refused
+        # at once, not walked level by level
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--X", "50", "--ell-max", "20", "--beta", "1e400"],
+            "a level window needs beta*X < 2^63, got X = 50, beta = 1%s" % ("0" * 400),
+            id="beta-past-int64",
+        ),
         pytest.param(
             ["murmur", "--family", "I:M=1", "--X", "10", "--ell-max", "7", "--out", "nodir/x"],
             "No such file or directory",

@@ -13,6 +13,7 @@ import pytest
 
 from altrace import arith, classnum, murmur, selftest, signs, trace, window
 from altrace.murmur import FamilySpec, MurmurationPoint, parse_family
+from reference import window_levels
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,37 @@ def test_window_levels_kind_III():
     # no idx means Q = 1
     spec = FamilySpec("III", r=2, fixed=(2,))
     assert murmur._window_levels(spec, 30) == [(1, 34), (1, 38), (1, 46), (1, 58)]
+
+
+_LEVEL_FAMILIES = (
+    "I:M=1",
+    "I:M=6",
+    "I:M=4,omega=1",
+    "I:M=1,omega=2",
+    "I:M=30,omega=2",
+    "II:Q=1,M=all",
+    "II:Q=6,M=all",
+    "II:Q=3,M=sqf",
+    "II:Q=1,M=sqf2",
+    "II:Q=5,M=sqf1",
+    "III:r=1",
+    "III:r=2",
+    "III:r=2,idx=1,2",
+    "III:r=2,fixed=3,idx=2",
+    "III:r=3,fixed=2,idx=1,3",
+    "III:r=3,fixed=2,3",
+    "III:r=4",
+)
+
+
+@pytest.mark.parametrize("beta", [Fraction(2), Fraction(3), Fraction(5, 2)], ids=str)
+def test_window_levels_equal_the_level_walk(beta):
+    # one window factorization against reference.window_levels, which walks
+    # the window level by level with arith.factor
+    for family in _LEVEL_FAMILIES:
+        spec = parse_family(family, beta=beta)
+        for X in [*range(1, 41), 97, 210, 331, 500, 999, 1000]:
+            assert murmur._window_levels(spec, X) == window_levels(spec, X), (family, X)
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +710,13 @@ def test_each_series_of_a_scan_equals_that_series_scanned_alone(monkeypatch):
         monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
         calls.clear()
         murmur.cancellation_diag(2, 60, workers=workers)
-        (spec, levels, ell_range, X, row, no_forms, got_workers), = calls
+        (spec, X, ell_range, n, keys, moduli, sign, counts, no_forms, got_workers), = calls
         assert got_workers == workers
         both = real_scan(*calls[0])
         assert len(both) == 2 and all(both)
         for i, points in enumerate(both):
-
-            def alone(q, m, i=i):
-                key, moduli, counts = row(q, m)
-                return key, (moduli[i],), (counts[i],)
-
-            assert real_scan(spec, levels, ell_range, X, alone, no_forms, workers) == [points], (workers, i)
+            one = [sign[i]], lambda i=i: [counts()[i]]
+            assert real_scan(spec, X, ell_range, n, keys, moduli, *one, no_forms, workers) == [points], (workers, i)
 
 
 def test_cancellation_reads_the_fricke_window_once_per_batch(monkeypatch):

@@ -32,6 +32,16 @@ def test_kappa_infty_values():
     assert signs.kappa_infty(125) == 96
 
 
+def test_alpha2_multiplicative_and_pinned():
+    assert signs.alpha2(1) == 1
+    assert [signs.alpha2(m) for m in (4, 9, 16, 64, 36, 12)] == [0, 1, 1, 2, 0, 0]
+    vals = {m: signs.alpha2(m) for m in range(1, 200)}
+    for a in range(2, 60):
+        for b in range(2, 200 // a):
+            if math.gcd(a, b) == 1 and a * b < 200:
+                assert vals[a * b] == vals[a] * vals[b], (a, b)
+
+
 def test_kappa_infty_drives_growth_in_k():
     # pk tables repeat mod 12 and the parity sign matches, so stepping the
     # weight by 12 isolates the -(k-1)/12 kappa_infty(M) term in the r = 2

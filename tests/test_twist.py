@@ -87,12 +87,6 @@ def test_kappas_at_q_covers_the_local_types_with_both_signs():
             assert set(signs_seen) == {1, -1}, (q, r)
 
 
-def test_ramified_character_never_flips_all_types():
-    for q in (3, 5, 7, 11):
-        for r in range(1, 8):
-            assert twist.chi_q_flips_every_type(q, r) is False, (q, r)
-
-
 def test_quadtwist_character_selection():
     # odd p needs p^3 | M and q inert mod p
     chars = twist.quadtwist_characters(4, 5, 1, 27)

@@ -1,13 +1,17 @@
 """The batched trace engine against its per-level reference,
-trace.t_new_squarefree, over drawn and fixed windows."""
+trace.t_new_squarefree, over drawn and fixed windows; the window
+factorization and its counts against arith.factor and signs.dim_new."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from altrace import classnum, murmur, trace, window
-from altrace.arith import factor, primes_up_to
+from altrace import classnum, murmur, signs, trace, window
+from altrace.arith import factor, is_squarefree, primes_up_to
+from altrace.murmur import parse_family
 
 
 def _window_traces(k: int, levels, ells):
@@ -156,3 +160,56 @@ def test_trace_window_joins_int64_and_python_int_passes(monkeypatch):
     assert win.traces([2]).dtype == np.int64 and win.traces([13]).dtype == object
     _, passes = _window_traces(40, levels, ells)
     assert len(passes) == len(ells)
+
+
+# ---------------------------------------------------------------------------
+# the window factorization and its counts at ell = 1
+
+
+def test_factors_equal_arith_factor_level_by_level():
+    for lo, hi in ((1, 1), (1, 2), (1, 300), (2310, 2400), (10**6 - 50, 10**6), (2**40 - 30, 2**40)):
+        win = window.Factors.of_range(lo, hi)
+        primes = win.primes().tolist()
+        for n, at, omega, sqf, row in zip(range(lo, hi + 1), win.at.tolist(), win.omega, win.squarefree, primes):
+            fac = factor(n)
+            assert [win.pairs[i] for i in at if i] == list(fac), n
+            assert (omega, sqf) == (len(fac), is_squarefree(n)), n
+            assert row == [p for p, _ in fac] + [1] * (len(row) - len(fac)), n
+
+
+# (family, X, beta): II:Q=1 over [1, 1000] holds 2^9, 3^6, 5^4, 7^3 and p^2 | m;
+# I:M=4 and I:M=9 have a non-squarefree cofactor, II:Q=6 and II:Q=3 a
+# squarefree one beside non-squarefree M
+_COUNT_WINDOWS = (
+    ("II:Q=1,M=all", 1, 1000),
+    ("I:M=4", 30, 3),
+    ("I:M=9,omega=1", 100, 2),
+    ("II:Q=6,M=all", 150, 3),
+    ("II:Q=3,M=all", 30, 4),
+    ("III:r=2", 100, 2),
+    ("III:r=3,fixed=2,idx=1", 60, 3),
+)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 12, 14])
+def test_window_counts_equal_dim_new_level_by_level(k):
+    # the window multiplies signs.dim_local over its slots and the cofactor;
+    # the trace of the identity is the divisor-sum twin that reads no local
+    # value of the dimension formula
+    for family, X, beta in _COUNT_WINDOWS:
+        q, m, win = murmur._window(parse_family(family, k=k, beta=Fraction(beta)), X)
+        levels = (q * m).tolist()
+        assert levels, family
+        got = win.dims(k).tolist()
+        assert got == [signs.dim_new(k, n) for n in levels], family
+        assert got == [trace.t_new_level(k, n, 1) for n in levels], family
+        if family == "II:Q=1,M=all":
+            assert {512, 729, 625, 343, 968} <= set(levels)
+
+
+def test_window_counts_take_python_ints_past_int64():
+    k = 2**61
+    q, m, win = murmur._window(parse_family("I:M=4", k=k), 30)
+    dims = win.dims(k)
+    assert dims.dtype == object
+    assert dims.tolist() == [signs.dim_new(k, n) for n in (q * m).tolist()]
