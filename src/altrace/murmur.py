@@ -9,8 +9,8 @@ accumulate as exact integers; ``Fraction`` appears only at the API boundary
 division, so scans are reproducible across platforms.
 
 Each scan factors its window once, as arrays (``_window`` on
-``window.Factors``): the family's levels and their newform counts
-dim S_k^new(N) come from it, not from a walk level by level.
+``window.Factors``): the levels, their counts dim S_k^new(N) and the
+trace windows come from it, not from a walk level by level.
 scan_WQ, scan_eigenspace and cancellation_diag share one function,
 ``_scan``: the levels with a group key each, one Atkin-Lehner modulus
 array per slot, and per series a sign per slot and a count per level;
@@ -222,7 +222,7 @@ def _window(spec: FamilySpec, X: int):
     fixed = {"I": spec.m, "II": spec.q}.get(spec.kind, 1)
     first = -(-lo // fixed)
     win = window.Factors.of_range(first, hi // fixed)
-    n = np.arange(first, hi // fixed + 1, dtype=np.int64)
+    n = win.n
     keep = np.ones(len(n), dtype=bool)
     for p, _ in factor(fixed):  # the gcd with the fixed part is 1
         keep &= n % p != 0
@@ -246,64 +246,65 @@ def _window_levels(spec: FamilySpec, X: int) -> list[tuple[int, int]]:
     return list(zip(q.tolist(), m.tolist()))
 
 
-def _trace_window(k: int, levels, ell_max: int):
-    """Where a scan reads tr T_ell W_Q at the window's (Q, m) levels for
-    primes ell <= ell_max: a window.TraceWindow while trace.t_new_squarefree
-    is the kernel it reproduces (behind functools.wraps wrappers, such as a
-    profiler's), otherwise a window.LevelWindow calling the installed kernel
-    level by level, so a kernel replaced on the trace module is still the
-    one the scan reads."""
+def _trace_window(k: int, q, win, ell_max: int):
+    """Where a scan reads tr T_ell W_Q at the levels of its window.Factors
+    win, Q = q, for primes ell <= ell_max: a window.TraceWindow while
+    trace.t_new_squarefree is the kernel it reproduces (behind
+    functools.wraps wrappers, such as a profiler's), otherwise a
+    window.LevelWindow calling the installed kernel level by level, so a
+    kernel replaced on the trace module is still the one the scan reads."""
     kernel = trace.t_new_squarefree
     if inspect.unwrap(kernel) is _BATCHED_KERNEL:
-        return window.TraceWindow(k, levels, ell_max)
-    return window.LevelWindow(kernel, k, levels)
+        return window.TraceWindow(k, q, win, ell_max)
+    return window.LevelWindow(kernel, k, q, win)
 
 
-def _scan(spec: FamilySpec, X: int, ell_range, n, keys, moduli, sign, counts, no_forms: str, workers: int = 1):
-    """The scan behind scan_WQ, scan_eigenspace and cancellation_diag: one
-    list of points per series.
+def _scan(spec: FamilySpec, X: int, ell_range, win, keys, moduli, sign, counts, no_forms: str, workers: int = 1):
+    """The scan behind scan_WQ, scan_eigenspace and cancellation_diag: one list
+    of points per series.
 
-    n holds the window's levels and keys their group keys, as int64
-    arrays.  moduli holds one array per slot: the Atkin-Lehner modulus Q'
-    the slot reads at each level, so the traces come from one _trace_window
-    per slot, shared by the series.  sign holds per series one sign per
-    slot, and counts() the series' counts at every level (its trace at
-    ell = 1); it is called once the table is installed, since its kernels
-    read it.  A series' trace at ell is the signed mean of tr T_ell W_Q'
-    over the slots.  Its point at ell averages ell^(1-k/2) * trace over the
-    levels ell does not divide, summed per key and weighted by sqrt(key),
-    and divides by their counts.  A prime whose kept levels carry none of
-    a series' forms gives that series no point; no_forms is raised if no
-    level of the window carries a form of some series.
+    win is the window's Factors and keys the levels' group keys (int64).
+    moduli holds one array per slot: the Atkin-Lehner modulus Q' the slot
+    reads at each level, a unitary divisor; the traces come from one
+    _trace_window per slot, built from win and shared by the series.  sign
+    holds per series one sign per slot, and counts() the series' counts at
+    every level (its trace at ell = 1); it is called once the table is
+    installed, since its kernels read it.  A series' trace at ell is the
+    signed mean of tr T_ell W_Q' over the slots.  Its point at ell averages
+    ell^(1-k/2) * trace over the levels ell does not divide, summed per key
+    and weighted by sqrt(key), and divides by their counts.  A prime whose
+    kept levels carry none of a series' forms gives that series no point;
+    no_forms is raised if no level of the window carries a form of some
+    series.
 
-    The levels are sorted by key once (stably).  The primes go in batches
-    whose primes x levels stay within window._BATCH_ENTRIES (one prime at
-    least); each slot's window cuts its own passes inside a batch.  Per
-    batch each slot's exact trace array (primes x levels) is multiplied by
-    each series' sign and added to that series' running total, slot by
-    slot; then one divisibility check by the slot count, and
-    np.add.reduceat over each key's run of levels.  A slot's array is int64
-    while max|trace| * slots * levels < 2^63, so no sum can wrap, and holds
-    Python ints otherwise.  Only the final sum over the keys present at
-    ell, in increasing key order, is in floats.  With workers > 1 and more
-    than one batch, the batches are measured on that many threads.  The
-    widest table is installed first, so no slot window builds a smaller one
-    before it.
+    The levels are sorted by key once (stably), win.take with them.  The
+    primes go in batches whose primes x levels stay within
+    window._BATCH_ENTRIES (one prime at least); each slot's window cuts its
+    own passes inside a batch.  Per batch each slot's exact trace array
+    (primes x levels) is multiplied by each series' sign and added to that
+    series' running total, slot by slot; then one divisibility check by the
+    slot count, and np.add.reduceat over each key's run of levels.  A slot's
+    array is int64 while max|trace| * slots * levels < 2^63, so no sum can
+    wrap, and holds Python ints otherwise.  Only the final sum over the keys
+    present at ell, in increasing key order, is in floats.  With workers > 1
+    and more than one batch, the batches are measured on that many threads.
+    The widest table is installed first, so no slot window builds a smaller
+    one before it.
     """
-    if not len(n):
+    if not len(win.n):
         raise ValueError("empty level window [%d, %s] for %s" % (X, spec.beta * X, spec))
     ells = _primes_in(ell_range)
     classnum.get_table(4 * max(ells) * max(int(q.max()) for q in moduli))
     import numpy as np  # loaded by the table build; importing murmur stays numpy-free
 
-    order = sorted(range(len(n)), key=keys.tolist().__getitem__)  # stable
-    level_n, keys, moduli = n[order], keys[order].tolist(), [q[order] for q in moduli]
+    order = np.argsort(keys, kind="stable")
+    win, keys, moduli = win.take(order, 1), keys[order].tolist(), [q[order] for q in moduli]
     counts = [np.asarray(c)[order] for c in counts()]
     if not all(c.any() for c in counts):
         raise ValueError(no_forms)
     counts = [c.astype(np.int64 if int(c.max()) * len(keys) < 2**63 else object) for c in counts]
     width = len(moduli)
-    slots = [_trace_window(spec.k, list(zip(q.tolist(), (level_n // q).tolist())), max(ells)) for q in moduli]
+    slots = [_trace_window(spec.k, q, win, max(ells)) for q in moduli]
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     roots = [math.sqrt(keys[i]) for i in starts]
 
@@ -321,12 +322,12 @@ def _scan(spec: FamilySpec, X: int, ell_range, n, keys, moduli, sign, counts, no
             if not exact:
                 t = t.astype(object)
             totals = [total + t * s[i] for total, s in zip(totals, sign)]
-        kept = level_n % np.array(batch, dtype=np.int64)[:, None] != 0
+        kept = win.n % np.array(batch, dtype=np.int64)[:, None] != 0
         present = np.logical_or.reduceat(kept, starts, axis=1)
         out = []
         for total, count in zip(totals, counts):
             bad = np.argwhere(total % width)
-            assert not bad.size, (int(level_n[bad[0, 1]]), batch[bad[0, 0]], int(total[tuple(bad[0])]))
+            assert not bad.size, (int(win.n[bad[0, 1]]), batch[bad[0, 0]], int(total[tuple(bad[0])]))
             sums = np.add.reduceat(total // width, starts, axis=1)
             points = []
             for ell, c, s_ell, p_ell in zip(batch, (kept @ count).tolist(), sums, present, strict=True):
@@ -362,7 +363,7 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     """
     q, m, win = _window(spec, X)
     no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, spec.k)
-    return _scan(spec, X, ell_range, q * m, m, [q], [(1,)], lambda: [win.dims(spec.k)], no_forms)[0]
+    return _scan(spec, X, ell_range, win, m, [q], [(1,)], lambda: [win.dims(spec.k)], no_forms)[0]
 
 
 def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -433,7 +434,7 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         return [[t // len(moduli) for t in total]]
 
     no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, k)
-    return _scan(spec, X, ell_range, n, np.ones_like(n), moduli, [sign], counts, no_forms)[0]
+    return _scan(spec, X, ell_range, win, np.ones_like(n), moduli, [sign], counts, no_forms)[0]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -541,7 +542,7 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
 
     # [X, 2X] holds a prime (Bertrand), so there is a level
     no_forms = "an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X)
-    plus, minus = _scan(spec, X, (X // 2, 2 * X), n, ones, [ones, n], [(1, 1), (1, -1)], counts, no_forms, workers)
+    plus, minus = _scan(spec, X, (X // 2, 2 * X), win, ones, [ones, n], [(1, 1), (1, -1)], counts, no_forms, workers)
     at = {p.ell: p.average for p in minus}
     rows = [(abs(p.average + at[p.ell]), abs(p.average - at[p.ell]), p.ell) for p in plus if p.ell in at]
     if not rows:

@@ -1,27 +1,27 @@
 """Batched traces: tr T_l W_Q over a whole window of levels at once.
 
-``TraceWindow.traces`` evaluates ``trace.t_new_squarefree(k, Q, m, l)`` at
-every (Q, m) of a window and every prime l of a list, and equals it level by
-level.  The window cuts the list into its own numpy passes: each pass
-holds at most _BATCH_ENTRIES rows (l, s) times levels, so a window of few
-rows per prime (large Q) takes all its primes in one pass and one of many
-rows (Q = 1) takes several.  It returns one exact integer array, primes x
-levels, from class numbers gathered through ``classnum`` from the table it
-installs.  ``LevelWindow`` serves the same arrays from any per-level
-kernel, one call per level and prime.  ``Factors`` factors a whole level
-window in numpy and gives each level's dim S_k^new from the local values
-of module signs.  The murmuration scans read their traces, level lists and
-Q = 1 counts from here, and keep the per-level kernel for their Q >= 2
-counts at l = 1.  numpy is imported only when a window is built, so
-importing this module (or ``murmur``, which imports it) does not import
-numpy.
+``Factors`` factors a whole level window n in numpy and gives each level's
+dim S_k^new from the local values of module signs.  ``TraceWindow``, built
+from a modulus Q at each level and those Factors, evaluates
+``trace.t_new_squarefree(k, Q, n / Q, l)`` at every level and every prime
+l of a list, and equals it level by level.  It cuts the list into numpy
+passes of at most _BATCH_ENTRIES rows (l, s) times levels, so a window of
+few rows per prime (large Q) takes all its primes in one pass and one of
+many rows (Q = 1) takes several, and returns one exact integer array,
+primes x levels, from class numbers gathered through ``classnum`` from the
+table it installs.  ``LevelWindow`` serves the same arrays from any
+per-level kernel, one call per level and prime.  The murmuration scans
+read their level lists, Q = 1 counts and traces from here, and keep the
+per-level kernel for their Q >= 2 counts at l = 1.  numpy is imported
+only when a window is built, so importing this module (or ``murmur``,
+which imports it) does not import numpy.
 """
 from __future__ import annotations
 
 import math
 
 from . import classnum, signs
-from .arith import factor, mobius, primes_up_to
+from .arith import factor, primes_up_to
 from .trace import _hyperbolic, _local_factor, pk_from_s2
 
 # rows (l, s) times levels per numpy pass: each int64 temporary stays near
@@ -33,35 +33,38 @@ _KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)
 
 
 class TraceWindow:
-    """t_new_squarefree(k, Q, m, l) at every (Q, m) of a window, batched.
+    """t_new_squarefree(k, Q, n / Q, l) at every level n of a window, batched.
 
-    Built once per window: the levels' Q, N and mu(m); the primes of each m
-    as a level x prime-slot matrix, padded; a flat Legendre table over those
-    primes ((D|2) read from D mod 8); and a flat table of the local factors
-    L_p(e, v, chi) of every (p, e >= 2) present, for every strip count v that
-    |D| <= 4 * ell_max * max(Q) allows.  Each pass of ``traces`` then
-    evaluates every row (l, s) and level of a run of primes at once, with the
-    class numbers gathered by classnum.hurwitz12_gather from the table the
-    window installs for that bound (classnum.get_table).
+    Built once from the modulus Q at each level and the Factors of the
+    levels: every Q is a unitary divisor, so m = n / Q holds the slots whose
+    prime does not divide Q.  mu(m), the square m at Q = 1, a flat Legendre
+    table over the primes of m ((D|2) read from D mod 8), a flat table of
+    the local factors L_p(e, v, chi) of every (p, e >= 2) present, for every
+    strip count v that |D| <= 4 * ell_max * max(Q) allows, and each slot
+    column come from one row per distinct (p, e), indexed through ``at``.
+    Each pass of ``traces`` then evaluates every row (l, s) and level of a
+    run of primes at once, with the class numbers gathered by
+    classnum.hurwitz12_gather from the table the window installs for that
+    bound (classnum.get_table).
     """
 
-    def __init__(self, k: int, levels, ell_max: int):
+    def __init__(self, k: int, q, factors: Factors, ell_max: int):
         import numpy as np
 
-        self.k = k
-        self.ell_max = ell_max
-        self.size = len(levels)
-        self.q_min = min(q for q, _ in levels)
-        bound = 4 * ell_max * max(q for q, _ in levels)
+        self.k, self.ell_max, self.size, self.q_min = k, ell_max, len(q), int(q.min())
+        bound = 4 * ell_max * int(q.max())
         classnum.get_table(bound)
-        locs = [factor(m) for _, m in levels]
-        self._q = np.array([q for q, _ in levels], dtype=np.int64)
-        self._n = self._q * np.array([m for _, m in levels], dtype=np.int64)
-        self._mu = np.array([mobius(m) for _, m in levels], dtype=np.int64)
+        self._q, self._n = q, factors.n
+        p, e = np.array(factors.pairs, dtype=np.int64).T
+        # m's slots; Q's and the pads read pair 0, (1, 0), and a slot that
+        # does so at every level is dropped
+        at = np.where(q[:, None] % p[factors.at] != 0, factors.at, 0)
+        at = at[:, at.any(axis=0)]
+        self._mu = np.where(e == 1, -1, e == 0)[at].prod(axis=1)
         # the hyperbolic term lives at Q = 1 and vanishes unless m is a square
-        self._hyperbolic = [
-            (i, loc) for i, ((q, _), loc) in enumerate(zip(levels, locs)) if q == 1 and all(e % 2 == 0 for _, e in loc)
-        ]
+        square = np.flatnonzero((q == 1) & (e % 2 == 0)[at].all(axis=1))
+        self._hyperbolic = [(i, [factors.pairs[j] for j in row if j]) for i, row in zip(square, at[square].tolist())]
+        used = np.flatnonzero(np.bincount(at.ravel(), minlength=len(p))[1:]) + 1
 
         def vmax(p: int) -> int:  # the most p^2 strips a |D| <= bound allows
             v = 0
@@ -72,7 +75,7 @@ class TraceWindow:
         # Legendre blocks, one per prime, after entry 0 for the pads: at odd p
         # -1 everywhere, then 1 at the squares j^2 mod p, 1 <= j <= (p - 1)/2,
         # which are all of them, then 0 at 0; at 2 the (D|2) table
-        primes = np.array(sorted({p for loc in locs for p, _ in loc}), dtype=np.int64)
+        primes = np.array(sorted(set(p[used].tolist())), dtype=np.int64)
         sizes = np.where(primes == 2, 8, primes)
         offsets = np.cumsum(sizes) - sizes + 1
         leg_at = dict(zip(primes.tolist(), offsets.tolist()))
@@ -80,39 +83,31 @@ class TraceWindow:
         half = (primes - 1) // 2
         root = np.arange(1, half.sum() + 1) - np.repeat(np.cumsum(half) - half, half)
         self._leg[np.repeat(offsets, half) + root * root % np.repeat(primes, half)] = 1
-        self._leg[0] = 0
-        self._leg[offsets] = 0
+        self._leg[0] = self._leg[offsets] = 0
         if 2 in leg_at:
             self._leg[1:9] = _KRONECKER_2
-        # local factors by (v, chi + 1); block 0 is the pads' 1, block 1 is chi - 1 at e = 1
-        lf, lf_at, lf_max = [1, 1, 1, -2, -1, 0], {}, {}
-        for p, e in sorted({pe for loc in locs for pe in loc if pe[1] >= 2}):
-            block = [_local_factor(p, e, v, chi) for v in range(vmax(p) + 1) for chi in (-1, 0, 1)]
-            lf_at[p, e], lf_max[p, e] = len(lf), max(map(abs, block))
-            lf += block
+        # per pair (p, e): its cell of a slot column (strip modulus, a second
+        # residue that also strips (4 mod 16 at p = 2), divisor, Legendre
+        # offset and modulus, local-factor offset (past chi's + 1) and step
+        # per strip) and its largest |local factor|; local factors by (v,
+        # chi + 1): block 0 is the pads' 1, block 1 is chi - 1 at e = 1.  A
+        # pad's strip modulus exceeds every |D|
+        lf, cells, lf_max = [1, 1, 1, -2, -1, 0], np.zeros((len(p), 7), dtype=np.int64), np.ones(len(p), dtype=object)
+        cells[0] = (bound + 1, 0, 1, 0, 1, 1, 0)
+        for i in used.tolist():
+            pi, ei = factors.pairs[i]
+            if ei == 1:
+                lf_cell, lf_max[i] = (4, 0), 2
+            else:
+                block = [_local_factor(pi, ei, v, chi) for v in range(vmax(pi) + 1) for chi in (-1, 0, 1)]
+                lf_cell, lf_max[i] = (len(lf) + 1, 3), max(map(abs, block))
+                lf += block
+            strip = (16, 4, 4, leg_at[2], 8) if pi == 2 else (pi * pi, 0, pi * pi, leg_at[pi], pi)
+            cells[i] = (*strip, *lf_cell)
         self._lf = np.array(lf, dtype=np.int64)
-
-        # one column per prime slot: (strip modulus, a second residue that
-        # also strips (4 mod 16 at p = 2), divisor, Legendre offset and
-        # modulus, local-factor offset (past chi's + 1) and step per strip)
-        # for every level; a pad's strip modulus exceeds every |D|
-        self._cols = []
-        for j in range(max(map(len, locs))):
-            cells = []
-            for loc in locs:
-                if j >= len(loc):
-                    cells.append((bound + 1, 0, 1, 0, 1, 1, 0))
-                    continue
-                p, e = loc[j]
-                lf_cell = (4, 0) if e == 1 else (lf_at[p, e] + 1, 3)
-                if p == 2:  # strip 4 while D = 0, 4 mod 16
-                    cells.append((16, 4, 4, leg_at[2], 8, *lf_cell))
-                else:
-                    cells.append((p * p, 0, p * p, leg_at[p], p, *lf_cell))
-            self._cols.append(np.array(cells, dtype=np.int64).T)
+        self._cols = list(cells[at.T].transpose(0, 2, 1))
         # |weight| <= 2 * 12 H(D*) * the largest |local factor| at each (p, e) of m
-        widest = max(math.prod(lf_max.get(pe, 2) for pe in loc) for loc in locs)
-        self._int64_weights = 2 * 2**32 * widest < 2**63
+        self._int64_weights = 2 * 2**32 * lf_max[at].prod(axis=1).max() < 2**63
         self._primes = frozenset(primes_up_to(ell_max))
 
     def rows(self, ell: int) -> int:
@@ -209,13 +204,13 @@ class TraceWindow:
 
 
 class LevelWindow:
-    """TraceWindow's interface over any per-level kernel(k, Q, m, l): one
-    kernel call per level and prime, 0 at the levels l divides."""
+    """TraceWindow's interface and arrays over any per-level kernel(k, Q, m,
+    l): one kernel call per level and prime, 0 at the levels l divides."""
 
-    def __init__(self, kernel, k: int, levels):
+    def __init__(self, kernel, k: int, q, factors: Factors):
         self._kernel = kernel
         self.k = k
-        self._levels = levels
+        self._levels = list(zip(q.tolist(), (factors.n // q).tolist()))
 
     def traces(self, ells):
         import numpy as np
@@ -228,7 +223,7 @@ class LevelWindow:
 
 
 class Factors:
-    """The factorizations of a window's levels n * cofactor, as arrays.
+    """The factorizations of a window's levels n, as arrays.
 
     ``of_range(lo, hi)`` factors every n in [lo, hi] by one strided numpy
     update per prime power p^j <= hi with p <= sqrt(hi); what is left of n
@@ -236,14 +231,15 @@ class Factors:
     as a levels x slots index ``at`` into the distinct pairs (p, e), whose
     entry 0, (1, 0), fills the empty slots: memory is O(levels x max
     omega).  ``take`` keeps some levels and multiplies them by a cofactor
-    prime to each (the fixed part of a family)."""
+    prime to each (the fixed part of a family), whose prime powers take
+    the last slots.  n holds the levels."""
 
-    def __init__(self, pairs: list[tuple[int, int]], at, omega, squarefree, cofactor: int):
-        self.pairs, self.at, self.omega, self.squarefree, self.cofactor = pairs, at, omega, squarefree, cofactor
+    def __init__(self, pairs: list[tuple[int, int]], at, omega, squarefree, n):
+        self.pairs, self.at, self.omega, self.squarefree, self.n = pairs, at, omega, squarefree, n
 
     @classmethod
     def of_range(cls, lo: int, hi: int) -> Factors:
-        """Every n in [lo, hi], 1 <= lo <= hi + 1 < 2^63, cofactor 1."""
+        """Every n in [lo, hi], 1 <= lo <= hi + 1 < 2^63."""
         import numpy as np
 
         width, primorial = 0, 1  # slots: the most primes an n <= hi has
@@ -276,42 +272,45 @@ class Factors:
         small = powers[at[:, 0]]
         for col in at.T[1:]:
             small *= powers[col]
-        rest = np.arange(lo, hi + 1, dtype=np.int64) // small
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        rest = n // small
         big = np.flatnonzero(rest > 1)
         cofactors = rest[big].tolist()
         index = {p: i for i, p in enumerate(sorted(set(cofactors)), len(pairs))}
         at[big, omega[big]] = [index[p] for p in cofactors]
         omega[big] += 1
-        return cls(pairs + [(p, 1) for p in index], at, omega, squarefree, 1)
+        return cls(pairs + [(p, 1) for p in index], at, omega, squarefree, n)
 
     def take(self, rows, cofactor: int) -> Factors:
         """The levels at rows, each times cofactor, which is prime to them."""
-        return Factors(self.pairs, self.at[rows], self.omega[rows], self.squarefree[rows], cofactor)
+        import numpy as np
+
+        fixed, n = factor(cofactor), self.n[rows] * cofactor
+        pairs = self.pairs + [pe for pe in fixed if pe not in self.pairs]
+        slots = np.full((len(n), len(fixed)), [pairs.index(pe) for pe in fixed], dtype=np.int64)
+        squarefree = self.squarefree[rows] & all(e == 1 for _, e in fixed)
+        return Factors(pairs, np.hstack([self.at[rows], slots]), self.omega[rows] + len(fixed), squarefree, n)
 
     def primes(self):
-        """levels x slots: each level's primes in increasing order, then 1s
-        (the cofactor's primes are not listed)."""
+        """levels x slots: each level's primes, 1 in its empty slots."""
         import numpy as np
 
         return np.array([p for p, _ in self.pairs], dtype=np.int64)[self.at]
 
     def dims(self, k: int):
-        """dim S_k^new(n * cofactor) at every level: signs._dim12 of the
-        products of signs.dim_local over the slots, evaluated once per
-        distinct (p, e); int64 while (k + 13) * max|product| < 2^63, Python
-        ints otherwise."""
+        """dim S_k^new(n) at every level: signs._dim12 of the products of
+        signs.dim_local over the slots, evaluated once per distinct (p, e);
+        int64 while (k + 13) * max|product| < 2^63, Python ints otherwise."""
         import numpy as np
 
         local = np.array([(1, 1, 1, 1)] + [signs.dim_local(p, e) for p, e in self.pairs[1:]], dtype=np.int64)
         vals = np.ones((len(self.at), 4), dtype=np.int64)
         for col in self.at.T:
             vals *= local[col]
-        for p, e in factor(self.cofactor):
-            vals *= signs.dim_local(p, e)
         if (k + 13) * int(np.abs(vals).max(initial=1)) >= 2**63:
             vals = vals.astype(object)
         d12 = signs._dim12(k, *vals.T)
         if k == 2:
-            d12 += 12 * mobius(self.cofactor) * np.where(self.squarefree, 1 - 2 * (self.omega % 2), 0)
-        assert (d12 % 12 == 0).all() and (d12 >= 0).all(), (k, self.cofactor)
+            d12 += 12 * np.where(self.squarefree, 1 - 2 * (self.omega % 2), 0)
+        assert (d12 % 12 == 0).all() and (d12 >= 0).all(), k
         return d12 // 12

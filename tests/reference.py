@@ -1,6 +1,8 @@
 """Reference arithmetic that only the tests read.
 
-``window_levels`` walks a family's level window one level at a time.
+``window_levels`` walks a family's level window one level at a time, and
+``trace_window_arrays`` factors a (Q, m) list level by level into the
+arrays a window.TraceWindow takes.
 
 The newspace projection: a full-space dimension or trace, as a function of
 the level, becomes the newspace one by the Dirichlet inverse of the
@@ -94,3 +96,21 @@ def window_levels(spec, X: int) -> list[tuple[int, int]]:
             q = math.prod(ps[i - 1] for i in spec.idx)
             out.append((q, n // q))
     return out
+
+
+def trace_window_arrays(levels):
+    """The modulus array Q and the window.Factors of the levels Q * m of a
+    (Q, m) list, each level factored by arith.factor: the twin of the
+    arrays a scan builds a window.TraceWindow from."""
+    import numpy as np
+
+    from altrace.window import Factors
+
+    facs = [factor(q * m) for q, m in levels]
+    pairs = [(1, 0)] + sorted({pe for fac in facs for pe in fac})
+    width = max(1, *map(len, facs))
+    at = [[pairs.index(pe) for pe in fac] + [0] * (width - len(fac)) for fac in facs]
+    omega = [len(fac) for fac in facs]
+    squarefree = [all(e == 1 for _, e in fac) for fac in facs]
+    q, m = np.array(levels, dtype=np.int64).T
+    return q, Factors(pairs, np.array(at, dtype=np.int64), np.array(omega), np.array(squarefree), q * m)

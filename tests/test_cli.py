@@ -505,6 +505,32 @@ def test_scan_trace_and_window_modules_import_no_numpy():
     assert done.stdout.strip() == "False", done.stdout
 
 
+def test_scans_on_an_installed_table_import_nothing():
+    # a module imported lazily inside a scan (np.unique loads numpy.ma, say)
+    # costs its import inside the timed scan segments: with the table
+    # installed, the scan workload's five calls and selftest's
+    # cancellation_diag(2, 500) load no module
+    probe = (
+        "import sys\n"
+        "from altrace import classnum, murmur\n"
+        "classnum.get_table(4 * 1000 * 1000)\n"
+        "before = set(sys.modules)\n"
+        "fam = murmur.parse_family\n"
+        "murmur.scan_WQ(fam('I:M=1', k=2), (2, 80), 320)\n"
+        "murmur.scan_WQ(fam('III:r=2,idx=1,2', k=4), (2, 80), 320)\n"
+        "murmur.scan_WQ(fam('II:Q=1,M=all', k=2), (2, 40), 160)\n"
+        "murmur.scan_eigenspace(fam('III:r=2', k=2), (1, -1), (2, 80), 320)\n"
+        "murmur.cancellation_diag(2, 100, workers=2)\n"
+        "murmur.cancellation_diag(2, 500, workers=2)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout
+
+
 def test_bad_family_string_aborts(capsys):
     with pytest.raises(SystemExit):
         cli.main(["murmur", "--family", "IV:M=1", "--X", "10", "--ell-max", "7"])

@@ -710,13 +710,13 @@ def test_each_series_of_a_scan_equals_that_series_scanned_alone(monkeypatch):
         monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
         calls.clear()
         murmur.cancellation_diag(2, 60, workers=workers)
-        (spec, X, ell_range, n, keys, moduli, sign, counts, no_forms, got_workers), = calls
+        (spec, X, ell_range, win, keys, moduli, sign, counts, no_forms, got_workers), = calls
         assert got_workers == workers
         both = real_scan(*calls[0])
         assert len(both) == 2 and all(both)
         for i, points in enumerate(both):
             one = [sign[i]], lambda i=i: [counts()[i]]
-            assert real_scan(spec, X, ell_range, n, keys, moduli, *one, no_forms, workers) == [points], (workers, i)
+            assert real_scan(spec, X, ell_range, win, keys, moduli, *one, no_forms, workers) == [points], (workers, i)
 
 
 def test_cancellation_reads_the_fricke_window_once_per_batch(monkeypatch):

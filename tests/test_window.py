@@ -2,6 +2,8 @@
 trace.t_new_squarefree, over drawn and fixed windows; the window
 factorization and its counts against arith.factor and signs.dim_new."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from altrace import classnum, murmur, signs, trace, window
 from altrace.arith import factor, is_squarefree, primes_up_to
 from altrace.murmur import parse_family
+from reference import trace_window_arrays
 
 
 def _window_traces(k: int, levels, ells):
@@ -19,7 +22,7 @@ def _window_traces(k: int, levels, ells):
     t_new_squarefree; returns the window and the passes it cut (the runs of
     its _runs(ells))."""
     classnum.get_table(4 * max(ells) * max(q for q, _ in levels))
-    win = window.TraceWindow(k, levels, max(ells))
+    win = window.TraceWindow(k, *trace_window_arrays(levels), max(ells))
     got = win.traces(ells)
     assert got.shape == (len(ells), len(levels)) and got.dtype in (np.int64, object)
     want = [[trace.t_new_squarefree(k, q, m, ell) if (q * m) % ell else 0 for q, m in levels] for ell in ells]
@@ -106,7 +109,7 @@ def test_trace_window_installs_the_table_it_reads(monkeypatch):
     monkeypatch.setattr(classnum, "_hurwitz12_pure", no_fallback)
     levels = murmur._window_levels(murmur.parse_family("II:Q=3,M=all"), 40)
     ells = primes_up_to(23)
-    win = window.TraceWindow(2, levels, 23)
+    win = window.TraceWindow(2, *trace_window_arrays(levels), 23)
     assert classnum._active_table.bound >= 4 * 23 * max(q for q, _ in levels)
     want = [[trace.t_new_squarefree(2, q, m, ell) if (q * m) % ell else 0 for q, m in levels] for ell in ells]
     assert win.traces(ells).tolist() == want
@@ -137,11 +140,11 @@ def test_trace_window_takes_only_primes_up_to_its_ell_max():
     # error: at l = 997 the first window would read [0, 40, -2, 0, 0] where
     # the kernel gives 0s; on the second, l = 15 would read [7, 8, 8, 14]
     # against t_new_level's [-1, 0, 0, 6], and l = 1 0s against [1, 0, 1, 2]
-    small = window.TraceWindow(2, [(1, 4), (1, 9), (1, 12), (1, 25), (3, 4)], 3)
+    small = window.TraceWindow(2, *trace_window_arrays([(1, 4), (1, 9), (1, 12), (1, 25), (3, 4)]), 3)
     with pytest.raises(ValueError, match=r"takes primes <= 3, got \[997\]"):
         small.traces([997])
     levels = [(1, 11), (1, 13), (1, 17), (1, 37)]
-    win = window.TraceWindow(2, levels, 15)
+    win = window.TraceWindow(2, *trace_window_arrays(levels), 15)
     assert [trace.t_new_level(2, m, 15) for _, m in levels] == [-1, 0, 0, 6]
     assert [trace.t_new_level(2, m, 1) for _, m in levels] == [1, 0, 1, 2]
     for ell in (15, 1):
@@ -156,7 +159,7 @@ def test_trace_window_joins_int64_and_python_int_passes(monkeypatch):
     levels = [(1, n) for n in range(30, 40)]
     ells = primes_up_to(13)
     monkeypatch.setattr(window, "_BATCH_ENTRIES", 1)
-    win = window.TraceWindow(40, levels, 13)
+    win = window.TraceWindow(40, *trace_window_arrays(levels), 13)
     assert win.traces([2]).dtype == np.int64 and win.traces([13]).dtype == object
     _, passes = _window_traces(40, levels, ells)
     assert len(passes) == len(ells)
@@ -170,11 +173,72 @@ def test_factors_equal_arith_factor_level_by_level():
     for lo, hi in ((1, 1), (1, 2), (1, 300), (2310, 2400), (10**6 - 50, 10**6), (2**40 - 30, 2**40)):
         win = window.Factors.of_range(lo, hi)
         primes = win.primes().tolist()
+        assert win.n.tolist() == list(range(lo, hi + 1))
         for n, at, omega, sqf, row in zip(range(lo, hi + 1), win.at.tolist(), win.omega, win.squarefree, primes):
             fac = factor(n)
             assert [win.pairs[i] for i in at if i] == list(fac), n
             assert (omega, sqf) == (len(fac), is_squarefree(n)), n
             assert row == [p for p, _ in fac] + [1] * (len(row) - len(fac)), n
+        # take: the cofactor's prime powers in slots of their own, after the
+        # level's; a mask and an index array (reordering) alike
+        for cofactor in (1, 4, 6, 9, 30, 49, 2**5 * 3):
+            prime = np.array([math.gcd(n, cofactor) == 1 for n in range(lo, hi + 1)])
+            for rows in (prime, np.flatnonzero(prime)[::-1]):
+                got = win.take(rows, cofactor)
+                levels = win.n[rows].tolist()
+                assert got.n.tolist() == [n * cofactor for n in levels], (lo, cofactor)
+                for n, at, omega, sqf in zip(levels, got.at.tolist(), got.omega, got.squarefree):
+                    fac = factor(n * cofactor)
+                    own = [pe for pe in fac if cofactor % pe[0]]
+                    assert [got.pairs[i] for i in at if i] == own + list(factor(cofactor)), (n, cofactor)
+                    assert (omega, sqf) == (len(fac), is_squarefree(n * cofactor)), (n, cofactor)
+
+
+def _slot_windows(family, X, k):
+    """(Q, Factors) per slot of family's scan at X, as the scans build them
+    from murmur._window: one slot at the family's Q for scan_WQ, whose
+    levels _scan orders by M; for a kind III family without idx every
+    subset product of the level primes, as scan_eigenspace reads; for
+    "cancel", cancellation_diag's Q = 1 and Q = N slots (m = 1 in the
+    latter)."""
+    if family == "cancel":
+        n, _, win = murmur._window(parse_family("I:M=1", k=k), X)
+        return [(np.ones_like(n), win), (n, win)]
+    spec = parse_family(family, k=k)
+    if spec.kind == "III" and not spec.idx:
+        n, _, win = murmur._window(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
+        primes = win.primes()[:, : spec.r].T
+        return [(q * np.ones_like(n), win) for q, _ in murmur._signed_products(primes, (1,) * spec.r)]
+    q, m, win = murmur._window(spec, X)
+    order = np.argsort(m, kind="stable")
+    return [(q[order], win.take(order, 1))]
+
+
+@pytest.mark.parametrize(
+    "family, X",
+    [
+        ("I:M=4", 60),
+        ("I:M=9,omega=1", 100),
+        ("II:Q=6,M=all", 150),
+        ("II:Q=1,M=all", 60),
+        ("III:r=2,idx=1", 60),
+        ("III:r=2,idx=1,2", 60),
+        ("III:r=2", 60),
+        ("III:r=3,fixed=2", 60),
+        ("cancel", 60),
+    ],
+)
+@pytest.mark.parametrize("k", [2, 4])
+def test_slot_windows_of_the_scan_factorization_match_the_per_level_kernel(family, X, k):
+    # each slot's m = n / Q is the window's slots whose prime does not divide
+    # Q: a wrong split reads the wrong local factors, mu(m) or hyperbolic term
+    for q, win in _slot_windows(family, X, k):
+        assert len(q) and (win.n % q == 0).all(), family
+        ells = primes_up_to(min(47, 10_000 // int(q.max())))
+        got = window.TraceWindow(k, q, win, max(ells)).traces(ells).tolist()
+        levels = list(zip(q.tolist(), win.n.tolist()))
+        want = [[trace.t_new_squarefree(k, qq, n // qq, ell) if n % ell else 0 for qq, n in levels] for ell in ells]
+        assert got == want, (family, k)
 
 
 # (family, X, beta): II:Q=1 over [1, 1000] holds 2^9, 3^6, 5^4, 7^3 and p^2 | m;
