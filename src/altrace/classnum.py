@@ -2,10 +2,16 @@
 
 Three independent routes to H(disc) live here:
 
-* ``hurwitz`` -- fundamental-discriminant decomposition plus a direct count
-  of primitive reduced forms (the default path, exact Fractions);
+* ``hurwitz`` -- fundamental-discriminant decomposition plus
+  ``class_number`` at the fundamental part (the default path, exact
+  Fractions).  h(D) there is a root count: below a = sqrt(|D|)/2 the
+  reduced forms with first coefficient a are the roots b of b^2 = D
+  (mod 4a), summed as a multiplicative function with one sieve pass per
+  prime, and only the forms above it are walked, about 0.006 |D| steps
+  against 0.069 |D| for a walk of every form;
 * ``hurwitz12_oracle`` -- a from-scratch enumeration of all reduced forms with
-  automorphism weights, kept deliberately naive;
+  automorphism weights, kept deliberately naive, and by an algorithm other
+  than the default path's;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
   bound, one contiguous pass per b over a running count of the a*c
   products.  It stores only the discriminants: -n at n = 0, 3 (mod 4), the
@@ -27,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .arith import factor, kronecker
+from .arith import factor, kronecker, primes_up_to
 
 # ---------------------------------------------------------------------------
 # primitive forms and the fundamental decomposition
@@ -40,22 +46,85 @@ def _check_disc(disc: int) -> None:
 
 @cache
 def class_number(disc: int) -> int:
-    """h(disc): primitive reduced positive definite forms of discriminant disc."""
+    """h(disc): the number of classes of primitive positive definite forms.
+
+    A fundamental disc < -4 is counted by ``_root_count``: one sieve pass
+    per prime up to sqrt(|disc|)/2 and a walk of about 0.006 |disc| steps,
+    where a count of every reduced form takes about 0.069 |disc|.  Every
+    other disc (-3, -4 and disc0 * lam^2 with lam > 1) goes through
+    ``decompose`` and the order formula h(disc) = h'(disc) = h(disc0) *
+    gamma / (w0 / 2), which ``hprime12`` evaluates with ``gamma_weight``.
+    """
     _check_disc(disc)
-    n = -disc
-    count = 0
-    b = n & 1
-    while 3 * b * b <= n:
-        m = (b * b + n) // 4
-        for a in range(max(b, 1), math.isqrt(m) + 1):
-            if m % a:
-                continue
-            c = m // a
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            count += 1 if b == 0 or b == a or a == c else 2
-        b += 2
-    return count
+    if disc >= -4:
+        return 1
+    h = _root_count(-disc)
+    return hprime12(disc) // 12 if h is None else h
+
+
+_KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (d|2) at d mod 8
+_DEAD = b"\xff"  # a byte marking an a with R(a) = 0
+_BUMP = bytes(range(1, 256)) + _DEAD  # j -> j + 1, and a dead a stays dead
+
+
+@cache
+def _primes_below(bits: int) -> tuple[int, ...]:
+    """The primes below 2^bits, so each prime list is built once per bit length."""
+    return tuple(primes_up_to(1 << bits))
+
+
+def _root_count(n: int) -> int | None:
+    """h(-n) for a fundamental discriminant -n < -4, or None when -n is not
+    fundamental (Cohen, GTM 138, 5.3-5.4).
+
+    Each reduced form (a, b, c) is a root b of b^2 = -n (mod 4a), -a < b <= a.
+    Below A = isqrt(n // 4), 4a^2 < n, so c > a and every root is a reduced
+    form, primitive since -n is fundamental: those a add R(a) = #{b mod 2a :
+    b^2 = -n (mod 4a)}.  R is multiplicative, with R(p^e) = 1 + (-n|p) at
+    p not dividing n, and R(p) = 1, R(p^e) = 0 (e >= 2) at p | n.  So R(a) =
+    2^s(a), s(a) being the number of split primes dividing a, unless an
+    inert p or the square of a ramified one divides a.  One pass per prime
+    p <= A over the multiples of p (or p^2) in a bytearray holds s(a), or
+    255 where R(a) = 0; the symbol is Euler's criterion, pow(-n, p >> 1, p),
+    and (-n|2) is read from -n mod 8.  The sum over a <= A is then a count
+    of each value s.  Only the forms with A < a <= sqrt(n/3) are walked,
+    b first: a divides m = (b^2 + n)/4 with max(b, A + 1) <= a <= sqrt(m),
+    weight 1 when b = a or a = c = m/a and 2 (b and -b) otherwise; the walk
+    starts at the least b of parity n whose m reaches (A + 1)^2.  A square
+    p^2 | n is seen at the ramified p <= A, and past A it leaves n = 3p^2;
+    the 2-part is a test of n mod 16.
+    """
+    if n % 4 != 3 and n % 16 not in (4, 8):
+        return None
+    if n % 3 == 0 and math.isqrt(n // 3) ** 2 == n // 3:
+        return None
+    d = -n
+    top = math.isqrt(n // 4)
+    split = bytearray(top + 1)
+    for p in _primes_below(top.bit_length()):
+        if p > top:
+            break
+        s = _KRONECKER_2[d % 8] if p == 2 else pow(d, p >> 1, p)
+        if s == 1:  # split: R(p^e) = 2
+            split[p::p] = split[p::p].translate(_BUMP)
+        elif s:  # inert: R(p^e) = 0
+            split[p::p] = _DEAD * (top // p)
+        else:  # ramified: R(p) = 1, R(p^e) = 0 at e >= 2
+            pp = p * p
+            if p > 2 and n % pp == 0:
+                return None
+            split[pp::pp] = _DEAD * (top // pp)
+    h = 0
+    for j in range(top.bit_length()):  # 2^s(a) <= a <= A
+        h += split.count(j, 1) << j
+    a0 = top + 1
+    b = math.isqrt(4 * a0 * a0 - n - 1) + 1  # the least b with (b^2 + n)/4 >= a0^2
+    for b in range(b + ((b ^ n) & 1), math.isqrt(n // 3) + 1, 2):
+        m = (b * b + n) >> 2
+        for a in range(max(b, a0), math.isqrt(m) + 1):
+            if m % a == 0:
+                h += 1 if b == a or a * a == m else 2
+    return h
 
 
 def decompose(disc: int) -> tuple[int, int]:

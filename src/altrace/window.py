@@ -237,16 +237,21 @@ class Factors:
     def __init__(self, pairs: list[tuple[int, int]], at, omega, squarefree, n):
         self.pairs, self.at, self.omega, self.squarefree, self.n = pairs, at, omega, squarefree, n
 
+    @staticmethod
+    def slots(hi: int) -> int:
+        """The slots of of_range(lo, hi): the most primes an n <= hi has, 1 at least."""
+        width, primorial = 0, 1
+        for p in primes_up_to(60):
+            primorial *= p
+            width += primorial <= hi
+        return max(width, 1)
+
     @classmethod
     def of_range(cls, lo: int, hi: int) -> Factors:
         """Every n in [lo, hi], 1 <= lo <= hi + 1 < 2^63."""
         import numpy as np
 
-        width, primorial = 0, 1  # slots: the most primes an n <= hi has
-        for p in primes_up_to(60):
-            primorial *= p
-            width += primorial <= hi
-        size, width = hi - lo + 1, max(width, 1)
+        size, width = hi - lo + 1, cls.slots(hi)
         at = np.zeros(size * width, dtype=np.int64)  # flat: level i's slots start at i * width
         row = np.arange(0, size * width, width)
         omega = np.zeros(size, dtype=np.int64)

@@ -1,5 +1,9 @@
 """Reference arithmetic that only the tests read.
 
+``class_number_forms`` counts the primitive reduced forms of a
+discriminant one (a, b) at a time, the twin of classnum.class_number's
+root count.
+
 ``window_levels`` walks a family's level window one level at a time, and
 ``trace_window_arrays`` factors a (Q, m) list level by level into the
 arrays a window.TraceWindow takes.
@@ -14,6 +18,25 @@ helpers as the independent twin of those weights.
 import math
 
 from altrace.arith import divisors, factor, is_squarefree
+
+
+def class_number_forms(disc: int) -> int:
+    """h(disc) for a discriminant disc < 0: the primitive reduced forms
+    (a, b, c), |b| <= a <= c, counted at every b >= 0 and every a | (b^2 - disc)/4."""
+    n = -disc
+    count = 0
+    b = n & 1
+    while 3 * b * b <= n:
+        m = (b * b + n) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            if math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            count += 1 if b == 0 or b == a or a == c else 2
+        b += 2
+    return count
 
 
 def mu_star_mu(n: int) -> int:

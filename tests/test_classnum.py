@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from altrace import classnum
 from altrace.arith import is_squarefree, kronecker
+from reference import class_number_forms
 
 
 FROZEN_HURWITZ = {
@@ -42,6 +44,25 @@ def test_class_number_known():
     # h counts primitive classes only: disc -12 has forms (1,0,3) and the
     # imprimitive 2*(1,1,1), so h = 1 while H = 4/3
     assert classnum.class_number(-12) == 1
+
+
+def test_class_number_equals_the_form_count_up_to_20000():
+    # fundamental discs through the root count, the rest (-3, -4, -27 = -3 * 3^2
+    # with 3 past isqrt(27 // 4), -4 * 9, ...) through the order formula
+    for n in range(3, 20001):
+        if n % 4 in (0, 3):
+            assert classnum.class_number(-n) == class_number_forms(-n), -n
+
+
+def test_class_number_equals_the_form_count_at_large_fundamental_discs():
+    rng = random.Random(20240601)
+    discs = []
+    while len(discs) < 15:
+        n = rng.randrange(10**6, 10**7)
+        if n % 4 == 3 and is_squarefree(n) or n % 16 in (4, 8) and is_squarefree(n // 4):
+            discs.append(-n)
+    assert [classnum.class_number(d) for d in discs] == [class_number_forms(d) for d in discs]
+    assert classnum.class_number.cache_info().currsize  # perfbench reads its cache by this name
 
 
 def test_hurwitz_rejects_bad_disc():

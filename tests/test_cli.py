@@ -282,6 +282,17 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             "a level window needs beta*X < 2^63, got X = 50, beta = 1%s" % ("0" * 400),
             id="beta-past-int64",
         ),
+        # and a window too large to factor is refused before its arrays are made
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--X", str(2**40), "--ell-max", "11"],
+            "a level window needs at most 10^7 levels x slots and primes to at most 10^7, got X = %d, beta = 2" % 2**40,
+            id="window-too-wide",
+        ),
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--X", str(10**15), "--ell-max", "11", "--beta", "1.000000000000001"],
+            "primes to at most 10^7, got X = %d, beta = %d/%d" % (10**15, 10**15 + 1, 10**15),
+            id="window-sieve-too-long",
+        ),
         pytest.param(
             ["murmur", "--family", "I:M=1", "--X", "10", "--ell-max", "7", "--out", "nodir/x"],
             "No such file or directory",

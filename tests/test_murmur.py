@@ -145,6 +145,41 @@ def test_window_levels_equal_the_level_walk(beta):
             assert murmur._window_levels(spec, X) == window_levels(spec, X), (family, X)
 
 
+class _Reached(Exception):
+    pass
+
+
+def test_huge_windows_are_refused_before_they_are_factored(monkeypatch):
+    def of_range(lo, hi):
+        raise _Reached(lo, hi)
+
+    monkeypatch.setattr(window.Factors, "of_range", of_range)
+    too_large = "a level window needs at most 10^7 levels x slots and primes to at most 10^7, got X = "
+    narrow = Fraction(10**15 + 1, 10**15)  # [10^15, 10^15 + 1]: 2 levels, primes to 3.2 * 10^7
+    for call, message in [
+        (lambda: murmur.scan_WQ(parse_family("I:M=1"), (2, 11), 2**62), "a level window needs beta*X < 2^63"),
+        (lambda: murmur.scan_WQ(parse_family("I:M=1"), (2, 11), 2**40), too_large + "%d, beta = 2" % 2**40),
+        (lambda: murmur.scan_WQ(parse_family("I:M=1", beta=narrow), (2, 11), 10**15), too_large),
+        (lambda: murmur.scan_eigenspace(parse_family("III:r=2"), (1, -1), (2, 11), 2 * 10**6), too_large),
+        (lambda: murmur.cancellation_diag(2, 2 * 10**6), too_large),
+    ]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).startswith(message)
+    # at the limits, 7 slots x 1,428,571 levels and primes to 10^7, the window is factored,
+    # and one level or one sieve bound past them it is not
+    edge = (10**7 + 1) ** 2 - 1  # the last level whose primes stop at 10^7
+    for X, hi, admitted in [
+        (10**6, 2428570, True),
+        (10**6, 2428571, False),
+        (edge - 1, edge, True),
+        (edge, edge + 1, False),
+    ]:
+        spec = parse_family("I:M=1", beta=Fraction(hi, X))
+        with pytest.raises(_Reached if admitted else ValueError):
+            murmur._window(spec, X)
+
+
 # ---------------------------------------------------------------------------
 # scan averages against hand-built sums
 
