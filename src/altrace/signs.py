@@ -2,7 +2,7 @@
 
 ``delta(k, q, r, M)`` is the trace of the Atkin-Lehner involution W_q on
 S_k^new(q^r M), equivalently the difference of the two eigenspace
-dimensions, evaluated through the per-case closed forms (never through the
+dimensions, evaluated through the closed forms (never through the
 divisor-sum pipeline in module trace; the two routes cross-check each
 other in the test suite).
 
@@ -23,11 +23,12 @@ are ``dim_local(p, e)``).  ``_dim12`` weighs the four products, and
 ``_dim12_new``, all but the last term, takes them over factor(n);
 ``delta`` also reads it at odd q and r = 2.  ``window.Factors.dims``
 multiplies ``dim_local`` over a whole window of levels, once per distinct
-p^e.  Tower rule: at r >= 3, bar q^r = 8, 16, 27, ``delta`` is the
-bracket at q^r less that at q^(r-2).
+p^e.  Tower rule: ``delta`` is the s = 0 term ``_s0_24`` (which
+``correlation_checks`` reads too) at q^r, less twice it at q^(r-2), plus
+it at q^(r-4), and a short table of small-s terms; r = 2 has its own pair.
 
 Levels are checked by the one rule ``arith.check_level``, as in modules
-trace and twist; ``delta`` adds only a prime q and r >= 1.
+trace and twist; ``delta`` adds only r >= 1.
 """
 from __future__ import annotations
 
@@ -136,52 +137,51 @@ def pk_sqrt3(k: int) -> int:
 
 def _split_even(m: int) -> tuple[int, int]:
     """m = 2**e * m' with m' odd; returns (e, m')."""
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    return e, m
+    e = (m & -m).bit_length() - 1
+    return e, m >> e
 
 
 # ---------------------------------------------------------------------------
 # the closed forms
 
 
-def delta(k: int, q: int, r: int, m: int) -> int:
-    """tr W_q on S_k^new(q^r M) = dim^{+} - dim^{-}, via the closed forms."""
-    check_level(k, q, r, m)
-    if r < 1 or not is_prime(q):
-        raise ValueError("delta needs a prime q and r >= 1, got q = %r, r = %r" % (q, r))
+def _s0_24(k: int, big_q: int, m: int, ell: int) -> int:
+    """24 * the s = 0 term of tr T_l W_Q on S_k^new(Q M), M = 2^e M' with M'
+    odd: -p_k(0, l) alpha_1(-Q l; e) kappa_-(-Q l, M').  At squarefree Q and
+    4l < Q it is the whole trace less mu(M) sigma(l) at k = 2."""
     e, mp = _split_even(m)
-    c = -1 if (k // 2) % 2 else 1
-    a12 = lambda d: classnum.alpha1_12(d, e)
+    kappa = kappa_minus(-big_q * ell, mp)  # first: a split prime spares the class numbers
+    return -((-ell) ** (k // 2 - 1)) * classnum.alpha1_12(-big_q * ell, e) * kappa if kappa else 0
+
+
+def delta(k: int, q: int, r: int, m: int) -> int:
+    """tr W_{q^r} on S_k^new(q^r M) = dim^{+} - dim^{-} at any modulus q^r of
+    arith.check_level: the s = 0 tower (r = 2: a pair of its own), the small-s
+    terms of q^r = 2, 3, 4, 8, 16, 27, and mu(M) at r = 1, k = 2."""
+    check_level(k, q, r, m)
+    if r < 1:
+        raise ValueError("delta needs r >= 1, got r = %r" % (r,))
     qr = q**r
-    # every case is accumulated in 24ths: alpha_1 comes in 12ths and the
-    # closed forms halve it
-    if r == 1:
-        if q >= 5:
-            val24 = c * a12(-q) * kappa_minus(-q, mp)
-        elif q == 2:
-            val24 = 12 * (c * kappa_minus(-2, m) - pk_sqrt2(k) * kappa_minus(-1, m))
-        else:  # q == 3
-            val24 = c * a12(-3) * kappa_minus(-3, mp) - 8 * pk_sqrt3(k) * kappa_minus(-3, m)
-        if k == 2:
-            val24 += 24 * mobius(m)
-    elif r == 2:
+    # in 24ths: alpha_1 comes in 12ths and the closed forms halve it
+    if r == 2:
+        val24 = _s0_24(k, qr, m, 1) - (2 if q == 2 else 1) * _s0_24(k, 1, m, 1)
         if q == 2:
-            val24 = 6 * c * kappa_minus(-1, m) + 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
+            val24 += 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
-            val24 = c * (a12(-q * q) - a12(-1)) * kappa_minus(-1, mp) - 2 * _dim12_new(k, m)
-    elif qr == 8:
-        val24 = 12 * (c * kappa_minus(-2, m) + pk_sqrt2(k) * kappa_minus(-1, m))
-    elif qr == 27:
-        val24 = (c * (a12(-27) - 2 * a12(-3)) + 8 * pk_sqrt3(k) * kappa_minus(-3, 2**e)) * kappa_minus(-3, mp)
-    elif qr == 16:
-        val24 = 12 * (c * kappa_minus(-1, m) + alpha2(m))
+            val24 -= 2 * _dim12_new(k, m)
     else:
-        # (-q^r|p) = (-q|p) at odd r
-        tower = a12(-qr) - 2 * a12(-(qr // q**2)) + (a12(-(qr // q**4)) if r >= 4 else 0)
-        val24 = c * kappa_minus(-(q ** (r % 2)), mp) * tower
+        # (-q^j|p) = (-q|p) at odd j and (-1|p) at even j, so one term serves every r
+        val24 = _s0_24(k, qr, m, 1)
+        for j, c in ((2, -2), (4, 1))[: r // 2]:  # the terms at q^(r-2) and q^(r-4) that exist
+            val24 += c * _s0_24(k, q ** (r - j), m, 1)
+        if qr in (2, 8):
+            val24 += (12 if qr == 8 else -12) * pk_sqrt2(k) * kappa_minus(-1, m)
+        elif qr in (3, 27):
+            val24 += (8 if qr == 27 else -8) * pk_sqrt3(k) * kappa_minus(-3, m)
+        elif qr == 16:
+            val24 += 12 * alpha2(m)
+        if r == 1 and k == 2:
+            val24 += 24 * mobius(m)
     assert val24 % 24 == 0, (k, q, r, m, val24)
     return val24 // 24
 
@@ -233,7 +233,8 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
     """Zero/sign verdict for delta(k, q, r, M) from congruence data.
 
     covered=False means no proven case applies (q^r in {8, 16, 27}, r = 2,
-    and a few weight-2 corners); the numeric value is still filled in.
+    a composite q, and a few weight-2 corners); the numeric value is still
+    filled in.
     """
     value = delta(k, q, r, m)
     e, mp = _split_even(m)
@@ -243,7 +244,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
     def res(tag, reason, sign, covered=True):
         return DeltaResult(value, covered, tag, reason, sign)
 
-    if r == 2 or qr in (8, 16, 27):
+    if r == 2 or qr in (8, 16, 27) or not is_prime(q):
         return res("not-covered", ZERO_NONE, None, covered=False)
 
     if r == 1 and q == 2:
@@ -430,8 +431,7 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     if e > 1 or not is_squarefree(mp):
         return CorrelationResult(False, "M must be squarefree or twice squarefree")
 
-    pk0 = (-ell) ** (k // 2 - 1)
-    tr24 = -pk0 * classnum.alpha1_12(-q * ell, e) * kappa_minus(-q * ell, mp)
+    tr24 = _s0_24(k, q, m, ell)
     assert tr24 % 24 == 0, (k, q, m, ell, tr24)
     tr = tr24 // 24
     dv = delta(k, q, 1, m)

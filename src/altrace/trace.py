@@ -278,7 +278,9 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
 def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
     """tr T_n W_N on the full space S_k(N): squarefree N, (n, N) = 1, 4n < N.
 
-    In this range the elliptic sum collapses to its s = 0 term.
+    In this range the elliptic sum collapses to its s = 0 term: the M = 1
+    case of signs._s0_24, written out here so that a trace query does not
+    import module signs.
     """
     check_level(k, n_level, 1, 1, n_hecke)
     if 4 * n_hecke >= n_level:

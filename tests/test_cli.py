@@ -115,6 +115,23 @@ def test_delta_payload_matches_library(capsys):
     assert payload["dim_new"] == signs.dim_new(2, 5) == 0
 
 
+@pytest.mark.parametrize(
+    "q, m, plus, minus",
+    [
+        (6, 1, 0, 0),  # X_0(6) has genus 0
+        (30, 7, 4, 1),
+    ],
+)
+def test_delta_takes_a_composite_squarefree_q(capsys, q, m, plus, minus):
+    code, payload = run_json(capsys, "delta", "--k", "2", "--q", str(q), "--M", str(m))
+    assert code == 0
+    assert payload["delta"] == plus - minus == trace.t_new(2, q, 1, m, 1)
+    assert (payload["dim_plus"], payload["dim_minus"]) == (plus, minus)
+    assert payload["dim_new"] == plus + minus == signs.dim_new(2, q * m)
+    assert payload["covered"] is False and payload["case_tag"] == "not-covered"
+    assert payload["predicted_sign"] is None
+
+
 def test_twist_payload(capsys):
     code, payload = run_json(capsys, "twist", "--q", "5", "--k", "4", "--M", "27")
     assert code == 0
@@ -292,6 +309,12 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             ["murmur", "--family", "I:M=1", "--X", str(10**15), "--ell-max", "11", "--beta", "1.000000000000001"],
             "primes to at most 10^7, got X = %d, beta = %d/%d" % (10**15, 10**15 + 1, 10**15),
             id="window-sieve-too-long",
+        ),
+        # a window it admits can still need a class-number table too large to build
+        pytest.param(
+            ["murmur", "--family", "I:M=1", "--X", str(10**13), "--ell-max", "11", "--beta", "1.0000000000001"],
+            "a class-number table needs a bound of at most 10^8, got %d" % (44 * (10**13 + 1)),
+            id="table-too-large",
         ),
         pytest.param(
             ["murmur", "--family", "I:M=1", "--X", "10", "--ell-max", "7", "--out", "nodir/x"],

@@ -180,6 +180,26 @@ def test_huge_windows_are_refused_before_they_are_factored(monkeypatch):
             murmur._window(spec, X)
 
 
+def test_table_past_its_limit_is_refused_before_it_is_built(monkeypatch):
+    bounds = []
+
+    def build_table(bound):
+        bounds.append(bound)
+        return classnum.HurwitzTable(bound, None)
+
+    monkeypatch.setattr(classnum, "build_table", build_table)
+    monkeypatch.setattr(classnum, "_active_table", None)
+    assert classnum.get_table(10**8).bound == 10**8
+    monkeypatch.setattr(classnum, "_active_table", None)
+    with pytest.raises(ValueError, match="^a class-number table needs a bound of at most 10\\^8, got 100000001$"):
+        classnum.get_table(10**8 + 1)
+    # two levels, which the window admits, whose primes to 11 need |disc| to 4.4 * 10^14
+    X = 10**13
+    with pytest.raises(ValueError, match="got %d$" % (44 * (X + 1))):
+        murmur.scan_WQ(parse_family("I:M=1", beta=1 + Fraction(1, X)), (2, 11), X)
+    assert bounds == [10**8]
+
+
 # ---------------------------------------------------------------------------
 # scan averages against hand-built sums
 
@@ -280,6 +300,8 @@ _WALK_SCANS = [
     ("III:r=2,idx=1,2", 18, 320),
     # the Q = 1 window's passes at l <= 23 are int64, those at 29, 31 and 37 Python ints
     ("II:Q=1,M=all", 20, 160),
+    # at k = 40 a single trace passes 2^63, so its array holds Python ints
+    ("I:M=1", 40, 80),
 ]
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altrace import classnum, signs, trace
-from altrace.arith import divisors, factor, is_prime, kronecker
+from altrace import classnum, murmur, signs, trace
+from altrace.arith import divisors, factor, is_prime, is_squarefree, kronecker
 from reference import mobius_squared_transform
 
 
@@ -59,6 +59,43 @@ def test_delta_matches_pipeline_small_grid():
                 if math.gcd(m, q) > 1:
                     continue
                 assert signs.delta(k, q, r, m) == trace.t_new(k, q, r, m, 1), (k, q, r, m)
+
+
+def test_delta_at_composite_q_matches_both_kernels():
+    # at r = 1 the modulus may be any squarefree Q: for Q >= 6 composite only
+    # the s = 0 term enters, the same term as at a prime q
+    for big_q in range(6, 400):
+        if is_prime(big_q) or not is_squarefree(big_q):
+            continue
+        for m in range(1, 40):
+            if math.gcd(m, big_q) > 1:
+                continue
+            for k in (2, 4, 6, 12):
+                d = signs.delta(k, big_q, 1, m)
+                assert d == trace.t_new(k, big_q, 1, m, 1) == trace.t_new_squarefree(k, big_q, m, 1), (k, big_q, m)
+
+
+def test_joint_eigenspace_dims_from_delta():
+    # 2^-r sum_Q eps_Q delta(Q, N/Q), with delta(1, N) = dim_new, is each
+    # joint W_p eigenspace's dimension; a prime's marginal is delta at it
+    for n in range(30, 300):
+        fac = factor(n)
+        if len(fac) < 2 or not is_squarefree(n):
+            continue
+        primes = [p for p, _ in fac]
+        for k in (2, 4):
+            dims = {}
+            for bits in range(2 ** len(primes)):
+                eps = tuple(-1 if bits >> i & 1 else 1 for i in range(len(primes)))
+                moduli = murmur.signed_moduli(n, eps)
+                total = sum(s * (signs.dim_new(k, n) if q == 1 else signs.delta(k, q, 1, n // q)) for q, s in moduli)
+                dims[eps] = total // len(moduli)
+                assert total % len(moduli) == 0 and dims[eps] >= 0, (n, k, eps)
+                assert dims[eps] == murmur.eigenspace_trace(k, n, moduli, 1), (n, k, eps)
+            assert sum(dims.values()) == signs.dim_new(k, n), (n, k)
+            for i, p in enumerate(primes):
+                marginal = sum(d * eps[i] for eps, d in dims.items())
+                assert marginal == signs.delta(k, p, 1, n // p), (n, k, p)
 
 
 def test_delta_frozen_anchors():
@@ -184,6 +221,31 @@ def test_predicate_misses_no_zero_on_covered_cases():
                 if res.covered and res.value == 0 and res.zero_reason == signs.ZERO_NONE:
                     missed.append((k, q, r, m))
     assert not missed
+
+
+def test_predicate_claims_nothing_at_composite_q():
+    for k in (2, 4, 6):
+        for big_q in (6, 10, 15, 30, 77):
+            for m in range(1, 20):
+                if math.gcd(m, big_q) > 1:
+                    continue
+                res = signs.equidistribution_predicate(k, big_q, 1, m)
+                assert res == (signs.delta(k, big_q, 1, m), False, "not-covered", signs.ZERO_NONE, None)
+    # at k = 2 the prime-q rule would claim a sign here, yet X_0(6) has genus 0
+    assert signs.equidistribution_predicate(2, 6, 1, 1).value == 0
+
+
+def test_predicate_r_odd_two_adic_zero():
+    # q^r = 7 (mod 8) at odd r >= 3 and e in {1, 2, 3}: the 2-adic weight
+    # alpha_1 vanishes, first at 7^3
+    for q in (7, 23):
+        for e in (1, 2, 3):
+            for m in (2**e, 5 * 2**e):
+                for k in (2, 4, 6):
+                    res = signs.equidistribution_predicate(k, q, 3, m)
+                    assert res.case_tag == "r-odd(v)" and res.zero_reason == signs.ZERO_TWO_ADIC, (k, q, m, res)
+                    assert res.predicted_sign == 0 and res.covered
+                    assert res.value == signs.delta(k, q, 3, m) == 0 == trace.t_new(k, q, 3, m, 1), (k, q, m)
 
 
 def test_predicate_split_prime_reason():
