@@ -1,9 +1,10 @@
 """Exact elementary number theory used everywhere else in the package.
 
 Factorization (cached trial division, returned as the plain tuple of
-(prime, exponent) pairs), Kronecker symbols, the multiplicative functions
-mobius and sigma, and divisors and primes.  The newspace weights live
-where they are read: the dimension's in module signs, the traces' in
+(prime, exponent) pairs), Kronecker symbols at any modulus and Legendre
+symbols at a prime (every modulus that comes out of ``factor``), the
+multiplicative functions mobius and sigma, and divisors and primes.  The
+newspace weights live where they are read: the dimension's in module signs, the traces' in
 module trace.  Everything returns exact ints, in pure Python: importing
 this module does not import numpy.
 
@@ -96,6 +97,18 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+# (a|2) at a mod 8: 0 at even a, and the second supplement at odd a
+KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)
+
+
+def legendre(a: int, p: int) -> int:
+    """(a|p) at a prime p: from a mod 8 at p = 2, by Euler's criterion at odd p (Cohen, GTM 138, 1.4)."""
+    if p == 2:
+        return KRONECKER_2[a & 7]
+    s = pow(a, p >> 1, p)
+    return -1 if s == p - 1 else s
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and factor(n) == ((n, 1),)
 
@@ -116,16 +129,6 @@ def sigma(n: int) -> int:
     for p, e in factor(n):
         out *= (p ** (e + 1) - 1) // (p - 1)
     return out
-
-
-def omega1(m: int) -> int:
-    """Number of primes dividing m exactly once."""
-    return sum(1 for _, e in factor(m) if e == 1)
-
-
-def omega2(n: int, m: int) -> int:
-    """Number of primes p with p^2 || m and (n|p) = 1."""
-    return sum(1 for p, e in factor(m) if e == 2 and kronecker(n, p) == 1)
 
 
 def divisors(n: int) -> list[int]:

@@ -36,16 +36,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import classnum
-from .arith import (
-    check_level,
-    factor,
-    is_prime,
-    is_squarefree,
-    kronecker,
-    mobius,
-    omega1,
-    omega2,
-)
+from .arith import check_level, factor, is_prime, is_squarefree, legendre, mobius
 
 ZERO_NOT_CUBEFREE = "not-cubefree"
 ZERO_SPLIT_PRIME = "split-prime"
@@ -61,16 +52,19 @@ ZERO_NONE = "none"
 def _kappa_minus_at(delta_arg: int, p: int, e: int) -> int:
     """kappa_Delta at p^e, e >= 1: the 4-case table."""
     if e == 1:
-        return kronecker(delta_arg, p) - 1
+        return legendre(delta_arg, p) - 1
     if e == 2:
-        return -1 if delta_arg % p == 0 else -kronecker(delta_arg, p)
+        return -1 if delta_arg % p == 0 else -legendre(delta_arg, p)
     if e == 3:
         return 1 if delta_arg % p == 0 else 0
     return 0
 
 
 def kappa_minus(delta_arg: int, m: int) -> int:
-    """kappa_Delta(m): multiplicative, _kappa_minus_at per prime power."""
+    """kappa_Delta(m): multiplicative, _kappa_minus_at per prime power.  At
+    a cubefree m prime to Delta each factor is chi - 1 in {0, -2} at p || m
+    and -chi at p^2 || m, so it is 0 exactly when a p || m splits, and else
+    of sign (-1)^(omega_1 + omega_2): the p || m, and the p^2 || m with chi = 1."""
     out = 1
     for p, e in factor(m):
         f = _kappa_minus_at(delta_arg, p, e)
@@ -145,12 +139,11 @@ def _split_even(m: int) -> tuple[int, int]:
 # the closed forms
 
 
-def _s0_24(k: int, big_q: int, m: int, ell: int) -> int:
+def _s0_24(k: int, big_q: int, ell: int, e: int, kappa: int) -> int:
     """24 * the s = 0 term of tr T_l W_Q on S_k^new(Q M), M = 2^e M' with M'
-    odd: -p_k(0, l) alpha_1(-Q l; e) kappa_-(-Q l, M').  At squarefree Q and
+    odd: -p_k(0, l) alpha_1(-Q l; e) kappa, kappa = kappa_-(-Q l, M') taken
+    first, so a split prime spares the class numbers.  At squarefree Q and
     4l < Q it is the whole trace less mu(M) sigma(l) at k = 2."""
-    e, mp = _split_even(m)
-    kappa = kappa_minus(-big_q * ell, mp)  # first: a split prime spares the class numbers
     return -((-ell) ** (k // 2 - 1)) * classnum.alpha1_12(-big_q * ell, e) * kappa if kappa else 0
 
 
@@ -162,18 +155,20 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     if r < 1:
         raise ValueError("delta needs r >= 1, got r = %r" % (r,))
     qr = q**r
+    e, mp = _split_even(m)
+    # (-q^j|p) = (-q|p) at odd j, (-1|p) at even j: one kappa for every s = 0 term
+    kappa = kappa_minus(-q if r % 2 else -1, mp)
     # in 24ths: alpha_1 comes in 12ths and the closed forms halve it
     if r == 2:
-        val24 = _s0_24(k, qr, m, 1) - (2 if q == 2 else 1) * _s0_24(k, 1, m, 1)
+        val24 = _s0_24(k, qr, 1, e, kappa) - (2 if q == 2 else 1) * _s0_24(k, 1, 1, e, kappa)
         if q == 2:
             val24 += 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
             val24 -= 2 * _dim12_new(k, m)
     else:
-        # (-q^j|p) = (-q|p) at odd j and (-1|p) at even j, so one term serves every r
-        val24 = _s0_24(k, qr, m, 1)
+        val24 = _s0_24(k, qr, 1, e, kappa)
         for j, c in ((2, -2), (4, 1))[: r // 2]:  # the terms at q^(r-2) and q^(r-4) that exist
-            val24 += c * _s0_24(k, q ** (r - j), m, 1)
+            val24 += c * _s0_24(k, q ** (r - j), 1, e, kappa)
         if qr in (2, 8):
             val24 += (12 if qr == 8 else -12) * pk_sqrt2(k) * kappa_minus(-1, m)
         elif qr in (3, 27):
@@ -224,9 +219,7 @@ def _is_cubefree(m: int) -> bool:
 
 
 def _has_split_prime(delta_arg: int, mp: int) -> bool:
-    return any(
-        e == 1 and kronecker(delta_arg, p) == 1 for p, e in factor(mp)
-    )
+    return any(e == 1 and legendre(delta_arg, p) == 1 for p, e in factor(mp))
 
 
 def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
@@ -234,7 +227,9 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
 
     covered=False means no proven case applies (q^r in {8, 16, 27}, r = 2,
     a composite q, and a few weight-2 corners); the numeric value is still
-    filled in.
+    filled in.  Where a sign is claimed (r = 1 at q >= 5, and r >= 3), it
+    is c * b(e) * sign(kappa) with kappa = kappa_-(-q^r, M') (at even r,
+    kappa_-(-1, M')), 0 exactly at a split prime past the not-cubefree test.
     """
     value = delta(k, q, r, m)
     e, mp = _split_even(m)
@@ -265,7 +260,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             prod = 1
             for p, ee in factor(m):
                 if ee == 2:
-                    prod *= kronecker(2, p)
+                    prod *= legendre(2, p)
             eps_k = -1 if k % 8 in (0, 2) else 1
             if prod == eps_k:
                 return res("req1(3)(ii)", ZERO_TWO_ADIC, 0)
@@ -289,6 +284,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
         return res("req1(4)", ZERO_NONE, None)
 
     if r == 1:  # q >= 5
+        kappa = kappa_minus(-q, mp)
         if k == 2 and is_squarefree(m):
             if m == 1 and q in (5, 7, 13, 37):
                 return res("req1(2)(i)", ZERO_SMALL_LEVEL, 0)
@@ -296,13 +292,12 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
                 return res("req1(2)(ii)", ZERO_SMALL_LEVEL, 0)
             # nonzero; the closed-form main term dominates the mu correction
             # weakly, so when it is nonzero it also carries the sign
-            if not _has_split_prime(-q, mp) and not (e == 1 and q % 8 == 7):
-                sign = c * _b_odd(e, q) * (-1) ** (omega1(mp) + omega2(-q, mp))
-                return res("req1(2)", ZERO_NONE, sign)
+            if kappa and not (e == 1 and q % 8 == 7):
+                return res("req1(2)", ZERO_NONE, c * _b_odd(e, q) * _sign(kappa))
             return res("req1(2)", ZERO_NONE, None)
         if not _is_cubefree(mp):
             return res("req1(1)(i)", ZERO_NOT_CUBEFREE, 0)
-        if _has_split_prime(-q, mp):
+        if not kappa:
             return res("req1(1)(ii)", ZERO_SPLIT_PRIME, 0)
         if e >= 4 and q % 4 == 1:
             return res("req1(1)(iii)", ZERO_TWO_ADIC, 0)
@@ -310,13 +305,13 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             return res("req1(1)(iv)", ZERO_TWO_ADIC, 0)
         if e not in (0, 4) and q % 8 == 7:
             return res("req1(1)(v)", ZERO_TWO_ADIC, 0)
-        sign = c * _b_odd(e, q) * (-1) ** (omega1(mp) + omega2(-q, mp))
-        return res("req1(1)", ZERO_NONE, sign)
+        return res("req1(1)", ZERO_NONE, c * _b_odd(e, q) * _sign(kappa))
 
     if r % 2:  # r >= 3 odd, q^r not 8 or 27
         if not _is_cubefree(mp):
             return res("r-odd(i)", ZERO_NOT_CUBEFREE, 0)
-        if _has_split_prime(-qr, mp):
+        kappa = kappa_minus(-qr, mp)
+        if not kappa:
             return res("r-odd(ii)", ZERO_SPLIT_PRIME, 0)
         if e >= 5:
             return res("r-odd(iii)", ZERO_TWO_ADIC, 0)
@@ -324,18 +319,17 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             return res("r-odd(iv)", ZERO_TWO_ADIC, 0)
         if e in (1, 2, 3) and qr % 8 == 7:
             return res("r-odd(v)", ZERO_TWO_ADIC, 0)
-        sign = c * _b_odd(e, qr) * (-1) ** (omega1(mp) + omega2(-qr, mp))
-        return res("r-odd", ZERO_NONE, sign)
+        return res("r-odd", ZERO_NONE, c * _b_odd(e, qr) * _sign(kappa))
 
     # r >= 4 even, q^r != 16
     if not _is_cubefree(mp):
         return res("r-even(i)", ZERO_NOT_CUBEFREE, 0)
     if e >= 4:
         return res("r-even(ii)", ZERO_TWO_ADIC, 0)
-    if _has_split_prime(-1, mp):
+    kappa = kappa_minus(-1, mp)
+    if not kappa:
         return res("r-even(iii)", ZERO_SPLIT_PRIME, 0)
-    sign = c * _b_even(e) * (-1) ** (omega1(mp) + omega2(-1, mp))
-    return res("r-even", ZERO_NONE, sign)
+    return res("r-even", ZERO_NONE, c * _b_even(e) * _sign(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +425,7 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     if e > 1 or not is_squarefree(mp):
         return CorrelationResult(False, "M must be squarefree or twice squarefree")
 
-    tr24 = _s0_24(k, q, m, ell)
+    tr24 = _s0_24(k, q, ell, e, kappa_minus(-q * ell, mp))
     assert tr24 % 24 == 0, (k, q, m, ell, tr24)
     tr = tr24 // 24
     dv = delta(k, q, 1, m)

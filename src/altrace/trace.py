@@ -41,7 +41,7 @@ import math
 from functools import cache
 
 from . import classnum
-from .arith import check_level, divisors, factor, is_prime, kronecker, mobius, sigma
+from .arith import check_level, divisors, factor, is_prime, legendre, mobius, sigma
 
 
 def pk_from_s2(k: int, s2: int, ell: int) -> int:
@@ -105,7 +105,7 @@ def _divisor_sum12(weights, disc: int) -> int:
     for i, p in enumerate(primes):
         if disc % p == 0:
             zero |= 1 << i
-        elif kronecker(disc, p) < 0:
+        elif legendre(disc, p) < 0:
             neg |= 1 << i
     total = coprime = 0
     for t, c, _, divides, odd in rows:
@@ -258,7 +258,8 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
                 while disc % (p * p) == 0:
                     disc //= p * p
                     v += 1
-            c = kronecker(disc, p) - 1 if e == 1 else _local_factor(p, e, v, kronecker(disc, p))
+            chi = legendre(disc, p)
+            c = chi - 1 if e == 1 else _local_factor(p, e, v, chi)
             if not c:
                 break
             weight *= c

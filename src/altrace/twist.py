@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import check_level, factor, is_prime, kronecker
+from .arith import check_level, factor, is_prime, kronecker, legendre
 
 UTS = "unramified-twist-of-steinberg"
 RPS = "ramified-principal-series"
@@ -84,7 +84,7 @@ def kappas_at_q(q: int, r: int) -> dict[str, int | dict[str, int]]:
         return {}
     if r % 2:
         return {RSC: {"q*": 1, "other": -1}}
-    eps = kronecker(-1, q)
+    eps = legendre(-1, q)
     return {RPS: eps, USC: -eps}
 
 
@@ -100,7 +100,7 @@ def quadtwist_characters(k: int, q: int, r: int, m: int) -> list[TwistCharacter]
     if r % 2 == 0 or not is_prime(q):
         raise ValueError("need q prime and odd r, got q = %r, r = %r" % (q, r))
     fac = dict(factor(m))
-    out = [chi_odd(p) for p, e in fac.items() if p > 2 and e >= 3 and kronecker(q, p) == -1]
+    out = [chi_odd(p) for p, e in fac.items() if p > 2 and e >= 3 and legendre(q, p) == -1]
     v2 = fac.get(2, 0)
     if v2 >= 5 and q % 4 == 3:
         out.append(CHI_MINUS1)

@@ -21,15 +21,13 @@ from __future__ import annotations
 import math
 
 from . import classnum, signs
-from .arith import factor, primes_up_to
+from .arith import KRONECKER_2, factor, primes_up_to
 from .trace import _hyperbolic, _local_factor, pk_from_s2
 
 # rows (l, s) times levels per numpy pass: each int64 temporary stays near
 # 32 KB.  A pass keeps about eight alive, per thread; at 10^4 the scan
 # workload's peak RSS rose by 2.8 MB instead of 1.8 MB
 _BATCH_ENTRIES = 4_000
-# (D|2) by D mod 8
-_KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)
 
 
 class TraceWindow:
@@ -74,7 +72,8 @@ class TraceWindow:
 
         # Legendre blocks, one per prime, after entry 0 for the pads: at odd p
         # -1 everywhere, then 1 at the squares j^2 mod p, 1 <= j <= (p - 1)/2,
-        # which are all of them, then 0 at 0; at 2 the (D|2) table
+        # which are all of them, then 0 at 0; at 2 arith.KRONECKER_2.  So a
+        # block holds arith.legendre(D, p) at D mod its size
         primes = np.array(sorted(set(p[used].tolist())), dtype=np.int64)
         sizes = np.where(primes == 2, 8, primes)
         offsets = np.cumsum(sizes) - sizes + 1
@@ -85,7 +84,7 @@ class TraceWindow:
         self._leg[np.repeat(offsets, half) + root * root % np.repeat(primes, half)] = 1
         self._leg[0] = self._leg[offsets] = 0
         if 2 in leg_at:
-            self._leg[1:9] = _KRONECKER_2
+            self._leg[1:9] = KRONECKER_2
         # per pair (p, e): its cell of a slot column (strip modulus, a second
         # residue that also strips (4 mod 16 at p = 2), divisor, Legendre
         # offset and modulus, local-factor offset (past chi's + 1) and step

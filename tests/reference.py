@@ -4,6 +4,9 @@
 discriminant one (a, b) at a time, the twin of classnum.class_number's
 root count.
 
+``omega1`` and ``omega2`` count the primes whose parity is the sign of
+signs.kappa_minus over a cubefree level, the twin of the predicate's sign.
+
 ``window_levels`` walks a family's level window one level at a time, and
 ``trace_window_arrays`` factors a (Q, m) list level by level into the
 arrays a window.TraceWindow takes.
@@ -17,7 +20,7 @@ helpers as the independent twin of those weights.
 """
 import math
 
-from altrace.arith import divisors, factor, is_squarefree
+from altrace.arith import divisors, factor, is_squarefree, kronecker
 
 
 def class_number_forms(disc: int) -> int:
@@ -75,6 +78,16 @@ def mobius_squared_transform(f, m: int):
         if c:
             total += c * f(m // d)
     return total
+
+
+def omega1(m: int) -> int:
+    """Number of primes dividing m exactly once."""
+    return sum(1 for _, e in factor(m) if e == 1)
+
+
+def omega2(n: int, m: int) -> int:
+    """Number of primes p with p^2 || m and (n|p) = 1."""
+    return sum(1 for p, e in factor(m) if e == 2 and kronecker(n, p) == 1)
 
 
 def window_levels(spec, X: int) -> list[tuple[int, int]]:

@@ -77,6 +77,13 @@ def test_kronecker_multiplicative_in_lower(a, n1, n2):
     assert arith.kronecker(a, n1 * n2) == arith.kronecker(a, n1) * arith.kronecker(a, n2)
 
 
+def test_legendre_equals_kronecker_at_every_prime_below_300():
+    # a in [-8p, 8p] takes a = 0 mod p, both supplements and negative a
+    for p in arith.primes_up_to(299):
+        for a in range(-8 * p, 8 * p + 1):
+            assert arith.legendre(a, p) == arith.kronecker(a, p), (a, p)
+
+
 def test_primes_up_to_matches_is_prime():
     ps = arith.primes_up_to(500)
     assert ps[:6] == [2, 3, 5, 7, 11, 13]
@@ -96,15 +103,6 @@ def test_sigma_multiplicative(a, b):
 
 def test_squarefree_and_core():
     assert [n for n in range(1, 31) if not arith.is_squarefree(n)] == [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
-
-
-def test_omega_variants():
-    m = 2**2 * 3 * 5**2 * 7
-    assert len(arith.factor(m)) == 4
-    assert arith.omega1(m) == 2  # 3 and 7
-    # p^2 || m for p in {2, 5}; (n|p) = 1 picks out squares mod p
-    assert arith.omega2(1, m) == 2
-    assert arith.omega2(3, m) == 0  # 3 is a non-residue mod both 2's... (3|2)=-1, (3|5)=-1
 
 
 def test_prime_powers_up_to_matches_brute_force():

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altrace import classnum
-from altrace.arith import is_squarefree, kronecker
+from altrace.arith import divisors, factor, is_squarefree, kronecker
 from reference import class_number_forms
 
 
@@ -185,6 +185,31 @@ def test_ht12_same_with_and_without_table(n, odd):
     with mock.patch.object(classnum, "_active_table", None):
         off = [classnum.ht12(t, disc) for t in ts]
     assert on == off, disc
+
+
+def _ht12_by_kronecker(t, disc):
+    """12 H_t(disc) by the closed form with one Kronecker symbol at t/g."""
+    g = math.gcd(t, disc)
+    b = math.prod(p for p, e in factor(g) if e & 1)
+    if (disc // g) % b:
+        return 0
+    dpb = disc // g // b
+    return g * kronecker(dpb, t // g) * classnum.hurwitz12_ext(dpb)
+
+
+@given(
+    st.sampled_from((27, 125, 343, 1331, 32, 128)),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=9999),
+    st.booleans(),
+)
+@example(27, 25, 1, False)  # disc = -4: t/g = 3^j 5^i, even and odd exponents
+@example(128, 1, 3, False)  # disc = -12: g = 4 and t/g = 2^j reads (-3|2)^j
+def test_ht12_equals_the_closed_form_with_one_kronecker_symbol(part, m, n, odd):
+    # t runs over the divisors of the twist-shaped levels p^3 M, 2^5 M, 2^7 M
+    disc = -(4 * n + 3) if odd else -4 * n
+    for t in divisors(part * m):
+        assert classnum.ht12(t, disc) == _ht12_by_kronecker(t, disc), (t, disc)
 
 
 def _reference_table(bound):

@@ -1,5 +1,12 @@
-from altrace import arith
-from reference import core_square_part, divisors_with_squarefree_cofactor, mobius_squared_transform, mu_star_mu
+from altrace import arith, signs
+from reference import (
+    core_square_part,
+    divisors_with_squarefree_cofactor,
+    mobius_squared_transform,
+    mu_star_mu,
+    omega1,
+    omega2,
+)
 
 
 def test_mu_star_mu_prime_powers():
@@ -29,3 +36,30 @@ def test_mobius_squared_transform_inverts_sigma0_convolution():
     for m in range(1, 80):
         g = lambda t: sum(len(arith.divisors(d)) * f(t // d) for d in arith.divisors(t))
         assert mobius_squared_transform(g, m) == f(m)
+
+
+def test_omega_variants():
+    m = 2**2 * 3 * 5**2 * 7
+    assert len(arith.factor(m)) == 4
+    assert omega1(m) == 2  # 3 and 7
+    # p^2 || m for p in {2, 5}; (n|p) = 1 picks out squares mod p
+    assert omega2(1, m) == 2
+    assert omega2(3, m) == 0  # (3|2) = -1 and (3|5) = -1
+
+
+def test_kappa_minus_sign_is_the_omega_parity():
+    # the predicate's split-prime zero and sign are kappa_-(-q^r, M') (at
+    # even r kappa_-(-1, M')): 0 exactly when M' is not cubefree or a p || M'
+    # splits, and otherwise (-1)^(omega_1 + omega_2)
+    for q, r in arith.prime_powers_up_to(200):
+        arg = -(q**r) if r % 2 else -1
+        for mp in range(1, 501, 2):
+            if mp % q == 0:
+                continue
+            fac = arith.factor(mp)
+            zero = any(e > 2 for _, e in fac) or any(e == 1 and arith.kronecker(arg, p) == 1 for p, e in fac)
+            kappa = signs.kappa_minus(arg, mp)
+            if zero:
+                assert kappa == 0, (q, r, mp)
+            else:
+                assert kappa * (-1) ** (omega1(mp) + omega2(arg, mp)) > 0, (q, r, mp, kappa)
