@@ -21,9 +21,9 @@ Three independent routes to H(disc) live here:
   installs it, ``hurwitz12_ext`` reads one disc (with a fallback) and
   ``hurwitz12_gather`` an array (the batched traces and criterion 1).
 
-On top of those sit the weighted counts H_t and the weight alpha_1 the
-sign formulas consume, a 2-power-weighted combination of H(d) and H(4d);
-module signs owns alpha_2, a local value of the dimension formula.
+On top of those sit the weighted counts H_t, the weight alpha_1 and on it
+``_s0_24``, the s = 0 term of the trace formula that modules signs and
+trace read; module signs owns alpha_2, a local value of the dimension formula.
 Internally everything is an integer in units of 1/12 (``*12`` names); the
 Fraction wrappers divide at the end.
 """
@@ -392,4 +392,12 @@ def alpha1_12(d: int, e: int) -> int:
     if e == 4:
         return (2 - 4 * legendre(d, 2)) * hurwitz12_ext(d)
     return 0
+
+
+def _s0_24(k: int, big_q: int, ell: int, e: int, kappa: int) -> int:
+    """24 * the s = 0 term of tr T_l W_Q on S_k^new(Q M), M = 2^e M' with M'
+    odd: -p_k(0, l) alpha_1(-Q l; e) kappa, kappa = kappa_-(-Q l, M') taken
+    first, so a split prime spares the class numbers.  At squarefree Q and
+    4l < Q it is the whole trace less mu(M) sigma(l) at k = 2."""
+    return -((-ell) ** (k // 2 - 1)) * alpha1_12(-big_q * ell, e) * kappa if kappa else 0
 

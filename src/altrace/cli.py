@@ -191,9 +191,6 @@ def cmd_twist(args) -> tuple[dict, int]:
         "M": m,
         "local_types": list(types),
         "kappa_at_q": twist.kappas_at_q(q, r) if q != 2 else {},
-        # kappas_at_q is empty at r <= 2 and holds a +1 at every r >= 3, so
-        # at odd q the ramified twist never swaps the eigenspaces of every type
-        "chi_q_flips_every_type": False if q != 2 else None,
     }
     if r % 2:
         chars = twist.quadtwist_characters(k, q, r, m)

@@ -13,7 +13,8 @@ Each scan factors its window once, as arrays (``_window`` on
 trace windows come from it, not from a walk level by level.
 scan_WQ, scan_eigenspace and cancellation_diag share one function,
 ``_scan``: the levels with a group key each, one Atkin-Lehner modulus
-array per slot, and per series a sign per slot and a count per level;
+array per slot, and per series a sign per slot, whose signed mean at
+ell = 1 ``_counts`` takes as the count per level, checked whole and >= 0;
 sorted by key once, then exact integer array reductions per batch of
 primes, on a thread pool when asked and there is more than one batch.
 cancellation_diag has two series, the two Fricke eigenspaces, and the
@@ -22,16 +23,16 @@ others one.  The traces at the scanned primes come from one
 array over primes x levels that equals ``trace.t_new_squarefree`` level by
 level (one class number per s, non-squarefree levels included); each window
 cuts its own numpy passes by its rows per prime, so a slot of large Q takes
-all its primes at once.  The counts of the Q >= 2 slots (eigenspace
-dimensions, tr W_N) stay on the per-level kernel at ell = 1.
+all its primes at once, while the counts read ``Factors.dims`` at Q = 1
+and the per-level kernel at Q >= 2.
 A kernel replaced on the trace module (anything but a functools.wraps
 wrapper of it) is not the one the engine reproduces, so the scans then call
 it level by level instead (``_trace_window``).  Per batch the signed mean
 over the moduli and the sums per key are integer array operations, in int64
 while max|trace| * slots * levels < 2^63 and in Python ints otherwise, so no
 sum can wrap; only the final weighting by sqrt(key) is in floats.
-``eigenspace_trace`` takes the same signed mean for one level through the
-per-level kernel; selftest criterion 9 inverts it.
+``eigenspace_trace`` takes the same signed mean at a prime ell for one
+level through the per-level kernel; selftest criterion 9 inverts it.
 
 Each scan installs the class-number table its windows read before it
 builds them.  For Q > 1 every discriminant a trace kernel reads is
@@ -47,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import classnum, signs, trace, window
+from . import classnum, trace, window
 from .arith import check_level, factor, is_prime, is_squarefree, primes_up_to
 
 FAMILY_KINDS = ("I", "II", "III")
@@ -270,7 +271,28 @@ def _trace_window(k: int, q, win, ell_max: int):
     return window.LevelWindow(kernel, k, q, win)
 
 
-def _scan(spec: FamilySpec, X: int, ell_range, win, keys, moduli, sign, counts, no_forms: str, workers: int = 1):
+def _counts(k: int, win, moduli, sign) -> list:
+    """Per series the signed means at ell = 1 over the slots of tr W_Q' on
+    S_k^new(n) at the levels n of win: win.dims at Q' = 1, else the kernel;
+    int64 while no sum can wrap.  Raises unless each is whole and >= 0."""
+    import numpy as np
+
+    width, levels, dims = len(moduli), win.n.tolist(), win.dims(k)
+    cols = [  # a slot is Q' = 1 at every level or at none
+        dims if (q == 1).all()
+        else np.array([trace.t_new_squarefree(k, Q, n // Q, 1) for Q, n in zip(q.tolist(), levels)])
+        for q in moduli
+    ]
+    if width * max(int(np.abs(c).max()) for c in cols) >= 2**63:
+        cols = [c.astype(object) for c in cols]
+    # only array operations Factors.dims has run, so a fresh process meets no new numpy loop here
+    totals = [sum((e * col for e, col in zip(s[1:], cols[1:])), s[0] * cols[0]) for s in sign]
+    for s, t in zip(sign, totals):
+        assert (t % width == 0).all() and (t >= 0).all(), (k, s, win.n[(t % width != 0) | (t < 0)][:1])
+    return [t // width for t in totals]
+
+
+def _scan(spec: FamilySpec, X: int, ell_range, win, keys, moduli, sign, no_forms, workers: int = 1, count_moduli=None):
     """The scan behind scan_WQ, scan_eigenspace and cancellation_diag: one list
     of points per series.
 
@@ -278,15 +300,15 @@ def _scan(spec: FamilySpec, X: int, ell_range, win, keys, moduli, sign, counts, 
     moduli holds one array per slot: the Atkin-Lehner modulus Q' the slot
     reads at each level, a unitary divisor; the traces come from one
     _trace_window per slot, built from win and shared by the series.  sign
-    holds per series one sign per slot, and counts() the series' counts at
-    every level (its trace at ell = 1); it is called once the table is
-    installed, since its kernels read it.  A series' trace at ell is the
-    signed mean of tr T_ell W_Q' over the slots.  Its point at ell averages
-    ell^(1-k/2) * trace over the levels ell does not divide, summed per key
-    and weighted by sqrt(key), and divides by their counts.  A prime whose
-    kept levels carry none of a series' forms gives that series no point;
-    no_forms is raised if no level of the window carries a form of some
-    series.
+    holds per series one sign per slot.  A series' trace at ell is the
+    signed mean of tr T_ell W_Q' over the slots, and its counts the mean at
+    ell = 1 that _counts takes over count_moduli (moduli unless given:
+    scan_WQ counts dim S_k^new(N), at Q' = 1), once the table is in.  Its
+    point at ell averages ell^(1-k/2) * trace over the levels ell does not
+    divide, summed per key and weighted by sqrt(key), and divides by their
+    counts.  A prime whose kept levels carry none of a series' forms gives
+    that series no point; no_forms is raised if no level of the window
+    carries a form of some series.
 
     The levels are sorted by key once (stably), win.take with them.  The
     primes go in batches whose primes x levels stay within
@@ -309,8 +331,9 @@ def _scan(spec: FamilySpec, X: int, ell_range, win, keys, moduli, sign, counts, 
     import numpy as np  # loaded by the table build; importing murmur stays numpy-free
 
     order = np.argsort(keys, kind="stable")
-    win, keys, moduli = win.take(order, 1), keys[order].tolist(), [q[order] for q in moduli]
-    counts = [np.asarray(c)[order] for c in counts()]
+    win, keys = win.take(order, 1), keys[order].tolist()
+    moduli, count_moduli = ([q[order] for q in slots] for slots in (moduli, count_moduli or moduli))
+    counts = _counts(spec.k, win, count_moduli, sign)
     if not all(c.any() for c in counts):
         raise ValueError(no_forms)
     counts = [c.astype(np.int64 if int(c.max()) * len(keys) < 2**63 else object) for c in counts]
@@ -372,9 +395,11 @@ def scan_WQ(spec: FamilySpec, ell_range, X: int) -> list[MurmurationPoint]:
     scans five primes, [2, 11] two.  Primes dividing every level that
     carries a form (e.g. the fixed part) give no point.  Raises if the window is empty or carries no newform.
     """
+    import numpy as np
+
     q, m, win = _window(spec, X)
     no_forms = "window [%d, %s] has no newforms at weight %d" % (X, spec.beta * X, spec.k)
-    return _scan(spec, X, ell_range, win, m, [q], [(1,)], lambda: [win.dims(spec.k)], no_forms)[0]
+    return _scan(spec, X, ell_range, win, m, [q], [(1,)], no_forms, count_moduli=[np.ones_like(q)])[0]
 
 
 def signed_moduli(n: int, epsilon: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -394,14 +419,10 @@ def _signed_products(primes, epsilon) -> list[tuple[int, int]]:
 
 
 def eigenspace_trace(k: int, n: int, moduli: list[tuple[int, int]], ell: int) -> int:
-    """tr T_ell on the joint Atkin-Lehner eigenspace of S_k^new(n) given by
-    moduli = signed_moduli(n, epsilon): the signed sum of the tr T_ell W_Q,
-    divided by their number 2^r.  At ell = 1 it is the eigenspace's
-    dimension."""
-    total = sum(
-        sign * (signs.dim_new(k, n) if q == 1 and ell == 1 else trace.t_new_squarefree(k, q, n // q, ell))
-        for q, sign in moduli
-    )
+    """tr T_ell, ell prime, on the joint Atkin-Lehner eigenspace of
+    S_k^new(n) given by moduli = signed_moduli(n, epsilon): the signed sum
+    of the tr T_ell W_Q, divided by their number 2^r."""
+    total = sum(sign * trace.t_new_squarefree(k, q, n // q, ell) for q, sign in moduli)
     assert total % len(moduli) == 0, (n, ell, total)
     return total // len(moduli)
 
@@ -427,25 +448,14 @@ def scan_eigenspace(spec: FamilySpec, epsilon: tuple[int, ...], ell_range, X: in
         raise ValueError("epsilon must be a +-1 vector of length r")
     import numpy as np
 
-    k = spec.k
     # every subset of a level's r primes is a Q, so Q = N is the widest
     n, _, win = _window(replace(spec, idx=tuple(range(1, spec.r + 1))), X)
     # a level has r primes, so r slots; an empty window may have fewer
     primes = win.primes()[:, : spec.r].T if len(n) else [n] * spec.r
     moduli, sign = zip(*_signed_products(primes, epsilon))
     moduli = [q * np.ones_like(n) for q in moduli]
-
-    def counts():
-        # the eigenspace's dimension, eigenspace_trace at ell = 1: the Q = 1
-        # term from the window, the others from the kernel
-        total, levels = win.dims(k).tolist(), n.tolist()
-        for q, e in zip(moduli[1:], sign[1:]):
-            total = [t + e * trace.t_new_squarefree(k, qq, nn // qq, 1) for t, qq, nn in zip(total, q.tolist(), levels)]
-        assert all(t % len(moduli) == 0 and t >= 0 for t in total), (epsilon, X)
-        return [[t // len(moduli) for t in total]]
-
-    no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, k)
-    return _scan(spec, X, ell_range, win, np.ones_like(n), moduli, [sign], counts, no_forms)[0]
+    no_forms = "eigenspace %s is empty over window [%d, %s] at weight %d" % (epsilon, X, spec.beta * X, spec.k)
+    return _scan(spec, X, ell_range, win, np.ones_like(n), moduli, [sign], no_forms)[0]
 
 
 def smooth(points: list[MurmurationPoint], delta: float) -> list[MurmurationPoint]:
@@ -545,15 +555,9 @@ def cancellation_diag(k: int, X: int, workers: int = 1) -> CancellationReport:
     spec = FamilySpec("I", k=k)
     n, _, win = _window(spec, X)
     ones = np.ones_like(n)
-
-    def counts():
-        # dim S^new(n) and tr W_n on it do not depend on ell
-        dims, tr_w = win.dims(k).tolist(), [trace.t_new_squarefree(k, q, 1, 1) for q in n.tolist()]
-        return [(d + t) // 2 for d, t in zip(dims, tr_w)], [(d - t) // 2 for d, t in zip(dims, tr_w)]
-
     # [X, 2X] holds a prime (Bertrand), so there is a level
     no_forms = "an eigenspace is empty over [%d, %d] at every prime" % (X, 2 * X)
-    plus, minus = _scan(spec, X, (X // 2, 2 * X), win, ones, [ones, n], [(1, 1), (1, -1)], counts, no_forms, workers)
+    plus, minus = _scan(spec, X, (X // 2, 2 * X), win, ones, [ones, n], [(1, 1), (1, -1)], no_forms, workers)
     at = {p.ell: p.average for p in minus}
     rows = [(abs(p.average + at[p.ell]), abs(p.average - at[p.ell]), p.ell) for p in plus if p.ell in at]
     if not rows:

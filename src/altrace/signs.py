@@ -23,9 +23,10 @@ are ``dim_local(p, e)``).  ``_dim12`` weighs the four products, and
 ``_dim12_new``, all but the last term, takes them over factor(n);
 ``delta`` also reads it at odd q and r = 2.  ``window.Factors.dims``
 multiplies ``dim_local`` over a whole window of levels, once per distinct
-p^e.  Tower rule: ``delta`` is the s = 0 term ``_s0_24`` (which
-``correlation_checks`` reads too) at q^r, less twice it at q^(r-2), plus
-it at q^(r-4), and a short table of small-s terms; r = 2 has its own pair.
+p^e.  Tower rule: ``delta`` is the s = 0 term ``classnum._s0_24`` (which
+``correlation_checks`` and ``trace.t_full_fricke`` read too) at q^r, less
+twice it at q^(r-2), plus it at q^(r-4), and a short table of small-s
+terms; r = 2 has its own pair.
 
 Levels are checked by the one rule ``arith.check_level``, as in modules
 trace and twist; ``delta`` adds only r >= 1.
@@ -139,14 +140,6 @@ def _split_even(m: int) -> tuple[int, int]:
 # the closed forms
 
 
-def _s0_24(k: int, big_q: int, ell: int, e: int, kappa: int) -> int:
-    """24 * the s = 0 term of tr T_l W_Q on S_k^new(Q M), M = 2^e M' with M'
-    odd: -p_k(0, l) alpha_1(-Q l; e) kappa, kappa = kappa_-(-Q l, M') taken
-    first, so a split prime spares the class numbers.  At squarefree Q and
-    4l < Q it is the whole trace less mu(M) sigma(l) at k = 2."""
-    return -((-ell) ** (k // 2 - 1)) * classnum.alpha1_12(-big_q * ell, e) * kappa if kappa else 0
-
-
 def delta(k: int, q: int, r: int, m: int) -> int:
     """tr W_{q^r} on S_k^new(q^r M) = dim^{+} - dim^{-} at any modulus q^r of
     arith.check_level: the s = 0 tower (r = 2: a pair of its own), the small-s
@@ -160,15 +153,15 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     kappa = kappa_minus(-q if r % 2 else -1, mp)
     # in 24ths: alpha_1 comes in 12ths and the closed forms halve it
     if r == 2:
-        val24 = _s0_24(k, qr, 1, e, kappa) - (2 if q == 2 else 1) * _s0_24(k, 1, 1, e, kappa)
+        val24 = classnum._s0_24(k, qr, 1, e, kappa) - (2 if q == 2 else 1) * classnum._s0_24(k, 1, 1, e, kappa)
         if q == 2:
             val24 += 8 * pk_one(k) * kappa_minus(-3, m) - 2 * (k - 1) * kappa_infty(m)
         else:
             val24 -= 2 * _dim12_new(k, m)
     else:
-        val24 = _s0_24(k, qr, 1, e, kappa)
+        val24 = classnum._s0_24(k, qr, 1, e, kappa)
         for j, c in ((2, -2), (4, 1))[: r // 2]:  # the terms at q^(r-2) and q^(r-4) that exist
-            val24 += c * _s0_24(k, q ** (r - j), 1, e, kappa)
+            val24 += c * classnum._s0_24(k, q ** (r - j), 1, e, kappa)
         if qr in (2, 8):
             val24 += (12 if qr == 8 else -12) * pk_sqrt2(k) * kappa_minus(-1, m)
         elif qr in (3, 27):
@@ -273,7 +266,7 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             return res("req1(4)", ZERO_NONE, None)
         if not _is_cubefree(mp):
             return res("req1(4)(i)", ZERO_NOT_CUBEFREE, 0)
-        if _has_split_prime(-3, mp):
+        if not kappa_minus(-3, mp):
             return res("req1(4)(ii)", ZERO_SPLIT_PRIME, 0)
         if e >= 5:
             return res("req1(4)(iii)", ZERO_TWO_ADIC, 0)
@@ -425,7 +418,7 @@ def correlation_checks(k: int, q: int, m: int, ell: int) -> CorrelationResult:
     if e > 1 or not is_squarefree(mp):
         return CorrelationResult(False, "M must be squarefree or twice squarefree")
 
-    tr24 = _s0_24(k, q, ell, e, kappa_minus(-q * ell, mp))
+    tr24 = classnum._s0_24(k, q, ell, e, kappa_minus(-q * ell, mp))
     assert tr24 % 24 == 0, (k, q, m, ell, tr24)
     tr = tr24 // 24
     dv = delta(k, q, 1, m)

@@ -277,16 +277,12 @@ def t_new_squarefree(k: int, big_q: int, m: int, ell: int) -> int:
 
 
 def t_full_fricke(k: int, n_level: int, n_hecke: int) -> int:
-    """tr T_n W_N on the full space S_k(N): squarefree N, (n, N) = 1, 4n < N.
-
-    In this range the elliptic sum collapses to its s = 0 term: the M = 1
-    case of signs._s0_24, written out here so that a trace query does not
-    import module signs.
-    """
+    """tr T_n W_N on the full space S_k(N), squarefree N, (n, N) = 1, 4n < N,
+    where the elliptic sum collapses to its s = 0 term: classnum._s0_24 at M = 1."""
     check_level(k, n_level, 1, 1, n_hecke)
     if 4 * n_hecke >= n_level:
         raise ValueError("needs 4n < N")
-    val24 = -pk_from_s2(k, 0, n_hecke) * classnum.hurwitz12_ext(-4 * n_hecke * n_level)
+    val24 = classnum._s0_24(k, n_level, n_hecke, 0, 1)
     assert val24 % 24 == 0, (k, n_level, n_hecke, val24)
     val = val24 // 24
     if k == 2:

@@ -11,10 +11,10 @@ many rows (Q = 1) takes several, and returns one exact integer array,
 primes x levels, from class numbers gathered through ``classnum`` from the
 table it installs.  ``LevelWindow`` serves the same arrays from any
 per-level kernel, one call per level and prime.  The murmuration scans
-read their level lists, Q = 1 counts and traces from here, and keep the
-per-level kernel for their Q >= 2 counts at l = 1.  numpy is imported
-only when a window is built, so importing this module (or ``murmur``,
-which imports it) does not import numpy.
+read their level lists, Q = 1 counts and traces from here, and
+``murmur._counts`` the per-level kernel at l = 1 for the Q >= 2 counts.
+numpy is imported only when a window is built, so importing this module
+(or ``murmur``, which imports it) does not import numpy.
 """
 from __future__ import annotations
 

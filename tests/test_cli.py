@@ -139,7 +139,9 @@ def test_twist_payload(capsys):
     assert payload["pairing_characters"] == ["chi_3"]
     assert payload["quadtwist_bijection"] == "chi_3"
     assert payload["delta"] == 0  # twisting bijection forces a balanced space
-    assert payload["chi_q_flips_every_type"] is False
+    assert set(payload) == {
+        "k", "q", "r", "M", "local_types", "kappa_at_q", "pairing_characters", "quadtwist_bijection", "delta"
+    }
 
 
 @pytest.mark.parametrize("r", [1, 2])

@@ -327,7 +327,11 @@ def test_scan_points_equal_the_per_level_walk(family, k, X):
         expect = _per_level_walk(
             spec, levels, ells, X, lambda q, m: 1,
             lambda q, m, ell: murmur.eigenspace_trace(k, m, moduli[m], ell),
-            lambda q, m: murmur.eigenspace_trace(k, m, moduli[m], 1),
+            # the eigenspace's dimension from the kernels: the divisor sum at Q = 1
+            lambda q, m: sum(
+                s * (trace.t_new_level(k, m, 1) if qq == 1 else trace.t_new_squarefree(k, qq, m // qq, 1))
+                for qq, s in moduli[m]
+            ) // len(moduli[m]),
         )
     else:
         levels = murmur._window_levels(spec, X)
@@ -447,6 +451,32 @@ def test_scans_call_a_replaced_kernel_level_by_level(monkeypatch):
     got = murmur.scan_WQ(parse_family("I:M=1", k=2), (2, 20), 40)
     assert [p.ell for p in got] == [p.ell for p in want[0]]
     assert all(g.average != w.average for g, w in zip(got, want[0]))
+
+
+@pytest.mark.parametrize(
+    "level, scan",
+    [
+        (41, lambda: murmur.cancellation_diag(2, 40)),
+        (65, lambda: murmur.scan_eigenspace(parse_family("III:r=2", k=4), (1, -1), (2, 20), 60)),
+    ],
+    ids=["cancellation", "eigenspace"],
+)
+def test_a_count_that_is_not_whole_raises(monkeypatch, level, scan):
+    # behind a functools.wraps wrapper the engine still serves the traces, so
+    # adding 1 to the kernel at l = 1 at one level changes only the counts:
+    # that level's signed mean over the slots is then no whole number, and
+    # the scan must raise instead of flooring it
+    real = trace.t_new_squarefree
+
+    @functools.wraps(real)
+    def off_by_one(k, q, m, ell):
+        return real(k, q, m, ell) + (ell == 1 and q * m == level)
+
+    scan()
+    monkeypatch.setattr(trace, "t_new_squarefree", off_by_one)
+    with pytest.raises(AssertionError) as exc:
+        scan()
+    assert str(level) in str(exc.value)
 
 
 def test_scan_drops_primes_dividing_all_levels():
@@ -767,13 +797,13 @@ def test_each_series_of_a_scan_equals_that_series_scanned_alone(monkeypatch):
         monkeypatch.setattr(window, "_BATCH_ENTRIES", entries)
         calls.clear()
         murmur.cancellation_diag(2, 60, workers=workers)
-        (spec, X, ell_range, win, keys, moduli, sign, counts, no_forms, got_workers), = calls
+        (spec, X, ell_range, win, keys, moduli, sign, no_forms, got_workers), = calls
         assert got_workers == workers
         both = real_scan(*calls[0])
         assert len(both) == 2 and all(both)
         for i, points in enumerate(both):
-            one = [sign[i]], lambda i=i: [counts()[i]]
-            assert real_scan(spec, X, ell_range, win, keys, moduli, *one, no_forms, workers) == [points], (workers, i)
+            one = real_scan(spec, X, ell_range, win, keys, moduli, [sign[i]], no_forms, workers)
+            assert one == [points], (workers, i)
 
 
 def test_cancellation_reads_the_fricke_window_once_per_batch(monkeypatch):

@@ -1,5 +1,6 @@
 """The benchmark's own tools, run from the checkout as the benchmark runs
-them: one traced scan round and the checker self-test."""
+them: one traced scan round, the untraced scan and verify rounds with their
+output checks, and the checker self-test."""
 
 from __future__ import annotations
 
@@ -30,6 +31,19 @@ def test_traced_scan_round_reads_its_class_numbers_from_the_table(monkeypatch):
     assert result["errors"] == []
     monkeypatch.syspath_prepend(str(PERFBENCH))
     assert importlib.import_module("run").table_check(result["trace"]) == []
+
+
+def test_untraced_scan_round_passes_its_reference_checks():
+    # the round the benchmark times: its scan points checked against the
+    # per-level references, so an output change shows here, not first there
+    result = json.loads(_run("worker.py", "--workload", "scan", "--seed", "1", "--reference", "1"))
+    assert result["errors"] == []
+    assert result["attempted"] > 4  # the four scans, then the sampled references
+
+
+def test_untraced_verify_round_passes_its_checks():
+    result = json.loads(_run("worker.py", "--workload", "verify", "--seed", "1"))
+    assert result["errors"] == []
 
 
 def test_benchmark_checks_flag_injected_mismatches():

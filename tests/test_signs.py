@@ -91,7 +91,12 @@ def test_joint_eigenspace_dims_from_delta():
                 total = sum(s * (signs.dim_new(k, n) if q == 1 else signs.delta(k, q, 1, n // q)) for q, s in moduli)
                 dims[eps] = total // len(moduli)
                 assert total % len(moduli) == 0 and dims[eps] >= 0, (n, k, eps)
-                assert dims[eps] == murmur.eigenspace_trace(k, n, moduli, 1), (n, k, eps)
+                # the kernels' twin: tr W_Q at l = 1, the divisor sum at Q = 1
+                twin = sum(
+                    s * (trace.t_new_level(k, n, 1) if q == 1 else trace.t_new_squarefree(k, q, n // q, 1))
+                    for q, s in moduli
+                )
+                assert twin == total, (n, k, eps)
             assert sum(dims.values()) == signs.dim_new(k, n), (n, k)
             for i, p in enumerate(primes):
                 marginal = sum(d * eps[i] for eps, d in dims.items())
@@ -254,6 +259,11 @@ def test_predicate_split_prime_reason():
     res = signs.equidistribution_predicate(4, 11, 1, 5)
     assert res.zero_reason == signs.ZERO_SPLIT_PRIME
     assert res.value == 0
+    # q = 3: (-3|7) = 1, so 7 || M' splits, alone, beside an inert 5 or by 2^2
+    assert kronecker(-3, 7) == 1 and kronecker(-3, 5) == -1
+    for m in (7, 35, 28):
+        res = signs.equidistribution_predicate(4, 3, 1, m)
+        assert (res.case_tag, res.zero_reason, res.value) == ("req1(4)(ii)", signs.ZERO_SPLIT_PRIME, 0), m
 
 
 def test_predicate_not_cubefree_reason():
