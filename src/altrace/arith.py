@@ -46,7 +46,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
 def check_level(k: int, q: int, r: int, m: int, ell: int = 1) -> None:
     """Raise ValueError unless k is an even weight >= 2, q^r a modulus (any
     squarefree q >= 2 at r = 1, a prime q at r >= 2, q >= 1 unread at r = 0),
-    m >= 1 coprime to q and ell >= 1 coprime to q * m."""
+    m >= 1 coprime to q^r and ell >= 1 coprime to q^r * m."""
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
     if r < 0:
@@ -61,9 +61,10 @@ def check_level(k: int, q: int, r: int, m: int, ell: int = 1) -> None:
             raise ValueError("q must be squarefree and >= 2 at r = 1, got %r" % (q,))
     if m < 1 or ell < 1:
         raise ValueError("level cofactor and Hecke index must be positive")
-    if math.gcd(m, q) != 1:
+    n = q if r else 1  # the primes of q^r: none at r = 0
+    if math.gcd(m, n) != 1:
         raise ValueError("cofactor M must be coprime to q")
-    if math.gcd(ell, q * m) != 1:
+    if math.gcd(ell, n * m) != 1:
         raise ValueError("Hecke index must be coprime to the level")
 
 

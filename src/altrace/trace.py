@@ -4,18 +4,24 @@
 the newspace of level q^r * M via elliptic/hyperbolic/parabolic divisor sums
 over weighted class numbers H_t.  The modulus q^r is any squarefree q >= 2
 at r = 1, a prime power at r >= 2, and 1 at r = 0 (the plain trace on level
-M; ``t_new_level``).  Both sum term by term over t | M with per-level
-weights c_t (1 on the full space where M/t is squarefree; the newspace
-weights for ``t_new``), cached per M with its primes: each s reads at most
-one H(D) and one symbol (D|p) per prime p of M, and only the t with
-gcd(t, D) > 1 call the closed form ``classnum.ht12``.  The weights are
-multiplicative, so each level's are one product of local rows over its
-p^e || M; the newspace's local values are ``_NEW_WEIGHTS``, which the
-squarefree route reads too, and the tests keep the (mu*mu) projection of
-the full-space weights as their twin.  ``t_new_squarefree`` is the independent
-one-class-number-per-s route for tr T_l W_Q with Q squarefree and any
-cofactor: the divisor sum over t factors into closed local factors at the
-primes of the cofactor, so every level costs one class number per s.
+M; ``t_new_level``).  Both sum over t | M with per-level weights c_t (1 on
+the full space where M/t is squarefree; the newspace weights for
+``t_new``).  The weights are multiplicative, so each level's are its local
+rows at the p^e || M, cached per (p, e, kind) and shared between levels;
+the newspace's local values are ``_NEW_WEIGHTS``, which the squarefree
+route reads too, and the tests keep the (mu*mu) projection of the
+full-space weights as their twin.  By ht12's closed form H_t(D) is
+H_{t_Z}(D) (D|t_C), t_Z the part of t at the primes dividing D and t_C the
+rest, so at each s the primes of M that do not divide D fold into one local
+constant each (a zero one ends the s before any class number is read),
+and the sum over t_Z stays term by term through ``classnum.ht12``.  The
+fold is the distributive law over rows that already shared one H(D); at
+the primes dividing D, where the routes really differ, nothing reads
+``_local_factor``, so the squarefree route below stays an independent
+check.  ``t_new_squarefree`` is the independent one-class-number-per-s
+route for tr T_l W_Q with Q squarefree and any cofactor: the divisor sum
+over t factors into closed local factors at the primes of the cofactor, so
+every level costs one class number per s.
 ``window.TraceWindow`` evaluates that kernel for a whole window of levels
 and a run of primes in a few numpy passes; the murmuration scans read their
 traces from it, ``t_new_squarefree`` stays its per-level reference, and the
@@ -26,7 +32,7 @@ the level.  ``t_new`` follows the tower rule: the full-space sum
 
 All four kernels check their arguments by ``arith.check_level``, the one
 level rule modules signs and twist and the CLI also use: an even weight
-k >= 2, the modulus rule above, a positive cofactor M coprime to q, and a
+k >= 2, the modulus rule above, a positive cofactor M coprime to q^r, and a
 positive Hecke index l coprime to the level.
 ``t_new_squarefree`` passes Q as q at r = 1 (r = 0 when Q = 1) and adds
 only that Q = 1 needs a prime l; ``t_full_fricke`` passes N as q at r = 1
@@ -68,56 +74,78 @@ _NEW_WEIGHTS = (1, -1, -1, 1)
 
 
 @cache
-def _level_weights(m: int, new: bool):
-    """(primes of m, rows): a row (t, c_t, core square part of t, divides, odd)
-    for every t | m with c_t != 0, in increasing t; bit i of divides (odd) says
-    primes[i] divides t (to an odd power), all of t's exponents that a symbol
-    chi^e, chi in {0, +-1}, reads.
+def _local_weights(p: int, e: int, new: bool):
+    """(p, rows, plus, minus) at p^e || m: a row (p^a, c_a, p^(a // 2)) for
+    each a with c_a != 0, in increasing a, and the constants plus and minus,
+    sum_a c_a chi^a over those rows at chi = +1 and -1.
 
-    c_t is multiplicative, so the rows are one product of local rows over the
-    p^e || m: t takes p^a with weight 1 at a in {e-1, e} on the full space
-    (m/t squarefree), and weight _NEW_WEIGHTS[j] at a = e-j on the newspace.
-    The tests keep the (mu*mu) projection of the full-space indicator over
-    the sub-levels m/d as this product's twin.
+    t takes p^a with weight 1 at a in {e-1, e} on the full space (m/t
+    squarefree), and weight _NEW_WEIGHTS[j] at a = e-j on the newspace.  One
+    tuple per (p, e, kind), shared by every level with p^e || m.
     """
-    fac = factor(m)
-    rows = [(1, 1, 1, 0, 0)]
-    for i, (p, e) in enumerate(fac):
-        steps = [(e - j, c) for j, c in enumerate(_NEW_WEIGHTS[: e + 1])] if new else [(e - 1, 1), (e, 1)]
-        rows = [
-            (t * p**a, c * ca, sq * p ** (a // 2), divides | (a > 0) << i, odd | (a & 1) << i)
-            for t, c, sq, divides, odd in rows
-            for a, ca in steps
-        ]
-    return tuple(p for p, _ in fac), tuple(sorted(rows))
+    steps = [(e - j, c) for j, c in enumerate(_NEW_WEIGHTS[: e + 1])] if new else [(e - 1, 1), (e, 1)]
+    rows = tuple(sorted((p**a, c, p ** (a // 2)) for a, c in steps))
+    return p, rows, sum(c for _, c in steps), sum(-c if a & 1 else c for a, c in steps)
+
+
+@cache
+def _level_weights(m: int, new: bool):
+    """The weights c_t over t | m, one ``_local_weights`` entry per p^e || m,
+    in increasing p: c_t is multiplicative, so c_t is the product over p of
+    the local c_a at the exponent a of p in t.  The tests keep the (mu*mu)
+    projection of the full-space indicator over the sub-levels m/d as this
+    product's twin.
+    """
+    return tuple(_local_weights(p, e, new) for p, e in factor(m))
+
+
+def _rows(weights):
+    """(t, c_t, core square part of t) for every t | m with c_t != 0: the
+    product of the local rows."""
+    rows = weights[0][1] if weights else ((1, 1, 1),)
+    for _, local, _, _ in weights[1:]:
+        rows = [(t * pa, c * ca, sq * pq) for t, c, sq in rows for pa, ca, pq in local]
+    return rows
 
 
 def _divisor_sum12(weights, disc: int) -> int:
-    """sum_t c_t 12 H_t(disc) over the rows, term by term.  (disc|t) is
-    multiplicative in t, so one symbol per prime of m gives each row with
-    gcd(t, disc) = 1 its term c_t (disc|t) 12 H(disc), and those rows share one
-    class number; only the rows with gcd(t, disc) > 1 call ``classnum.ht12``.
+    """sum_t c_t 12 H_t(disc) over t | m, one local factor per prime of m
+    that does not divide disc.
+
+    Write t = t_Z t_C, t_Z over the primes dividing disc and t_C over the
+    others.  By ht12's closed form 12 H_t(disc) = 12 H_{t_Z}(disc) (disc|t_C):
+    the square it divides out of disc is prime to t_C.  So the sum is
+    [sum_{t_Z} c_{t_Z} 12 H_{t_Z}(disc)] times, at each p not dividing disc,
+    the local constant plus or minus by the sign of (disc|p).  A zero constant
+    (a split p || m on the newspace, p^e || m with e >= 3 there, an inert p
+    on the full space) returns 0 before any class number is read; the t_Z
+    sum stays term by term, with one ``classnum.ht12`` per row t_Z > 1 and
+    ``classnum.hurwitz12_ext`` at t_Z = 1.
     """
-    primes, rows = weights
-    if not primes:
-        return classnum.hurwitz12_ext(disc)
-    zero = neg = 0  # bit i: primes[i] divides disc, or (disc|primes[i]) = -1
-    for i, p in enumerate(primes):
-        if disc % p == 0:
-            zero |= 1 << i
-        elif legendre(disc, p) < 0:
-            neg |= 1 << i
-    total = coprime = 0
-    for t, c, _, divides, odd in rows:
-        if zero & divides:
-            total += c * classnum.ht12(t, disc)
+    fold = 1
+    dividing = []  # the entries of the primes dividing disc
+    for entry in weights:
+        p, _, plus, minus = entry
+        if disc % p:
+            # equal constants (both 0 at e >= 3 on the newspace) need no symbol
+            c = plus if plus == minus or legendre(disc, p) > 0 else minus
+            if not c:
+                return 0
+            fold *= c
         else:
-            coprime += -c if (neg & odd).bit_count() & 1 else c
-    return total + coprime * classnum.hurwitz12_ext(disc) if coprime else total
+            dividing.append(entry)
+    if not dividing:
+        return fold * classnum.hurwitz12_ext(disc)
+    total = 0
+    for t, c, _ in _rows(dividing):
+        total += c * (classnum.ht12(t, disc) if t > 1 else classnum.hurwitz12_ext(disc))
+    return fold * total
 
 
 def _a1_24(k: int, qr: int, step: int, weights, ell: int) -> int:
-    """24 * A_1 at q^r = qr over s = 0 mod step (elliptic + parabolic boundary), at most one H(D) per s."""
+    """24 * A_1 at q^r = qr over s = 0 mod step (elliptic + parabolic boundary):
+    per s, no class number when a folded local constant is 0, else one H(D)
+    and one ht12 per row t_Z > 1 (``_divisor_sum12``)."""
     bound = 4 * qr * ell
     total = 0
     s = 0
@@ -136,12 +164,14 @@ def _a2_2(k: int, q: int, r: int, weights, ell: int) -> int:
         return 0
     qh = q ** (r // 2)
     phi = qh - qh // q if r else 1
+    rows = None
     total = 0
     for dl in divisors(ell):
         dl2 = ell // dl
         if (dl + dl2) % qh:
             continue
-        inner = sum(c * math.gcd(sq, dl - dl2) for _, c, sq, _, _ in weights[1])
+        rows = rows or _rows(weights)
+        inner = sum(c * math.gcd(sq, dl - dl2) for _, c, sq in rows)
         total += min(dl, dl2) ** (k - 1) * inner
     return -phi * total
 

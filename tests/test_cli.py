@@ -87,6 +87,14 @@ def test_trace_cross_checks_the_local_factor_kernel_at_non_squarefree_M(capsys, 
     assert code == 1 and payload["cross_path_mismatch"] is True
 
 
+def test_trace_at_r_zero_reads_no_q(capsys):
+    # q^0 = 1: a q sharing a prime with M or l is no reason to refuse
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "7", "--r", "0", "--M", "5", "--ell", "7")
+    assert code == 0 and payload["t_new"] == trace.t_new_level(4, 5, 7)
+    code, payload = run_json(capsys, "trace", "--k", "4", "--q", "7", "--r", "0", "--M", "14", "--ell", "3")
+    assert code == 0 and payload["t_new"] == trace.t_new_level(4, 14, 3)
+
+
 def test_trace_cross_checks_the_full_space_off_r_one(capsys, monkeypatch):
     # r = 0 and r >= 2 compare t_full with the newspaces it is made of
     code, payload = run_json(capsys, "trace", "--k", "4", "--q", "5", "--r", "2", "--M", "3", "--ell", "7")

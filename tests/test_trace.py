@@ -373,26 +373,27 @@ def test_composite_q_kernel_gives_integral_eigenspaces(k, qs, m, ell):
             assert ell > 1 or total >= 0, (k, qs, m, e1, e2, total)
 
 
-# composite squarefree Q, some with the prime 2, paired with the squareful
-# cofactors coprime to them
+# composite squarefree Q, some with the prime 2
 _COMPOSITE_Q = [6, 10, 14, 15, 21, 22, 30, 35, 42, 55, 77, 105, 210]
-_COMPOSITE_Q_COFACTORS = [(q, m) for q in _COMPOSITE_Q for m in _SQUAREFUL if math.gcd(q, m) == 1]
+# (q, M, l) with a squareful base times c as M, M coprime to q and l coprime
+# to q * M, listed whole so that no draw is filtered out
+_COMPOSITE_Q_CASES = [
+    (q, base * c, ell)
+    for q in _COMPOSITE_Q
+    for base in _SQUAREFUL
+    for c in (1, 11, 13, 17)
+    for ell in (1, 2, 3, 5, 7, 11, 13, 4, 9, 25, 49, 15, 21, 35, 77, 8, 27, 121)
+    if math.gcd(base * c, q) == 1 and math.gcd(ell, q * base * c) == 1
+]
 
 
-@given(
-    st.sampled_from([2, 4, 6, 8]),
-    st.sampled_from(_COMPOSITE_Q_COFACTORS),
-    st.sampled_from([1, 1, 11, 13, 17]),
-    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 4, 9, 25, 49, 15, 21, 35, 77, 8, 27, 121]),
-)
-@example(2, (6, 25), 1, 1)
-@example(4, (10, 27), 1, 7)
-@example(6, (35, 36), 1, 11)
-@example(2, (30, 49), 1, 13)
-def test_divisor_sum_matches_local_factor_kernel_at_composite_q(k, q_base, c, ell):
-    q, base = q_base
-    m = base * c
-    assume(math.gcd(m, q) == 1 and math.gcd(ell, q * m) == 1)
+@given(st.sampled_from([2, 4, 6, 8]), st.sampled_from(_COMPOSITE_Q_CASES))
+@example(2, (6, 25, 1))
+@example(4, (10, 27, 7))
+@example(6, (35, 36, 11))
+@example(2, (30, 49, 13))
+def test_divisor_sum_matches_local_factor_kernel_at_composite_q(k, case):
+    q, m, ell = case
     assert trace.t_new(k, q, 1, m, ell) == trace.t_new_squarefree(k, q, m, ell), (k, q, m, ell)
 
 
@@ -441,6 +442,9 @@ def test_full_space_is_its_old_copies_of_newspaces(k, q_r, m, ell):
 def test_atkin_lehner_modulus_rule():
     # r = 0: q is not read; r = 1: squarefree q >= 2; r >= 2: prime q
     assert trace.t_new(2, 1, 0, 11, 2) == trace.t_new(2, 5, 0, 11, 2) == -2
+    # not even for coprimality: q = 7 divides M = 14, and l = 7 is prime to M = 5
+    assert trace.t_new(4, 7, 0, 14, 3) == trace.t_new_level(4, 14, 3)
+    assert trace.t_full(4, 7, 0, 5, 7) == trace.t_full(4, 1, 0, 5, 7)
     assert trace.t_new(2, 6, 1, 5, 7) == trace.t_new_squarefree(2, 6, 5, 7)
     for fn in (trace.t_full, trace.t_new):
         with pytest.raises(ValueError, match="squarefree and >= 2 at r = 1, got 1"):
@@ -609,56 +613,50 @@ def test_fused_kernel_matches_projected_full_space_sums(k, qr, m, ell):
 
 def test_level_weights_per_prime():
     # newspace c_t at t = p^j for j = 0..e: (-1, 1), (-1, -1, 1), then
-    # (1, -1, -1, 1) on p^(e-3..e); each row also carries whether p | t and
-    # whether j is odd
+    # (1, -1, -1, 1) on p^(e-3..e); each row also carries p^(j // 2)
     local = {1: (-1, 1), 2: (-1, -1, 1), 3: (1, -1, -1, 1), 4: (0, 1, -1, -1, 1)}
     for p in (2, 3, 5):
         for e, cs in local.items():
-            expect = tuple((p**j, c, p ** (j // 2), int(j > 0), j & 1) for j, c in enumerate(cs) if c)
-            assert trace._level_weights(p**e, True) == ((p,), expect), (p, e)
-            full = tuple((p**j, 1, p ** (j // 2), int(j > 0), j & 1) for j in (e - 1, e))
-            assert trace._level_weights(p**e, False) == ((p,), full), (p, e)
-    # the primes of m, and each row's exponents at them as bit masks over
-    # (2, 3, 5): the primes dividing t, and those to an odd power
-    primes, rows = trace._level_weights(360, False)
-    assert primes == (2, 3, 5)
-    assert {t: (divides, odd) for t, _, _, divides, odd in rows} == {
-        12: (0b011, 0b010),
-        60: (0b111, 0b110),
-        36: (0b011, 0b000),
-        180: (0b111, 0b100),
-        24: (0b011, 0b011),
-        120: (0b111, 0b111),
-        72: (0b011, 0b001),
-        360: (0b111, 0b101),
-    }
-    primes, rows = trace._level_weights(360, True)
-    assert primes == (2, 3, 5)
-    for t, _, _, divides, odd in rows:
-        exps = [dict(factor(t)).get(p, 0) for p in primes]
-        assert divides == sum(1 << i for i, e in enumerate(exps) if e), t
-        assert odd == sum(1 << i for i, e in enumerate(exps) if e & 1), t
+            expect = tuple((p**j, c, p ** (j // 2)) for j, c in enumerate(cs) if c)
+            ((prime, rows, _, _),) = trace._level_weights(p**e, True)
+            assert (prime, rows) == (p, expect), (p, e)
+            full = tuple((p**j, 1, p ** (j // 2)) for j in (e - 1, e))
+            ((prime, rows, _, _),) = trace._level_weights(p**e, False)
+            assert (prime, rows) == (p, full), (p, e)
+    # one entry per prime of m, in increasing p, each shared by every level
+    # with the same p^e || m
+    assert tuple(p for p, *_ in trace._level_weights(360, False)) == (2, 3, 5)
+    assert trace._level_weights(12, True)[0] is trace._level_weights(20, True)[0]
+    assert trace._level_weights(12, True)[1] is trace._level_weights(3, True)[0]
     # the weights are multiplicative over the primes of m
     for m in (12, 360, 2**5 * 27 * 7):
         prod = {1: 1}
         for p, e in factor(m):
-            cs = dict((t, c) for t, c, *_ in trace._level_weights(p**e, True)[1])
+            cs = {t: c for t, c, _ in trace._rows(trace._level_weights(p**e, True))}
             prod = {a * t: ca * c for a, ca in prod.items() for t, c in cs.items()}
-        assert {t: c for t, c, *_ in trace._level_weights(m, True)[1]} == prod, m
+        assert {t: c for t, c, _ in trace._rows(trace._level_weights(m, True))} == prod, m
+
+
+def test_local_constants_sum_the_local_rows():
+    # plus and minus are sum_a c_a chi^a over the entry's own rows at chi = +1, -1
+    for p in (2, 3, 5, 7):
+        for e in range(1, 6):
+            for new in (False, True):
+                _, rows, plus, minus = trace._local_weights(p, e, new)
+                exps = [dict(factor(pa)).get(p, 0) for pa, _, _ in rows]
+                assert plus == sum(c for _, c, _ in rows), (p, e, new)
+                assert minus == sum(c * (-1) ** a for (_, c, _), a in zip(rows, exps)), (p, e, new)
 
 
 def _reference_weights(m, new):
     # each t | m weighted by its own (mu*mu) projection of the full-space
-    # indicator over the sub-levels m/d, with its masks read off factor(t)
-    primes = tuple(p for p, _ in factor(m))
+    # indicator over the sub-levels m/d, with its core square part
     rows = []
     for t in divisors(m) if new else divisors_with_squarefree_cofactor(m):
         c = mobius_squared_transform(lambda mm, t=t: mm % t == 0 and is_squarefree(mm // t), m) if new else 1
         if c:
-            divides = sum(1 << primes.index(p) for p, _ in factor(t))
-            odd = sum(1 << primes.index(p) for p, e in factor(t) if e & 1)
-            rows.append((t, c, core_square_part(t), divides, odd))
-    return primes, tuple(rows)
+            rows.append((t, c, core_square_part(t)))
+    return rows
 
 
 def test_level_weights_equal_the_projection():
@@ -667,7 +665,9 @@ def test_level_weights_equal_the_projection():
     # up to 5 beyond it: 6048 = 2^5 * 3^3 * 7, 2058 = 2 * 3 * 7^3, 3^3 * 11 * 13
     for m in [*range(1, 2001), 2**5 * 3**3 * 7, 2 * 3 * 7**3, 3**3 * 11 * 13]:
         for new in (False, True):
-            assert trace._level_weights(m, new) == _reference_weights(m, new), (m, new)
+            weights = trace._level_weights(m, new)
+            assert tuple(p for p, *_ in weights) == tuple(p for p, _ in factor(m)), (m, new)
+            assert sorted(trace._rows(weights)) == _reference_weights(m, new), (m, new)
 
 
 _DIVISOR_SUM_LEVELS = (1, 2, 4, 8, 32, 128, 9, 27, 12, 360, 210, 2**5 * 3**3 * 7, 2 * 3 * 7**3)
@@ -675,34 +675,65 @@ _DIVISOR_SUM_LEVELS = (1, 2, 4, 8, 32, 128, 9, 27, 12, 360, 210, 2**5 * 3**3 * 7
 
 def _check_divisor_sum12(low):
     for m in _DIVISOR_SUM_LEVELS:
-        kinds = (trace._level_weights(m, False), trace._level_weights(m, True))
-        ts = {t for _, rows in kinds for t, *_ in rows}
+        kinds = [(trace._level_weights(m, new), _reference_weights(m, new)) for new in (False, True)]
+        ts = divisors(m)
         for disc in range(low, 1):
             if disc % 4 in (0, 1):
                 ht = {t: classnum.ht12(t, disc) for t in ts}
-                for weights in kinds:
-                    plain = sum(c * ht[t] for t, c, *_ in weights[1])
-                    assert trace._divisor_sum12(weights, disc) == plain, (m, weights[1], disc)
+                for weights, rows in kinds:
+                    plain = sum(c * ht[t] for t, c, _ in rows)
+                    assert trace._divisor_sum12(weights, disc) == plain, (m, rows, disc)
 
 
 def test_divisor_sum_helper_equals_plain_ht12_sum(monkeypatch):
-    # one H(D) and one symbol per prime of m give the same sum as ht12 at
-    # every row: D = 0 (every t > 1 takes the closed form), even D at p = 2,
-    # with the table and on the per-discriminant path
+    # the folded sum against a plain sum of ht12 over every row t | m:
+    # D = 0 (every prime of m divides it), even D at p = 2, with the table
+    # and on the per-discriminant path
     _check_divisor_sum12(-2000)
     monkeypatch.setattr(classnum, "_active_table", None)
     _check_divisor_sum12(-400)
 
 
+def test_divisor_sum_is_zero_at_a_split_prime_before_any_class_number(monkeypatch):
+    # at p || m the newspace's local constant at (D|p) = +1 is c_1 + c_p = 0,
+    # so no class number is read, whatever the other primes of m do
+    def forbidden(*args):
+        raise AssertionError("class number read at %r" % (args,))
+
+    cases = []
+    for m in (7, 7 * 9, 7 * 32, 3 * 7, 7 * 11**3):
+        for disc in range(-600, 0):
+            if disc % 4 in (0, 1) and kronecker(disc, 7) == 1:
+                cases.append((trace._level_weights(m, True), disc))
+    assert len(cases) > 500
+    monkeypatch.setattr(classnum, "ht12", forbidden)
+    monkeypatch.setattr(classnum, "hurwitz12_ext", forbidden)
+    assert all(trace._divisor_sum12(weights, disc) == 0 for weights, disc in cases)
+
+
 def test_divisor_sums_call_ht12_only_where_gcd_exceeds_one(monkeypatch):
+    # per s: no ht12 call when a prime not dividing D has a zero local factor
+    # sum_a c_a (D|p^a), else one per row t > 1 over the primes dividing D
     calls = []
-    real = classnum.ht12
+    real_ht12, real_sum = classnum.ht12, trace._divisor_sum12
 
     def recorder(t, disc):
         calls.append((t, disc))
-        return real(t, disc)
+        return real_ht12(t, disc)
+
+    def counted(weights, disc):
+        before = len(calls)
+        out = real_sum(weights, disc)
+        fold = math.prod(
+            sum(c * kronecker(disc, pa) for pa, c, _ in rows) for p, rows, _, _ in weights if disc % p
+        )
+        ramified = [rows for p, rows, _, _ in weights if disc % p == 0]
+        rows_above_one = math.prod(map(len, ramified)) - all(rows[0][0] == 1 for rows in ramified)
+        assert len(calls) - before == (rows_above_one if fold else 0), (weights, disc)
+        return out
 
     monkeypatch.setattr(classnum, "ht12", recorder)
+    monkeypatch.setattr(trace, "_divisor_sum12", counted)
     for k in (2, 4):
         for q, r in ((5, 1), (7, 1), (3, 2), (5, 2), (2, 3), (6, 1), (15, 1)):
             for m in range(1, 61):
