@@ -4,14 +4,16 @@ Three independent routes to H(disc) live here:
 
 * ``hurwitz`` -- fundamental-discriminant decomposition plus
   ``class_number`` at the fundamental part (the default path, exact
-  Fractions).  h(D) there is a root count: below a = sqrt(|D|)/2 the
-  reduced forms with first coefficient a are the roots b of b^2 = D
-  (mod 4a), summed as a multiplicative function with one sieve pass per
-  prime, and only the forms above it are walked, about 0.006 |D| steps
-  against 0.069 |D| for a walk of every form;
+  Fractions).  h(D) there is a root count: one sieve pass per prime up
+  to sqrt(|D|/3), the largest first coefficient of a reduced form, marks
+  the a that have a root b of b^2 = D (mod 4a).  Below a = sqrt(|D|)/2
+  every root is a reduced form, so those a are summed as a multiplicative
+  function; above it only the a with a root are walked, about 0.0017 |D|
+  divisibility tests against 0.069 |D| for a walk of every form;
 * ``hurwitz12_oracle`` -- a from-scratch enumeration of all reduced forms with
-  automorphism weights, kept deliberately naive, and by an algorithm other
-  than the default path's;
+  automorphism weights, by an algorithm other than the default path's: of
+  the candidate first coefficients a of a product a*c it skips only those
+  divisible by 2 or 3 where a*c is not;
 * ``HurwitzTable`` -- a bulk numpy sieve over all discriminants down to a
   bound, one contiguous pass per b over a running count of the a*c
   products.  It stores only the discriminants: -n at n = 0, 3 (mod 4), the
@@ -49,11 +51,12 @@ def class_number(disc: int) -> int:
     """h(disc): the number of classes of primitive positive definite forms.
 
     A fundamental disc < -4 is counted by ``_root_count``: one sieve pass
-    per prime up to sqrt(|disc|)/2 and a walk of about 0.006 |disc| steps,
-    where a count of every reduced form takes about 0.069 |disc|.  Every
-    other disc (-3, -4 and disc0 * lam^2 with lam > 1) goes through
-    ``decompose`` and the order formula h(disc) = h'(disc) = h(disc0) *
-    gamma / (w0 / 2), which ``hprime12`` evaluates with ``gamma_weight``.
+    per prime up to sqrt(|disc|/3) and a walk of about 0.0017 |disc|
+    divisibility tests, where a count of every reduced form takes about
+    0.069 |disc|.  Every other disc (-3, -4 and disc0 * lam^2 with lam > 1)
+    goes through ``decompose`` and the order formula h(disc) = h'(disc) =
+    h(disc0) * gamma / (w0 / 2), which ``hprime12`` evaluates with
+    ``gamma_weight``.
     """
     _check_disc(disc)
     if disc >= -4:
@@ -76,29 +79,28 @@ def _root_count(n: int) -> int | None:
     """h(-n) for a fundamental discriminant -n < -4, or None when -n is not
     fundamental (Cohen, GTM 138, 5.3-5.4).
 
-    Each reduced form (a, b, c) is a root b of b^2 = -n (mod 4a), -a < b <= a.
-    Below A = isqrt(n // 4), 4a^2 < n, so c > a and every root is a reduced
-    form, primitive since -n is fundamental: those a add R(a) = #{b mod 2a :
-    b^2 = -n (mod 4a)}.  R is multiplicative, with R(p^e) = 1 + (-n|p) at
-    p not dividing n, and R(p) = 1, R(p^e) = 0 (e >= 2) at p | n.  So R(a) =
-    2^s(a), s(a) being the number of split primes dividing a, unless an
-    inert p or the square of a ramified one divides a.  One pass per prime
-    p <= A over the multiples of p (or p^2) in a bytearray holds s(a), or
-    255 where R(a) = 0; the symbol is arith.legendre written out (a call per
-    prime measured 1-2% slower).  The sum over a <= A is then a count
-    of each value s.  Only the forms with A < a <= sqrt(n/3) are walked,
-    b first: a divides m = (b^2 + n)/4 with max(b, A + 1) <= a <= sqrt(m),
-    weight 1 when b = a or a = c = m/a and 2 (b and -b) otherwise; the walk
-    starts at the least b of parity n whose m reaches (A + 1)^2.  A square
-    p^2 | n is seen at the ramified p <= A, and past A it leaves n = 3p^2;
-    the 2-part is a test of n mod 16.
+    Each reduced form (a, b, c) is a root b of b^2 = -n (mod 4a), -a < b <= a,
+    with a <= T = isqrt(n // 3).  R(a) = #{b mod 2a : b^2 = -n (mod 4a)} is
+    multiplicative, with R(p^e) = 1 + (-n|p) at p not dividing n, and R(p) =
+    1, R(p^e) = 0 (e >= 2) at p | n.  So R(a) = 2^s(a), s(a) being the number
+    of split primes dividing a, unless an inert p or the square of a ramified
+    one divides a.  One pass per prime p <= T over the multiples of p (or
+    p^2) in a bytearray holds s(a), or 255 where R(a) = 0; the symbol is
+    arith.legendre written out (a call per prime measured 1-2% slower).  A
+    square p^2 | n is seen at its ramified p <= T (past T, n = p^2 or 2p^2
+    is not 0 or 3 mod 4), the 2-part by a test of n mod 16.  Below A =
+    isqrt(n // 4), 4a^2 < n, so c > a and every root is a reduced form,
+    primitive since -n is fundamental: the sum over a <= A is a count of
+    each value s.  Above A only the a with R(a) > 0 are walked: b of n's
+    parity from ceil(sqrt(4a^2 - n)), where c reaches a, up to a, a form
+    where 4a divides b^2 + n, of weight 1 at b = a or c = a and 2 (b and -b)
+    otherwise.  Over the fundamental |D| <= 1.5*10^5, 29% of those a have
+    R(a) > 0.
     """
     if n % 4 != 3 and n % 16 not in (4, 8):
         return None
-    if n % 3 == 0 and math.isqrt(n // 3) ** 2 == n // 3:
-        return None
     d = -n
-    top = math.isqrt(n // 4)
+    low, top = math.isqrt(n // 4), math.isqrt(n // 3)
     split = bytearray(top + 1)
     for p in _primes_below(top.bit_length()):
         if p > top:
@@ -114,15 +116,16 @@ def _root_count(n: int) -> int | None:
                 return None
             split[pp::pp] = _DEAD * (top // pp)
     h = 0
-    for j in range(top.bit_length()):  # 2^s(a) <= a <= A
-        h += split.count(j, 1) << j
-    a0 = top + 1
-    b = math.isqrt(4 * a0 * a0 - n - 1) + 1  # the least b with (b^2 + n)/4 >= a0^2
-    for b in range(b + ((b ^ n) & 1), math.isqrt(n // 3) + 1, 2):
-        m = (b * b + n) >> 2
-        for a in range(max(b, a0), math.isqrt(m) + 1):
-            if m % a == 0:
-                h += 1 if b == a or a * a == m else 2
+    for j in range(low.bit_length()):  # 2^s(a) <= a <= A
+        h += split.count(j, 1, low + 1) << j
+    for a in range(low + 1, top + 1):
+        if split[a] == 255:  # R(a) = 0: no form has first coefficient a
+            continue
+        a4 = 4 * a
+        b = math.isqrt(a * a4 - n - 1) + 1  # the least b with c = (b^2 + n)/4a >= a
+        for b in range(b + ((b ^ n) & 1), a + 1, 2):
+            if (b * b + n) % a4 == 0:
+                h += 1 if b == a or b * b + n == a * a4 else 2
     return h
 
 
@@ -227,8 +230,22 @@ def hurwitz12_gather(discs):
 # the independent oracle: enumerate every reduced form, weight by automorphisms
 
 
+# the residues prime to w, for w = 6 // gcd(m, 6)
+_UNITS = {1: (0,), 2: (1,), 3: (1, 2), 6: (1, 5)}
+
+
 def hurwitz12_oracle(disc: int) -> int:
-    """12 * H(disc) recounted from the definition (all reduced forms, weighted)."""
+    """12 * H(disc) recounted from the definition (all reduced forms, weighted).
+
+    Every b = n (mod 2), 0 <= b <= sqrt(n/3), and every divisor a of m = (b^2
+    + n)/4 with b <= a <= sqrt(m) is one form.  A divisor of m has no prime 2
+    or 3 that m lacks, so the candidates a run only over the residues prime
+    to w = 6 // gcd(m, 6): one range per residue, which keeps 58% of the
+    candidates over 1,200 discriminants spread evenly to |D| = 1.5*10^5.
+    Nothing else is skipped: the walk reads no Legendre symbol, no sieve
+    and no multiplicativity, so it stays independent of ``class_number``'s
+    root count and of ``build_table``.
+    """
     if disc == 0:
         return -1
     _check_disc(disc)
@@ -237,18 +254,21 @@ def hurwitz12_oracle(disc: int) -> int:
     b = n & 1
     while 3 * b * b <= n:
         m = (b * b + n) // 4
-        for a in range(max(b, 1), math.isqrt(m) + 1):
-            if m % a:
-                continue
-            c = m // a
-            if b == 0:
-                total += 6 if a == c else 12
-            elif b == a:
-                total += 4 if a == c else 12
-            elif a == c:
-                total += 12
-            else:
-                total += 24
+        lo, hi = max(b, 1), math.isqrt(m) + 1
+        w = 6 // math.gcd(m, 6)
+        for r in _UNITS[w]:
+            for a in range(lo + (r - lo) % w, hi, w):
+                if m % a:
+                    continue
+                c = m // a
+                if b == 0:
+                    total += 6 if a == c else 12
+                elif b == a:
+                    total += 4 if a == c else 12
+                elif a == c:
+                    total += 12
+                else:
+                    total += 24
         b += 2
     return total
 

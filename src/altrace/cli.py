@@ -146,7 +146,11 @@ def cmd_murmur(args) -> tuple[dict, int]:
 
     if args.smooth is not None and not 0 < args.smooth < 1:  # before the scan, not after it
         raise ValueError("--smooth must be in (0, 1), got %s" % args.smooth)
-    spec = murmur.parse_family(args.family, k=args.k, beta=Fraction(args.beta))
+    try:
+        beta = Fraction(args.beta)
+    except (ValueError, ZeroDivisionError):  # "abc", "nan", "inf", "1/0"
+        raise ValueError("--beta needs a rational > 1, got %r" % args.beta) from None
+    spec = murmur.parse_family(args.family, k=args.k, beta=beta)
     ell_range = (2, args.ell_max)
     series: dict[str, list[murmur.MurmurationPoint]] = {}
     if args.eigenspace is not None:
@@ -284,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
-        # bad input: a domain error, an unwritable output path, a zero denominator in --beta
+    except (ValueError, OSError) as exc:
+        # bad input: a domain error or an unwritable output path
         parser.error(str(exc))
         return 2
     print(_render(payload, args.json))

@@ -120,8 +120,15 @@ def _divisor_sum12(weights, disc: int) -> int:
     (a split p || m on the newspace, p^e || m with e >= 3 there, an inert p
     on the full space) returns 0 before any class number is read; the t_Z
     sum stays term by term, with one ``classnum.ht12`` per row t_Z > 1 and
-    ``classnum.hurwitz12_ext`` at t_Z = 1.
+    ``classnum.hurwitz12_ext`` at t_Z = 1.  At disc = 0 every prime of m
+    divides disc and 12 H_t(0) = -t, so the sum is -prod_p sum_a c_a p^a over
+    the local rows, with no class number read.
     """
+    if not disc:
+        out = -1
+        for _, local, _, _ in weights:
+            out *= sum(c * pa for pa, c, _ in local)
+        return out
     fold = 1
     dividing = []  # the entries of the primes dividing disc
     for entry in weights:

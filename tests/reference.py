@@ -2,7 +2,8 @@
 
 ``class_number_forms`` counts the primitive reduced forms of a
 discriminant one (a, b) at a time, the twin of classnum.class_number's
-root count.
+root count, and ``hurwitz12_forms`` weights every reduced form at every
+a, the unwheeled twin of classnum.hurwitz12_oracle.
 
 ``omega1`` and ``omega2`` count the primes whose parity is the sign of
 signs.kappa_minus over a cubefree level, the twin of the predicate's sign.
@@ -40,6 +41,31 @@ def class_number_forms(disc: int) -> int:
             count += 1 if b == 0 or b == a or a == c else 2
         b += 2
     return count
+
+
+def hurwitz12_forms(disc: int) -> int:
+    """12 * H(disc) for a discriminant disc < 0: every reduced form (a, b, c),
+    |b| <= a <= c, at every b >= 0 and every a | (b^2 - disc)/4, weighted by
+    its automorphisms."""
+    n = -disc
+    total = 0
+    b = n & 1
+    while 3 * b * b <= n:
+        m = (b * b + n) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            if b == 0:
+                total += 6 if a == c else 12
+            elif b == a:
+                total += 4 if a == c else 12
+            elif a == c:
+                total += 12
+            else:
+                total += 24
+        b += 2
+    return total
 
 
 def mu_star_mu(n: int) -> int:

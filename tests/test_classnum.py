@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from altrace import classnum
 from altrace.arith import divisors, factor, is_squarefree, kronecker
-from reference import class_number_forms
+from reference import class_number_forms, hurwitz12_forms
 
 
 FROZEN_HURWITZ = {
@@ -54,15 +54,42 @@ def test_class_number_equals_the_form_count_up_to_20000():
             assert classnum.class_number(-n) == class_number_forms(-n), -n
 
 
+def _upper_edge_form(n):
+    # a reduced form (a, a, c) or (a, b, a) of disc -n with 4a^2 > n, a form
+    # the root count walks and weights 1
+    for a in range(math.isqrt(n // 4) + 1, math.isqrt(n // 3) + 1):
+        b = math.isqrt(4 * a * a - n)
+        if (a * a + n) % (4 * a) == 0 or b * b == 4 * a * a - n:
+            return True
+    return False
+
+
 def test_class_number_equals_the_form_count_at_large_fundamental_discs():
+    # 15 discs in [10^6, 10^7], then 40 in [10^5, 10^6] with an upper edge form
     rng = random.Random(20240601)
     discs = []
-    while len(discs) < 15:
-        n = rng.randrange(10**6, 10**7)
-        if n % 4 == 3 and is_squarefree(n) or n % 16 in (4, 8) and is_squarefree(n // 4):
+    while len(discs) < 55:
+        n = rng.randrange(10**6, 10**7) if len(discs) < 15 else rng.randrange(10**5, 10**6)
+        fundamental = n % 4 == 3 and is_squarefree(n) or n % 16 in (4, 8) and is_squarefree(n // 4)
+        if fundamental and (len(discs) < 15 or _upper_edge_form(n)):
             discs.append(-n)
     assert [classnum.class_number(d) for d in discs] == [class_number_forms(d) for d in discs]
     assert classnum.class_number.cache_info().currsize  # perfbench reads its cache by this name
+
+
+def test_oracle_equals_the_unwheeled_walk_and_hurwitz12():
+    # the 6-wheel against every a: each n <= 5000, then 200 discs in [10^5,
+    # 10^6], fundamental or not, where hurwitz12 (root count and order
+    # formula) must agree too, past test_oracle_agreement_small_range's n < 1500
+    for n in range(1, 5001):
+        if n % 4 in (0, 3):
+            assert classnum.hurwitz12_oracle(-n) == hurwitz12_forms(-n), -n
+    rng = random.Random(39)
+    discs = [-(n - n % 4 + rng.choice((0, 3))) for n in (rng.randrange(10**5, 10**6) for _ in range(200))]
+    assert sum(1 for d in discs if classnum.decompose(d)[1] > 1) > 20
+    oracle = [classnum.hurwitz12_oracle(d) for d in discs]
+    assert oracle == [hurwitz12_forms(d) for d in discs]
+    assert oracle == [classnum.hurwitz12(d) for d in discs]
 
 
 def test_hurwitz_rejects_bad_disc():

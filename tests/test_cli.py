@@ -296,11 +296,15 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
         pytest.param(["equidist-sweep", "--M-max", "0"], "empty grid", id="sweep-no-cofactor"),
         pytest.param(["murmur", "--family", "I:M=0", "--X", "10", "--ell-max", "7"], "fixed M >= 1", id="family"),
         pytest.param(["murmur", "--family", "II:Q=1,M=sqf0", "--X", "10", "--ell-max", "7"], "M set must be", id="family-sqf0"),
-        pytest.param(["murmur", "--family", "I:M=1", "--beta", "abc", "--X", "10", "--ell-max", "7"], "'abc'", id="beta"),
-        pytest.param(
-            ["murmur", "--family", "I:M=1", "--beta", "1/0", "--X", "10", "--ell-max", "7"],
-            "Fraction(1, 0)",
-            id="beta-zero-denominator",
+        *(
+            pytest.param(
+                ["murmur", "--family", "I:M=1", "--beta", beta, "--X", "10", "--ell-max", "7"],
+                "--beta needs a rational > 1, got '%s'" % beta,
+                id=name,
+            )
+            for beta, name in (
+                ("abc", "beta"), ("1/0", "beta-zero-denominator"), ("nan", "beta-nan"), ("inf", "beta-inf")
+            )
         ),
         # the level window's arrays are int64: a window past 2^63 is refused
         # at once, not walked level by level

@@ -694,6 +694,26 @@ def test_divisor_sum_helper_equals_plain_ht12_sum(monkeypatch):
     _check_divisor_sum12(-400)
 
 
+def test_divisor_sum_at_zero_is_the_plain_sum_and_reads_no_class_number(monkeypatch):
+    # at D = 0 every prime of m divides D and 12 H_t(0) = -t: the sum folds
+    # into -prod_p sum_a c_a p^a, against the plain sum of ht12(t, 0) over
+    # the reference rows, at every p^e with e <= 5 and at products of them
+    levels = [1, *(p**e for p in (2, 3, 5, 7) for e in range(1, 6)), 2**5 * 3**3 * 7, 2 * 3 * 7**3, 3**5 * 5**2, 360]
+    cases = []
+    for m in levels:
+        for new in (False, True):
+            plain = sum(c * classnum.ht12(t, 0) for t, c, _ in _reference_weights(m, new))
+            cases.append((m, new, plain))
+
+    def forbidden(*args):
+        raise AssertionError("class number read at %r" % (args,))
+
+    monkeypatch.setattr(classnum, "ht12", forbidden)
+    monkeypatch.setattr(classnum, "hurwitz12_ext", forbidden)
+    for m, new, plain in cases:
+        assert trace._divisor_sum12(trace._level_weights(m, new), 0) == plain, (m, new)
+
+
 def test_divisor_sum_is_zero_at_a_split_prime_before_any_class_number(monkeypatch):
     # at p || m the newspace's local constant at (D|p) = +1 is c_1 + c_p = 0,
     # so no class number is read, whatever the other primes of m do
@@ -712,8 +732,9 @@ def test_divisor_sum_is_zero_at_a_split_prime_before_any_class_number(monkeypatc
 
 
 def test_divisor_sums_call_ht12_only_where_gcd_exceeds_one(monkeypatch):
-    # per s: no ht12 call when a prime not dividing D has a zero local factor
-    # sum_a c_a (D|p^a), else one per row t > 1 over the primes dividing D
+    # per s: no ht12 call at D = 0 or when a prime not dividing D has a zero
+    # local factor sum_a c_a (D|p^a), else one per row t > 1 over the primes
+    # dividing D
     calls = []
     real_ht12, real_sum = classnum.ht12, trace._divisor_sum12
 
@@ -729,7 +750,7 @@ def test_divisor_sums_call_ht12_only_where_gcd_exceeds_one(monkeypatch):
         )
         ramified = [rows for p, rows, _, _ in weights if disc % p == 0]
         rows_above_one = math.prod(map(len, ramified)) - all(rows[0][0] == 1 for rows in ramified)
-        assert len(calls) - before == (rows_above_one if fold else 0), (weights, disc)
+        assert len(calls) - before == (rows_above_one if fold and disc else 0), (weights, disc)
         return out
 
     monkeypatch.setattr(classnum, "ht12", recorder)
