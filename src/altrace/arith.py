@@ -1,8 +1,8 @@
 """Exact elementary number theory used everywhere else in the package.
 
 Factorization (cached trial division, returned as the plain tuple of
-(prime, exponent) pairs), Kronecker symbols at any modulus and Legendre
-symbols at a prime (every modulus that comes out of ``factor``), the
+(prime, exponent) pairs), the Legendre symbol at a prime, and the Kronecker
+symbol at n >= 1 as its product over ``factor(n)`` (n <= 0 raises there), the
 multiplicative functions mobius and sigma, and divisors and primes.  The
 newspace weights live where they are read: the dimension's in module signs, the traces' in
 module trace.  Everything returns exact ints, in pure Python: importing
@@ -68,36 +68,6 @@ def check_level(k: int, q: int, r: int, m: int, ell: int = 1) -> None:
         raise ValueError("Hecke index must be coprime to the level")
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), defined for all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
-
-
 # (a|2) at a mod 8: 0 at even a, and the second supplement at odd a
 KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)
 
@@ -108,6 +78,16 @@ def legendre(a: int, p: int) -> int:
         return KRONECKER_2[a & 7]
     s = pow(a, p >> 1, p)
     return -1 if s == p - 1 else s
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n) at n >= 1: the product of legendre(a, p)^e over
+    the p^e || n (n <= 0 raises from factor)."""
+    out = 1
+    for p, e in factor(n):
+        s = legendre(a, p)
+        out *= s if e & 1 else s * s
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .arith import KRONECKER_2, factor, legendre, primes_up_to
+from .arith import KRONECKER_2, factor, kronecker, legendre, primes_up_to
 
 # ---------------------------------------------------------------------------
 # primitive forms and the fundamental decomposition
@@ -371,8 +371,8 @@ def ht12(t: int, disc: int) -> int:
     Closed form: with g = gcd(t, disc) = a^2 b (b squarefree), the count is
     g * (disc' / b | t/g) * H(disc' / b) when b | disc' = disc/g, else 0.
     Covers disc = 0 (H_t(0) = -t/12) and reduces to H at t = 1.  The symbol
-    is a product of (disc'/b | p)^e over the p^e || t/g, and such a p does
-    not divide disc' (v_p(t) > v_p(disc)): 1 at even e, legendre at odd e.
+    is arith.kronecker, the product of (disc'/b | p)^e over the p^e || t/g;
+    no such p divides disc' (v_p(t) > v_p(disc)), so an even e gives 1.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -390,12 +390,7 @@ def ht12(t: int, disc: int) -> int:
         return 0
     dpb = dp // b
     h = hurwitz12_ext(dpb)  # 0 at dpb = 2, 3 mod 4: no symbol needed
-    if not h:
-        return 0
-    for p, e in factor(t // g):
-        if e & 1:
-            h *= legendre(dpb, p)
-    return g * h
+    return g * kronecker(dpb, t // g) * h if h else 0
 
 
 def alpha1_12(d: int, e: int) -> int:

@@ -161,20 +161,20 @@ def parse_family(text: str, k: int = 2, beta: Fraction = Fraction(2)) -> FamilyS
             raise ValueError("field %s given %d times" % (key, len(vals)))
         return vals[0]
 
+    def whole(name: str, val: str | None) -> int | None:
+        try:
+            return None if val is None else int(val)
+        except ValueError:
+            raise ValueError("family field %s needs an integer, got %r in %r" % (name, val, text)) from None
+
     if kind == "I":
-        spec = FamilySpec(
-            kind="I",
-            m=int(one("m", "1")),
-            omega_q=(lambda v: int(v) if v is not None else None)(one("omega")),
-            k=k,
-            beta=beta,
-        )
+        spec = FamilySpec(kind="I", m=whole("M", one("m", "1")), omega_q=whole("omega", one("omega")), k=k, beta=beta)
     elif kind == "II":
-        spec = FamilySpec(kind="II", q=int(one("q", "1")), m_set=one("m", "all"), k=k, beta=beta)
+        spec = FamilySpec(kind="II", q=whole("Q", one("q", "1")), m_set=one("m", "all"), k=k, beta=beta)
     else:
-        fixed = tuple(int(v) for v in fields.pop("fixed", []) if v)
-        idx = tuple(int(v) for v in fields.pop("idx", []) if v)
-        spec = FamilySpec(kind="III", r=int(one("r", "1")), fixed=fixed, idx=idx, k=k, beta=beta)
+        fixed = tuple(whole("fixed", v) for v in fields.pop("fixed", []) if v)
+        idx = tuple(whole("idx", v) for v in fields.pop("idx", []) if v)
+        spec = FamilySpec(kind="III", r=whole("r", one("r", "1")), fixed=fixed, idx=idx, k=k, beta=beta)
     if fields:
         raise ValueError("unknown fields %s for kind %s" % (sorted(fields), kind))
     return spec

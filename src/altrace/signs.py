@@ -7,7 +7,8 @@ divisor-sum pipeline in module trace; the two routes cross-check each
 other in the test suite).
 
 ``equidistribution_predicate`` answers "is it zero, and if not which sign"
-from congruence data alone, tagging which case fired.  ``dim_new`` and
+from congruence data alone, tagging which case fired, with the kappa_- that
+``delta`` took; three of its branches share one verdict ladder.  ``dim_new`` and
 ``eigenspace_dims`` supply the dimension bookkeeping, and
 ``correlation_checks`` packages the small-Hecke sign-correlation facts.
 
@@ -144,6 +145,12 @@ def delta(k: int, q: int, r: int, m: int) -> int:
     """tr W_{q^r} on S_k^new(q^r M) = dim^{+} - dim^{-} at any modulus q^r of
     arith.check_level: the s = 0 tower (r = 2: a pair of its own), the small-s
     terms of q^r = 2, 3, 4, 8, 16, 27, and mu(M) at r = 1, k = 2."""
+    return _delta(k, q, r, m)[0]
+
+
+def _delta(k: int, q: int, r: int, m: int) -> tuple[int, int]:
+    """(delta, kappa): the kappa of its s = 0 terms, kappa_-(-q, M') at odd r
+    and kappa_-(-1, M') at even r, which the predicate reads."""
     check_level(k, q, r, m)
     if r < 1:
         raise ValueError("delta needs r >= 1, got r = %r" % (r,))
@@ -171,7 +178,7 @@ def delta(k: int, q: int, r: int, m: int) -> int:
         if r == 1 and k == 2:
             val24 += 24 * mobius(m)
     assert val24 % 24 == 0, (k, q, r, m, val24)
-    return val24 // 24
+    return val24 // 24, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,20 @@ def _has_split_prime(delta_arg: int, mp: int) -> bool:
     return any(e == 1 and legendre(delta_arg, p) == 1 for p, e in factor(mp))
 
 
+def _ladder(tag: str, value: int, c: int, mp: int, kappa: int, two_adic: tuple, b: int | None) -> DeltaResult:
+    """The verdict of req1(4), req1(1) and r-odd: zero at (i) a not-cubefree M',
+    (ii) a split prime (kappa = 0) or (iii)-(v) the branch's three two-adic
+    conditions, in that order; else c * b * sign(kappa), no claim at b = None."""
+    if not kappa:  # a cube in M' is a zero of kappa too (no p | M' divides q)
+        if not _is_cubefree(mp):
+            return DeltaResult(value, True, tag + "(i)", ZERO_NOT_CUBEFREE, 0)
+        return DeltaResult(value, True, tag + "(ii)", ZERO_SPLIT_PRIME, 0)
+    for numeral, hit in zip(("(iii)", "(iv)", "(v)"), two_adic):
+        if hit:
+            return DeltaResult(value, True, tag + numeral, ZERO_TWO_ADIC, 0)
+    return DeltaResult(value, True, tag, ZERO_NONE, None if b is None else c * b * _sign(kappa))
+
+
 def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
     """Zero/sign verdict for delta(k, q, r, M) from congruence data.
 
@@ -222,9 +243,11 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
     a composite q, and a few weight-2 corners); the numeric value is still
     filled in.  Where a sign is claimed (r = 1 at q >= 5, and r >= 3), it
     is c * b(e) * sign(kappa) with kappa = kappa_-(-q^r, M') (at even r,
-    kappa_-(-1, M')), 0 exactly at a split prime past the not-cubefree test.
+    kappa_-(-1, M')), 0 exactly at a split prime past the not-cubefree test;
+    it is delta's own kappa, as (-q^r|p) = (-q|p) at odd r.  q = 3, q >= 5 at
+    r = 1 and odd r >= 3 share ``_ladder``; r-even tests e >= 4 before kappa.
     """
-    value = delta(k, q, r, m)
+    value, kappa = _delta(k, q, r, m)
     e, mp = _split_even(m)
     c = -1 if (k // 2) % 2 else 1
     qr = q**r
@@ -236,20 +259,19 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
         return res("not-covered", ZERO_NONE, None, covered=False)
 
     if r == 1 and q == 2:
-        # M is odd here (coprimality), so e = 0 and mp = m.
+        # M is odd here (coprimality), so e = 0, mp = m and kappa = kappa_-(-2, M).
         if k == 2 and is_squarefree(m):
             if m == 1 or (is_prime(m) and m % 8 in (3, 5)):
                 return res("req1(3)(iii)", ZERO_SMALL_LEVEL, 0)
             return res("req1(3)", ZERO_NONE, None)
         if not _is_cubefree(m):
             return res("req1(3)(i)", ZERO_NOT_CUBEFREE, 0)
-        k2 = kappa_minus(-2, m)
         k1 = kappa_minus(-1, m)
-        if k2 == 0 and k1 == 0:
+        if kappa == 0 and k1 == 0:
             # both weights die on split primes; the printed product test
             # does not see this case
             return res("req1(3)(ii*)", ZERO_SPLIT_PRIME, 0)
-        if k2 != 0 and k1 != 0:
+        if kappa != 0 and k1 != 0:
             prod = 1
             for p, ee in factor(m):
                 if ee == 2:
@@ -264,20 +286,10 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             if m in (1, 2):
                 return res("req1(4)(k=2)", ZERO_SMALL_LEVEL, 0)
             return res("req1(4)", ZERO_NONE, None)
-        if not _is_cubefree(mp):
-            return res("req1(4)(i)", ZERO_NOT_CUBEFREE, 0)
-        if not kappa_minus(-3, mp):
-            return res("req1(4)(ii)", ZERO_SPLIT_PRIME, 0)
-        if e >= 5:
-            return res("req1(4)(iii)", ZERO_TWO_ADIC, 0)
-        if e == 0 and k % 12 in (4, 10):
-            return res("req1(4)(iv)", ZERO_TWO_ADIC, 0)
-        if e == 2 and k % 12 not in (4, 10):
-            return res("req1(4)(v)", ZERO_TWO_ADIC, 0)
-        return res("req1(4)", ZERO_NONE, None)
+        two_adic = (e >= 5, e == 0 and k % 12 in (4, 10), e == 2 and k % 12 not in (4, 10))
+        return _ladder("req1(4)", value, c, mp, kappa, two_adic, None)
 
     if r == 1:  # q >= 5
-        kappa = kappa_minus(-q, mp)
         if k == 2 and is_squarefree(m):
             if m == 1 and q in (5, 7, 13, 37):
                 return res("req1(2)(i)", ZERO_SMALL_LEVEL, 0)
@@ -288,38 +300,18 @@ def equidistribution_predicate(k: int, q: int, r: int, m: int) -> DeltaResult:
             if kappa and not (e == 1 and q % 8 == 7):
                 return res("req1(2)", ZERO_NONE, c * _b_odd(e, q) * _sign(kappa))
             return res("req1(2)", ZERO_NONE, None)
-        if not _is_cubefree(mp):
-            return res("req1(1)(i)", ZERO_NOT_CUBEFREE, 0)
-        if not kappa:
-            return res("req1(1)(ii)", ZERO_SPLIT_PRIME, 0)
-        if e >= 4 and q % 4 == 1:
-            return res("req1(1)(iii)", ZERO_TWO_ADIC, 0)
-        if e >= 5 and q % 8 == 3:
-            return res("req1(1)(iv)", ZERO_TWO_ADIC, 0)
-        if e not in (0, 4) and q % 8 == 7:
-            return res("req1(1)(v)", ZERO_TWO_ADIC, 0)
-        return res("req1(1)", ZERO_NONE, c * _b_odd(e, q) * _sign(kappa))
+        two_adic = (e >= 4 and q % 4 == 1, e >= 5 and q % 8 == 3, e not in (0, 4) and q % 8 == 7)
+        return _ladder("req1(1)", value, c, mp, kappa, two_adic, _b_odd(e, q))
 
     if r % 2:  # r >= 3 odd, q^r not 8 or 27
-        if not _is_cubefree(mp):
-            return res("r-odd(i)", ZERO_NOT_CUBEFREE, 0)
-        kappa = kappa_minus(-qr, mp)
-        if not kappa:
-            return res("r-odd(ii)", ZERO_SPLIT_PRIME, 0)
-        if e >= 5:
-            return res("r-odd(iii)", ZERO_TWO_ADIC, 0)
-        if e == 4 and qr % 4 == 1:
-            return res("r-odd(iv)", ZERO_TWO_ADIC, 0)
-        if e in (1, 2, 3) and qr % 8 == 7:
-            return res("r-odd(v)", ZERO_TWO_ADIC, 0)
-        return res("r-odd", ZERO_NONE, c * _b_odd(e, qr) * _sign(kappa))
+        two_adic = (e >= 5, e == 4 and qr % 4 == 1, e in (1, 2, 3) and qr % 8 == 7)
+        return _ladder("r-odd", value, c, mp, kappa, two_adic, _b_odd(e, qr))
 
     # r >= 4 even, q^r != 16
     if not _is_cubefree(mp):
         return res("r-even(i)", ZERO_NOT_CUBEFREE, 0)
     if e >= 4:
         return res("r-even(ii)", ZERO_TWO_ADIC, 0)
-    kappa = kappa_minus(-1, mp)
     if not kappa:
         return res("r-even(iii)", ZERO_SPLIT_PRIME, 0)
     return res("r-even", ZERO_NONE, c * _b_even(e) * _sign(kappa))

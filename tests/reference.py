@@ -5,6 +5,10 @@ discriminant one (a, b) at a time, the twin of classnum.class_number's
 root count, and ``hurwitz12_forms`` weights every reduced form at every
 a, the unwheeled twin of classnum.hurwitz12_oracle.
 
+``kronecker`` is the Kronecker symbol by quadratic reciprocity (H. Cohen,
+GTM 138, section 1.4), the twin of arith.kronecker's product of
+Legendre symbols over factor(n).
+
 ``omega1`` and ``omega2`` count the primes whose parity is the sign of
 signs.kappa_minus over a cubefree level, the twin of the predicate's sign.
 
@@ -21,7 +25,7 @@ helpers as the independent twin of those weights.
 """
 import math
 
-from altrace.arith import divisors, factor, is_squarefree, kronecker
+from altrace.arith import divisors, factor, is_squarefree
 
 
 def class_number_forms(disc: int) -> int:
@@ -66,6 +70,36 @@ def hurwitz12_forms(disc: int) -> int:
                 total += 24
         b += 2
     return total
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n) at any integer n, by reciprocity: no factoring."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -1
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if t:
+        if a % 2 == 0:
+            return 0
+        if t % 2 == 1 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def mu_star_mu(n: int) -> int:

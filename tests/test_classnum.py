@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altrace import classnum
-from altrace.arith import divisors, factor, is_squarefree, kronecker
-from reference import class_number_forms, hurwitz12_forms
+from altrace.arith import divisors, factor, is_squarefree
+from reference import class_number_forms, hurwitz12_forms, kronecker
 
 
 FROZEN_HURWITZ = {

@@ -359,6 +359,22 @@ MURMUR_III = ["murmur", "--family", "III:r=2", "--X", "30", "--ell-max", "7"]
             for family in ("I:M=1", "III:r=2")
             for x in (0, -5)
         ),
+        # a field that is not an integer is named, with the family text
+        *(
+            pytest.param(
+                ["murmur", "--family", family, "--X", "50", "--ell-max", "20"],
+                "family field %s needs an integer, got %r in %r" % (field, bad, family),
+                id="family-field-%s" % field,
+            )
+            for family, field, bad in (
+                ("I:M=x", "M", "x"),
+                ("I:omega=two", "omega", "two"),
+                ("II:Q=3x", "Q", "3x"),
+                ("III:r=two", "r", "two"),
+                ("III:fixed=2,a", "fixed", "a"),
+                ("III:r=2,idx=1,b", "idx", "b"),
+            )
+        ),
     ],
 )
 def test_bad_input_and_empty_scans_exit_2_with_a_message(capsys, tmp_path, argv, message):

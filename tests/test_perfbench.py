@@ -46,5 +46,17 @@ def test_untraced_verify_round_passes_its_checks():
     assert result["errors"] == []
 
 
+def test_query_slice_passes_its_checks(monkeypatch):
+    # the first 8 queries of the plan, two per command, each in a fresh CLI
+    # process and checked as the query workload checks them: a payload the
+    # workload would count as failed fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs, run = importlib.import_module("inputs"), importlib.import_module("run")
+    done = [(kind, key, *run.cli_query(argv)) for kind, argv, key in inputs.query_inputs(1)[:8]]
+    tally = run.Tally()
+    run.check_queries(tally, done)
+    assert (tally.attempted, tally.failed) == (8, 0), tally.errors
+
+
 def test_benchmark_checks_flag_injected_mismatches():
     assert _run("selftest.py").rstrip().endswith("all checks flag injected mismatches")

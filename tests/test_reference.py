@@ -1,7 +1,8 @@
-from altrace import arith, signs
+from altrace import arith, signs, twist
 from reference import (
     core_square_part,
     divisors_with_squarefree_cofactor,
+    kronecker,
     mobius_squared_transform,
     mu_star_mu,
     omega1,
@@ -57,9 +58,21 @@ def test_kappa_minus_sign_is_the_omega_parity():
             if mp % q == 0:
                 continue
             fac = arith.factor(mp)
-            zero = any(e > 2 for _, e in fac) or any(e == 1 and arith.kronecker(arg, p) == 1 for p, e in fac)
+            zero = any(e > 2 for _, e in fac) or any(e == 1 and kronecker(arg, p) == 1 for p, e in fac)
             kappa = signs.kappa_minus(arg, mp)
             if zero:
                 assert kappa == 0, (q, r, mp)
             else:
                 assert kappa * (-1) ** (omega1(mp) + omega2(arg, mp)) > 0, (q, r, mp, kappa)
+
+
+def test_kronecker_equals_the_reciprocity_twin():
+    # arith.kronecker multiplies Legendre symbols over factor(n); the twin
+    # never factors, so an even exponent's zero at p | a shows here
+    for n in range(1, 601):
+        for a in range(-200, 201):
+            assert arith.kronecker(a, n) == kronecker(a, n), (a, n)
+    chars = [twist.CHI_MINUS1, twist.CHI_TWO, twist.CHI_MINUS2]
+    chars += [twist.chi_odd(p) for p in arith.primes_up_to(59) if p > 2]
+    for chi in chars:
+        assert [chi(n) for n in range(1, 2001)] == [kronecker(chi.top, n) for n in range(1, 2001)], chi.label

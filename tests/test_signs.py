@@ -1,13 +1,14 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altrace import classnum, murmur, signs, trace
-from altrace.arith import divisors, factor, is_prime, is_squarefree, kronecker
-from reference import mobius_squared_transform
+from altrace import classnum, murmur, selftest, signs, trace
+from altrace.arith import divisors, factor, is_prime, is_squarefree
+from reference import kronecker, mobius_squared_transform
 
 
 def test_kappa_minus_table():
@@ -251,6 +252,28 @@ def test_predicate_r_odd_two_adic_zero():
                     assert res.case_tag == "r-odd(v)" and res.zero_reason == signs.ZERO_TWO_ADIC, (k, q, m, res)
                     assert res.predicted_sign == 0 and res.covered
                     assert res.value == signs.delta(k, q, 3, m) == 0 == trace.t_new(k, q, 3, m, 1), (k, q, m)
+
+
+def test_theorem_grid_verdicts_are_pinned():
+    # criteria 2-3's grid (cached for both): every covered verdict counted by
+    # case tag and by claim, so a reordered ladder or a dropped sign shows
+    grid = selftest._theorem_grid()
+    assert (grid.checked, grid.covered) == (112182, 98896)
+    assert grid.case_tags == Counter({
+        "r-even": 1092, "r-even(i)": 63, "r-even(ii)": 84, "r-even(iii)": 1211,
+        "r-odd": 1526, "r-odd(i)": 161, "r-odd(ii)": 2023, "r-odd(iii)": 35, "r-odd(iv)": 35,
+        "req1(1)": 29107, "req1(1)(i)": 3962, "req1(1)(ii)": 41572, "req1(1)(iii)": 1785,
+        "req1(1)(iv)": 532, "req1(1)(v)": 5419,
+        "req1(2)": 7827, "req1(2)(i)": 4, "req1(2)(ii)": 8,
+        "req1(3)": 602, "req1(3)(i)": 49, "req1(3)(ii)": 112, "req1(3)(ii*)": 253, "req1(3)(iii)": 34,
+        "req1(4)": 606, "req1(4)(i)": 14, "req1(4)(ii)": 573, "req1(4)(iii)": 35, "req1(4)(iv)": 100,
+        "req1(4)(k=2)": 2, "req1(4)(v)": 70,
+    })
+    assert grid.verdicts == Counter({
+        "(no claim)": 6290, "(signed: +1)": 17395, "(signed: -1)": 17075,
+        signs.ZERO_SMALL_LEVEL: 48, signs.ZERO_NOT_CUBEFREE: 4249,
+        signs.ZERO_SPLIT_PRIME: 45632, signs.ZERO_TWO_ADIC: 8207,
+    })
 
 
 def test_predicate_split_prime_reason():

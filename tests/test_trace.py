@@ -7,8 +7,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from altrace import classnum, signs, trace
-from altrace.arith import divisors, factor, is_prime, is_squarefree, kronecker, mobius, primes_up_to, sigma
-from reference import core_square_part, divisors_with_squarefree_cofactor, mobius_squared_transform
+from altrace.arith import divisors, factor, is_prime, is_squarefree, mobius, primes_up_to, sigma
+from reference import core_square_part, divisors_with_squarefree_cofactor, kronecker, mobius_squared_transform
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from altrace import signs, trace, twist
-from altrace.arith import is_prime, kronecker
+from altrace.arith import is_prime
+from reference import kronecker
 
 
 def test_local_type_classification():
